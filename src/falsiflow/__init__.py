@@ -30,7 +30,6 @@ from .measure import (
     total_variation,
 )
 from .semiparametric import (
-    AscentOptions,
     DualCertificate,
     SemiparametricModel,
     maximize_dual,
@@ -47,7 +46,6 @@ from .transport import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AscentOptions",
     "Correspondence",
     "DENOMINATOR",
     "DeficiencyReport",

@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
+
+import numpy as np
 
 from . import models
 from .correspondence import Correspondence
@@ -121,14 +121,24 @@ def render_json(obj: dict) -> str:
 # Commands
 # ---------------------------------------------------------------------------
 
+def _canonical_labels(labels, outcome_support) -> list:
+    """Read file labels as the model's outcome labels with the same text.
+
+    Files carry every label as text, while a model may label its outcomes
+    with numbers.  Labels with no match are kept, so they count against the
+    model.
+    """
+    by_text = {str(y): y for y in outcome_support}
+    return [by_text.get(str(lab), lab) for lab in labels]
+
+
 def _target_distribution(args, outcome_support) -> FiniteDistribution:
     if args.dist:
         p = load_distribution(args.dist)
-    elif args.data:
-        p = empirical(load_data(args.data))
-    else:
-        raise FalsiflowError("either --dist or --data is required")
-    return p
+        return FiniteDistribution(tuple(_canonical_labels(p.support, outcome_support)), p.numerators)
+    if args.data:
+        return empirical(_canonical_labels(load_data(args.data), outcome_support))
+    raise FalsiflowError("either --dist or --data is required")
 
 
 def cmd_check(args) -> int:
@@ -157,11 +167,13 @@ def _run_test(loaded, data, stat, B, seed):
         if loaded[0] != "semi":
             raise FalsiflowError("--stat semi requires a semiparametric model spec")
         model = loaded[1]
+        outcome_support = model.correspondence.outcome_support
     else:
         if loaded[0] != "parametric":
             raise FalsiflowError(f"--stat {stat} requires a parametric model spec")
         model = (loaded[2], loaded[1])
-    return bootstrap_pvalue(data, model, stat, B, seed)
+        outcome_support = loaded[1].outcome_support
+    return bootstrap_pvalue(_canonical_labels(data, outcome_support), model, stat, B, seed)
 
 
 def cmd_test(args) -> int:
@@ -228,24 +240,12 @@ def cmd_invert(args) -> int:
         write_output(header + "\n", args.out)
         return EXIT_COMPATIBLE
 
-    seeds = [int(s.generate_state(1)[0]) for s in __import__("numpy").random.SeedSequence(args.seed).spawn(len(points))]
-
-    def run(idx_pt):
-        idx, pt = idx_pt
+    seeds = np.random.SeedSequence(args.seed).spawn(len(points))
+    lines = [header]
+    for pt, seed in zip(points, seeds):
         local = dict(spec, params=dict(spec.get("params", {}), **pt))
         loaded = build_model(local, args.model)
-        report = _run_test(loaded, data, args.stat, args.B, seeds[idx])
-        return report.pvalue
-
-    workers = max(1, int(os.environ.get("FALSIFLOW_THREADS", "1")))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            pvalues = list(pool.map(run, enumerate(points)))
-    else:
-        pvalues = [run(ip) for ip in enumerate(points)]
-
-    lines = [header]
-    for pt, pv in zip(points, pvalues):
+        pv = _run_test(loaded, data, args.stat, args.B, int(seed.generate_state(1)[0])).pvalue
         accepted = pv >= args.alpha
         lines.append(",".join([format(pt[n], ".10g") for n in names] + [repr(pv), str(accepted).lower()]))
     write_output("\n".join(lines) + "\n", args.out)

@@ -63,6 +63,10 @@ class IterationLimit(FalsiflowError):
     pass
 
 
+class CertificateMismatch(FalsiflowError):
+    """An independent certificate does not reproduce a solver's optimal value."""
+
+
 class Infeasible(FalsiflowError):
     """No feasible point; for the semiparametric primal this signals that no
     latent distribution on the grid satisfies the moment restrictions."""
@@ -71,11 +75,9 @@ class Infeasible(FalsiflowError):
 # -- semiparametric dual ---------------------------------------------------------
 
 class Diverged(FalsiflowError):
-    """Dual ascent still active on the multiplier box boundary after escalation."""
-
-    def __init__(self, message, trace=None):
-        super().__init__(message)
-        self.trace = trace or []
+    """The dual supremum is not attained: the primal LP is infeasible because no
+    latent distribution on the grid satisfies the moment restrictions (empty V),
+    so the dual objective is unbounded."""
 
 
 # -- model constructors / simulation ---------------------------------------------

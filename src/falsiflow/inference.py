@@ -29,7 +29,7 @@ from .measure import (
     align,
     empirical,
 )
-from .semiparametric import AscentOptions, DualCertificate, SemiparametricModel, maximize_dual
+from .semiparametric import DualCertificate, SemiparametricModel, maximize_dual
 from .transport import solve_zero_one
 
 
@@ -142,16 +142,14 @@ def statistic_tn_halflines(
     )
 
 
-def statistic_semiparametric(
-    data: Sequence[Label], model: SemiparametricModel, opts: AscentOptions | None = None
-) -> TestReport:
+def statistic_semiparametric(data: Sequence[Label], model: SemiparametricModel) -> TestReport:
     """Dual moment-restriction statistic on the empirical distribution."""
     if not data:
         raise EmptyData("no observations")
     g_ext, p_n = _extend(model.correspondence, empirical(data))
     if g_ext is not model.correspondence:
         model = SemiparametricModel(g_ext, model.moments, truncated=model.truncated)
-    cert = maximize_dual(model, p_n, opts)
+    cert = maximize_dual(model, p_n)
     n = len(data)
     value = max(cert.T, 0.0)
     return TestReport(
@@ -163,7 +161,7 @@ def statistic_semiparametric(
     )
 
 
-def _compute(kind, counts, n, support, model, opts):
+def _compute(kind, counts, n, support, model):
     """Statistic value from resample counts over a sorted support."""
     data = [lab for lab, c in zip(support, counts) for _ in range(int(c))]
     if kind == "tv-core":
@@ -173,11 +171,11 @@ def _compute(kind, counts, n, support, model, opts):
         nu, g = model
         return statistic_tn_halflines(data, nu, g)
     if kind == "semi":
-        return statistic_semiparametric(data, model, opts)
+        return statistic_semiparametric(data, model)
     raise SupportMismatch(f"unknown statistic kind {kind!r}")
 
 
-def _recentered_replicate(kind, star_counts, base_counts, n, support, model, opts, observed):
+def _recentered_replicate(kind, star_counts, base_counts, n, support, model, observed):
     """Recentered bootstrap replicate value.
 
     For "tv-core" this is sup over all subsets of [P*(A) - P_n(A)], i.e. the
@@ -198,7 +196,7 @@ def _recentered_replicate(kind, star_counts, base_counts, n, support, model, opt
             prefix += int(star_counts[i]) - int(base_counts[i])
             best = max(best, prefix, -prefix)
         return best / n
-    rep = _compute(kind, star_counts, n, support, model, opts)
+    rep = _compute(kind, star_counts, n, support, model)
     return rep.value - observed.value
 
 
@@ -208,7 +206,6 @@ def bootstrap_pvalue(
     statistic_kind: str,
     B: int,
     seed: int,
-    opts: AscentOptions | None = None,
 ) -> TestReport:
     """Bootstrap p-value for a statistic kind.
 
@@ -221,7 +218,7 @@ def bootstrap_pvalue(
         raise EmptyData("no observations")
     if B < 1:
         raise SupportMismatch("B must be at least 1")
-    observed = _compute(statistic_kind, [1] * len(data), len(data), list(data), model, opts)
+    observed = _compute(statistic_kind, [1] * len(data), len(data), list(data), model)
 
     n = len(data)
     p_n = empirical(data)
@@ -237,7 +234,7 @@ def bootstrap_pvalue(
         rng = np.random.default_rng(child)
         counts = rng.multinomial(n, probs)
         value = _recentered_replicate(
-            statistic_kind, counts, base_counts, n, support, model, opts, observed
+            statistic_kind, counts, base_counts, n, support, model, observed
         )
         replicates.append(value)
         if value >= observed.value:

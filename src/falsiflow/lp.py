@@ -70,6 +70,7 @@ class Solution:
     x: np.ndarray | None
     objective: float | None
     duals: np.ndarray | None  # one multiplier per constraint row, original order
+    iterations: int = 0       # solver iterations (HiGHS ``nit``)
 
 
 def solve(program: LinearProgram) -> Solution:
@@ -105,7 +106,7 @@ def solve(program: LinearProgram) -> Solution:
     if eq.any():
         duals[eq] = res.eqlin.marginals
     _verify(program, res.x, duals, lower)
-    return Solution(Status.OPTIMAL, res.x, float(res.fun), duals)
+    return Solution(Status.OPTIMAL, res.x, float(res.fun), duals, int(res.nit))
 
 
 def _verify(program: LinearProgram, x: np.ndarray, duals: np.ndarray, lower: np.ndarray):

@@ -7,8 +7,12 @@ concave program
 
     T(P) = sup_lambda  sum_y P(y) * min_u [ 1{y not admissible for u} - lambda'm(u) ],
 
-maximized here by projected supergradient ascent with an exact LP refinement;
-T(P) = 0 certifies compatibility, a positive value falsifies the model.
+the dual of the transport LP min sum pi(y,u) 1{y not admissible for u} over
+couplings pi with outcome marginal P and E_pi[m(U)] = 0.  That primal LP is
+solved once on HiGHS; the duals of its moment rows give the multiplier, and
+the closed-form objective above at that multiplier must reproduce the LP
+optimum, which certifies both.  T(P) = 0 certifies compatibility, a positive
+value falsifies the model.
 """
 
 from __future__ import annotations
@@ -20,7 +24,14 @@ import numpy as np
 
 from . import lp
 from .correspondence import Correspondence
-from .errors import Diverged, Infeasible, LpFailure, SupportMismatch, UnknownOutcome
+from .errors import (
+    CertificateMismatch,
+    Diverged,
+    Infeasible,
+    LpFailure,
+    SupportMismatch,
+    UnknownOutcome,
+)
 from .measure import FiniteDistribution, Label
 
 #: Dual values at or below this threshold are read as "compatible".
@@ -63,29 +74,13 @@ class SemiparametricModel:
         return 1.0 - self.correspondence.adjacency_matrix().astype(float)
 
 
-@dataclass
-class AscentOptions:
-    """Knobs of the projected supergradient ascent."""
-
-    box: float = 1e3                 # sup-norm bound on the multiplier
-    step_a: float = 1.0              # step size a / (k + b)
-    step_b: float = 10.0
-    max_iter: int = 100_000
-    stall_tol: float = 1e-10         # stop when best improves less than this ...
-    stall_window: int = 500          # ... over this many iterations
-    threshold: float = COMPATIBILITY_THRESHOLD
-    refine: bool = True              # exact LP polish of the running best
-
-
 @dataclass(frozen=True)
 class DualCertificate:
     T: float
     lambda_star: np.ndarray
     minimizer_map: dict[Label, Label]    # outcome -> latent node attaining the inner min
-    trace: tuple[tuple[float, float, float], ...]  # (objective, step, supergradient norm)
-    iterations: int
+    iterations: int                      # HiGHS iterations of the LP
     threshold: float
-    boundary_escalated: bool = False
 
     @property
     def compatible(self) -> bool:
@@ -144,69 +139,37 @@ def dual_objective(
     return value, grad
 
 
-def maximize_dual(
-    model: SemiparametricModel, p: FiniteDistribution, opts: AscentOptions | None = None
-) -> DualCertificate:
-    """Maximize the dual objective over multipliers.
+def maximize_dual(model: SemiparametricModel, p: FiniteDistribution) -> DualCertificate:
+    """Maximize the dual objective over multipliers with one exact LP.
 
-    Projected supergradient ascent inside a sup-norm box, tracking the running
-    best; if the best sits on the box boundary the box is widened once by a
-    factor of 10 and a persistent boundary hit raises :class:`Diverged`.  With
-    ``refine`` the exact dual LP polishes the ascent result.
+    The primal LP is solved on HiGHS and the multiplier is read from the duals
+    of its moment rows.  The closed-form dual objective at that multiplier must
+    equal the LP optimum to :data:`lp.TOLERANCE`, else
+    :class:`CertificateMismatch` is raised; T is that closed-form value.  An
+    empty moment set (infeasible primal, unbounded dual) raises
+    :class:`Diverged`.
     """
-    opts = opts or AscentOptions()
-    g = model.correspondence
-    if p.support != g.outcome_support:
-        raise SupportMismatch("p must live on the model's outcome support")
-
-    if model.n_moments == 0:
-        value, _ = dual_objective(model, p, np.zeros(0))
-        _, argmin = _evaluate(model, np.zeros(0))
-        return DualCertificate(
-            T=value,
-            lambda_star=np.zeros(0),
-            minimizer_map=_minimizer_map(model, argmin),
-            trace=((value, 0.0, 0.0),),
-            iterations=0,
-            threshold=opts.threshold,
+    sol, scales = _solve_primal(model, p)
+    if sol.status is lp.Status.INFEASIBLE:
+        raise Diverged(
+            "no latent distribution on the grid satisfies the moment restrictions; "
+            "the dual is unbounded"
         )
-
-    box = opts.box
-    escalated = False
-    while True:
-        best, best_lam, trace, iters = _ascend(model, p, box, opts)
-        on_boundary = np.abs(best_lam).max() >= box * (1.0 - 1e-12)
-        if not on_boundary:
-            break
-        if escalated:
-            raise Diverged(
-                f"dual multiplier still active on the box boundary at {box}; "
-                "the supremum appears not to be attained (Slater-type failure)",
-                trace=trace,
-            )
-        escalated = True
-        box *= 10.0
-
-    if opts.refine:
-        refined = _refine_lp(model, p)
-        if refined is None:
-            raise Diverged(
-                "the exact dual program is unbounded; the supremum is not attained",
-                trace=trace,
-            )
-        value, lam = refined
-        if value > best:
-            best, best_lam = value, lam
-
-    _, argmin = _evaluate(model, best_lam)
+    n_y = len(model.correspondence.outcome_support)
+    lam = sol.duals[n_y:] / scales + 0.0  # + 0.0 turns -0.0 into 0.0
+    value, _ = dual_objective(model, p, lam)
+    if abs(value - sol.objective) > lp.TOLERANCE * (1.0 + abs(sol.objective)):
+        raise CertificateMismatch(
+            f"dual objective {value!r} at the LP multiplier does not certify "
+            f"the primal optimum {sol.objective!r}"
+        )
+    _, argmin = _evaluate(model, lam)
     return DualCertificate(
-        T=best,
-        lambda_star=best_lam,
+        T=value,
+        lambda_star=lam,
         minimizer_map=_minimizer_map(model, argmin),
-        trace=tuple(trace),
-        iterations=iters,
-        threshold=opts.threshold,
-        boundary_escalated=escalated,
+        iterations=sol.iterations,
+        threshold=COMPATIBILITY_THRESHOLD,
     )
 
 
@@ -215,68 +178,30 @@ def _minimizer_map(model: SemiparametricModel, argmin: np.ndarray) -> dict[Label
     return {y: g.latent_support[int(j)] for y, j in zip(g.outcome_support, argmin)}
 
 
-def _ascend(model, p, box, opts):
-    cost = model.cost_matrix()
-    weights = np.asarray(p.masses)
-    moments = model.moments
-    lam = np.zeros(model.n_moments)
-    best = -np.inf
-    best_lam = lam.copy()
-    trace: list[tuple[float, float, float]] = []
-    history: list[float] = []
-    iters = 0
-    arange = np.arange(cost.shape[0])
-    for k in range(opts.max_iter):
-        scores = cost - (lam @ moments)[None, :]
-        argmin = scores.argmin(axis=1)
-        value = float(weights @ scores[arange, argmin])
-        grad = -(moments[:, argmin] @ weights)
-        if value > best:
-            best, best_lam = value, lam.copy()
-        step = opts.step_a / (k + opts.step_b)
-        gnorm = float(np.linalg.norm(grad))
-        trace.append((value, step, gnorm))
-        history.append(best)
-        iters = k + 1
-        if k >= opts.stall_window and best - history[k - opts.stall_window] < opts.stall_tol:
-            break
-        lam = np.clip(lam + step * grad, -box, box)
-    return best, best_lam, trace, iters
+def _solve_primal(
+    model: SemiparametricModel, p: FiniteDistribution
+) -> tuple[lp.Solution, np.ndarray]:
+    """Solve the primal LP over couplings pi[outcome, latent], flattened row-major.
 
-
-def _refine_lp(model: SemiparametricModel, p: FiniteDistribution):
-    """Exact dual LP: max sum_y P(y) f_y  s.t.  f_y + lambda'm(u) <= cost(y, u).
-
-    Returns (value, lambda) or None when unbounded.
+    Rows: one outcome-marginal row per outcome, then one moment row per moment,
+    scaled to unit sup-norm.  Returns the solution (optimal or infeasible) and
+    the row scales.
     """
     g = model.correspondence
-    n_y = len(g.outcome_support)
-    d = model.n_moments
-    cost = model.cost_matrix()
-    weights = np.asarray(p.masses)
-
-    rows = []
-    rhs = []
-    for i in range(n_y):
-        for j in range(len(g.latent_support)):
-            row = np.zeros(n_y + d)
-            row[i] = 1.0
-            row[n_y:] = model.moments[:, j]
-            rows.append(row)
-            rhs.append(cost[i, j])
-    # free variables: shift by a large finite lower bound is avoided by
-    # splitting into positive and negative parts
-    a = np.array(rows)
-    a2 = np.hstack([a, -a])
-    c2 = np.concatenate([-weights, np.zeros(d), weights, np.zeros(d)])
-    program = lp.LinearProgram(c=c2, a=a2, b=np.array(rhs), senses=("<=",) * len(rhs))
+    if p.support != g.outcome_support:
+        raise SupportMismatch("p must live on the model's outcome support")
+    n_y, n_u = len(g.outcome_support), len(g.latent_support)
+    scales = np.abs(model.moments).max(axis=1, initial=0.0)
+    scales[scales == 0] = 1.0
+    a = np.vstack(
+        [np.kron(np.eye(n_y), np.ones(n_u)), np.tile(model.moments / scales[:, None], n_y)]
+    )
+    b = np.concatenate([p.masses, np.zeros(model.n_moments)])
+    program = lp.LinearProgram(c=model.cost_matrix().ravel(), a=a, b=b, senses=("=",) * len(b))
     sol = lp.solve(program)
     if sol.status is lp.Status.UNBOUNDED:
-        return None
-    if sol.status is not lp.Status.OPTIMAL:
-        raise LpFailure(f"dual refinement LP returned {sol.status}")
-    x = sol.x[: n_y + d] - sol.x[n_y + d :]
-    return -float(sol.objective), x[n_y:]
+        raise LpFailure("semiparametric primal LP returned unbounded")
+    return sol, scales
 
 
 def primal_lp(
@@ -289,36 +214,10 @@ def primal_lp(
     Raises :class:`Infeasible` when no latent distribution on the grid meets
     the moments.
     """
-    g = model.correspondence
-    if p.support != g.outcome_support:
-        raise SupportMismatch("p must live on the model's outcome support")
-    n_y, n_u = len(g.outcome_support), len(g.latent_support)
-    cost = model.cost_matrix()
-
-    rows = []
-    rhs = []
-    senses = []
-    for i in range(n_y):
-        row = np.zeros(n_y * n_u)
-        row[i * n_u : (i + 1) * n_u] = 1.0
-        rows.append(row)
-        rhs.append(p.masses[i])
-        senses.append("=")
-    for mi in model.moments:
-        scale = np.abs(mi).max()
-        scaled = mi / scale if scale > 0 else mi
-        rows.append(np.tile(scaled, n_y))
-        rhs.append(0.0)
-        senses.append("=")
-    program = lp.LinearProgram(
-        c=cost.ravel(), a=np.array(rows), b=np.array(rhs), senses=tuple(senses)
-    )
-    sol = lp.solve(program)
+    sol, _ = _solve_primal(model, p)
     if sol.status is lp.Status.INFEASIBLE:
         raise Infeasible("no latent distribution on the grid satisfies the moment restrictions")
-    if sol.status is not lp.Status.OPTIMAL:
-        raise LpFailure(f"semiparametric primal LP returned {sol.status}")
-    return float(sol.objective), sol.x.reshape(n_y, n_u)
+    return sol.objective, sol.x.reshape(len(p), -1)
 
 
 def moment_diagnostics(model: SemiparametricModel) -> dict:

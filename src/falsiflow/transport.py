@@ -16,7 +16,7 @@ import numpy as np
 
 from . import lp
 from .correspondence import Correspondence, capacity_fp
-from .errors import LpFailure, SupportMismatch
+from .errors import CertificateMismatch, LpFailure, SupportMismatch
 from .measure import DENOMINATOR, FiniteDistribution, Label
 
 
@@ -153,7 +153,7 @@ def solve_zero_one(
     dual_fp = sum(n for i, n in enumerate(p.numerators) if witness_bits >> i & 1)
     dual_fp -= capacity_fp(g, nu, witness_bits)
     if dual_fp != primal_fp:
-        raise AssertionError("min-cut witness does not certify the primal value")
+        raise CertificateMismatch("min-cut witness does not certify the primal value")
 
     plan = []
     for j, i, (node, eidx) in arc_refs:

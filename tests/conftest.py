@@ -5,7 +5,7 @@ CRITERIA = {
     2: "identity correspondence reduces the transport value to total variation",
     3: "line-network verdict flips exactly when p011+p110 crosses the region mass",
     4: "entry-game compatibility equals the 16 subset inequalities",
-    5: "dual ascent matches the primal LP within 1e-5 on 50 random instances",
+    5: "dual statistic matches the primal LP and a dual-LP oracle within 1e-8 on 50 random instances",
     6: "pilot dual statistic recovers the analytic compatibility region",
     7: "truncated-grid family attains values 1/M, strictly decreasing, never 0",
     8: "search-model deficiency maximum is attained on an interval class",

@@ -9,6 +9,7 @@ import time
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from falsiflow.cli import main
 from falsiflow.correspondence import (
@@ -35,7 +36,7 @@ from falsiflow.models import (
     sample_distribution,
     search_game,
 )
-from falsiflow.semiparametric import AscentOptions, SemiparametricModel, maximize_dual, primal_lp
+from falsiflow.semiparametric import SemiparametricModel, maximize_dual, primal_lp
 from falsiflow.transport import compatibility_verdict, solve_zero_one
 
 
@@ -131,9 +132,20 @@ def test_criterion_04_entry_game_16_inequalities():
 # criterion 5 -------------------------------------------------------------
 
 
+def dual_lp_oracle(model, p):
+    """T(P) as the dual LP  max sum_y P(y) f_y  s.t.  f_y + lambda'm(u) <= cost(y, u),
+    f and lambda free, solved with linprog directly (independent of falsiflow.lp)."""
+    n_y, n_u = len(model.correspondence.outcome_support), len(model.correspondence.latent_support)
+    d = model.n_moments
+    a = np.hstack([np.repeat(np.eye(n_y), n_u, axis=0), np.tile(model.moments.T, (n_y, 1))])
+    c = np.concatenate([-np.asarray(p.masses), np.zeros(d)])
+    res = linprog(c, A_ub=a, b_ub=model.cost_matrix().ravel(), bounds=(None, None), method="highs")
+    assert res.status == 0
+    return -res.fun
+
+
 def test_criterion_05_no_duality_gap():
     rng = np.random.default_rng(2026)
-    opts = AscentOptions(max_iter=2000, stall_window=200)
     start = time.monotonic()
     for _ in range(50):
         n_y = int(rng.integers(1, 7))
@@ -148,9 +160,11 @@ def test_criterion_05_no_duality_gap():
         moments = raw - (raw @ nu0)[:, None]  # nu0 in V keeps the primal feasible
         model = SemiparametricModel(g, moments)
         p = random_fixed_point(rng, g.outcome_support)
-        cert = maximize_dual(model, p, opts)
+        cert = maximize_dual(model, p)
         value, _ = primal_lp(model, p)
-        assert abs(cert.T - value) <= 1e-5
+        oracle = dual_lp_oracle(model, p)
+        assert abs(cert.T - value) <= 1e-8
+        assert abs(cert.T - oracle) <= 1e-8
     assert time.monotonic() - start < 60.0
 
 
@@ -173,13 +187,12 @@ def test_criterion_06_pilot_analytic_region():
         value, _ = primal_lp(m, p)
         assert (value <= 1e-9) == (p1 <= eta <= pm1)
 
-    opts = AscentOptions(max_iter=50, stall_window=25)
     for eta in etas:
         m = models[eta]
         sup = m.correspondence.outcome_support
         for p1 in probs:
             for pm1 in probs:
-                cert = maximize_dual(m, align(pilot_distribution(p1, pm1), sup), opts)
+                cert = maximize_dual(m, align(pilot_distribution(p1, pm1), sup))
                 if p1 <= eta <= pm1:
                     assert cert.T <= 1e-6
                 else:
@@ -193,7 +206,7 @@ def test_criterion_07_truncation_family_values():
     values = []
     for m in (2, 10, 100, 1000):
         model, p = example4_instance(m)
-        cert = maximize_dual(model, p, AscentOptions(max_iter=500, stall_window=100))
+        cert = maximize_dual(model, p)
         value, _ = primal_lp(model, p)
         assert cert.T == pytest.approx(1 / m, abs=1e-6)
         assert value == pytest.approx(1 / m, abs=1e-6)

@@ -2,10 +2,19 @@ import json
 
 import pytest
 
+from falsiflow import semiparametric, transport
 from falsiflow.cli import main, parse_grid
 
 
 ENTRY_SPEC = {"model": "entry_game", "params": {"delta1": -1.0, "delta2": -1.0}}
+
+SEARCH_SPEC = {
+    "model": "search",
+    "params": {
+        "nu": {"support": ["e1", "e2"], "mass": [500000000, 500000000], "denominator": 1000000000},
+        "alpha": [["e1", 0.5], ["e2", 0.8]],
+    },
+}
 
 COMPATIBLE_P = {
     "support": ["(0,0)", "(0,1)", "(1,0)", "(1,1)"],
@@ -84,6 +93,59 @@ def test_check_semiparametric_model(tmp_path, capsys):
     code = main(["check", "--model", model, "--dist", dist])
     out = json.loads(capsys.readouterr().out)
     assert code == 0 and out["compatible"] is True
+
+
+def test_check_search_model_reads_numeric_labels(tmp_path, capsys):
+    model = write_json(tmp_path, "search.json", SEARCH_SPEC)
+    dist = write_json(
+        tmp_path,
+        "p.json",
+        {"support": ["0.0", "0.5", "0.8"], "mass": [200000000, 400000000, 400000000],
+         "denominator": 1000000000},
+    )
+    code = main(["check", "--model", model, "--dist", dist])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert out["primal"] == 0.0
+
+
+def test_test_tv_core_accepts_compatible_search_sample(tmp_path, capsys):
+    model = write_json(tmp_path, "search.json", SEARCH_SPEC)
+    data = tmp_path / "data.csv"
+    main(["simulate", "--model", model, "--n", "200", "--seed", "8", "--out", str(data)])
+    code = main(["test", "--model", model, "--data", str(data), "--stat", "tv-core",
+                 "--B", "19", "--seed", "1"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert report["value"] == 0.0
+    assert report["pvalue"] == 1.0
+
+
+@pytest.mark.parametrize("solver", ["transport", "semiparametric"])
+def test_certificate_mismatch_exit2(solver, entry_model, tmp_path, monkeypatch, capsys):
+    if solver == "transport":
+        model = entry_model
+        dist = write_json(tmp_path, "p.json", COMPATIBLE_P)
+        monkeypatch.setattr(transport, "capacity_fp", lambda g, nu, bits: 1)
+    else:
+        model = write_json(tmp_path, "pilot.json", {"model": "pilot", "params": {"eta": 0.5}})
+        dist = write_json(
+            tmp_path,
+            "p.json",
+            {"support": ["(0,-1)", "(0,1)", "(1,-1)", "(1,1)"],
+             "mass": [250000000, 250000000, 250000000, 250000000], "denominator": 1000000000},
+        )
+        real = semiparametric.dual_objective
+
+        def shifted(*args):
+            value, grad = real(*args)
+            return value + 1e-6, grad
+
+        monkeypatch.setattr(semiparametric, "dual_objective", shifted)
+    code = main(["check", "--model", model, "--dist", dist])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "certif" in err and "Traceback" not in err
 
 
 def test_simulate_deterministic_bytes(entry_model, tmp_path):
@@ -222,13 +284,12 @@ def test_invert_empty_grid_warns(entry_model, tmp_path, capsys):
     assert captured.out.strip() == "pvalue,accepted"
 
 
-def test_invert_deterministic_and_threaded(entry_model, tmp_path, monkeypatch):
+def test_invert_deterministic_and_threaded(entry_model, tmp_path):
     data = tmp_path / "data.csv"
     main(["simulate", "--model", entry_model, "--n", "60", "--seed", "5", "--out", str(data)])
     results = []
-    for threads in ("1", "4"):
-        monkeypatch.setenv("FALSIFLOW_THREADS", threads)
-        out = tmp_path / f"region{threads}.csv"
+    for run in ("1", "2"):
+        out = tmp_path / f"region{run}.csv"
         main(
             ["invert", "--model", entry_model, "--data", str(data), "--B", "9", "--seed", "6",
              "--grid", "delta1=-1.5:-0.5:0.5", "--out", str(out)]

@@ -7,7 +7,6 @@ from falsiflow.errors import Diverged, Infeasible, SupportMismatch, UnknownOutco
 from falsiflow.measure import align, make_distribution
 from falsiflow.models import binary_response_pilot, example4_instance, pilot_distribution
 from falsiflow.semiparametric import (
-    AscentOptions,
     SemiparametricModel,
     dual_objective,
     g_lambda,
@@ -15,8 +14,6 @@ from falsiflow.semiparametric import (
     moment_diagnostics,
     primal_lp,
 )
-
-FAST = AscentOptions(max_iter=300, stall_window=100)
 
 
 @pytest.fixture(scope="module")
@@ -98,7 +95,7 @@ def test_supergradient_inequality(l1, l2):
 
 def test_compatible_pilot_T_zero(pilot_half):
     p = aligned(pilot_half, pilot_distribution(0.3, 0.7))
-    cert = maximize_dual(pilot_half, p, FAST)
+    cert = maximize_dual(pilot_half, p)
     assert cert.compatible
     assert cert.T <= 1e-6
 
@@ -106,7 +103,7 @@ def test_compatible_pilot_T_zero(pilot_half):
 def test_incompatible_pilot_matches_primal():
     model = binary_response_pilot(0.3)
     p = aligned(model, pilot_distribution(0.5, 0.5))
-    cert = maximize_dual(model, p, FAST)
+    cert = maximize_dual(model, p)
     assert cert.T > 1e-6
     value, _ = primal_lp(model, p)
     assert abs(cert.T - value) <= 1e-5
@@ -114,8 +111,16 @@ def test_incompatible_pilot_matches_primal():
 
 def test_example4_T(pilot_half):
     model, p = example4_instance(100)
-    cert = maximize_dual(model, p, FAST)
+    cert = maximize_dual(model, p)
     assert cert.T == pytest.approx(0.01, abs=1e-5)
+
+
+@pytest.mark.parametrize("grid", [None, np.linspace(-2.0, 2.0, 201)])
+def test_pilot_T_near_region_boundary(grid):
+    # T = (1/2)[(p1 - eta)^+ + (eta - p_-1)^+] = 0.015 at eta=0.3, P=(0.33, 0.67)
+    model = binary_response_pilot(0.3, epsilon_grid=grid)
+    cert = maximize_dual(model, aligned(model, pilot_distribution(0.33, 0.67)))
+    assert cert.T == pytest.approx(0.015, abs=1e-9)
 
 
 def test_no_moments_certificate():
@@ -151,7 +156,7 @@ def test_maximize_dual_diverges_on_empty_V():
     model = SemiparametricModel(g, np.array([[1.0, 2.0]]))
     p = make_distribution([("a", 1.0)])
     with pytest.raises(Diverged):
-        maximize_dual(model, p, AscentOptions(max_iter=2000, stall_window=100))
+        maximize_dual(model, p)
 
 
 def test_vacuous_moments_reduce_to_parametric_free_nu():
@@ -178,7 +183,7 @@ def test_singleton_V_recovers_parametric():
 
 def test_minimizer_map_covers_outcomes(pilot_half):
     p = aligned(pilot_half, pilot_distribution(0.2, 0.9))
-    cert = maximize_dual(pilot_half, p, FAST)
+    cert = maximize_dual(pilot_half, p)
     assert set(cert.minimizer_map) == set(pilot_half.correspondence.outcome_support)
     assert set(cert.minimizer_map.values()) <= set(pilot_half.correspondence.latent_support)
 
