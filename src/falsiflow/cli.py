@@ -35,62 +35,63 @@ EXIT_ERROR = 2
 # File formats
 # ---------------------------------------------------------------------------
 
-def load_model_spec(path: str):
-    """Parse a model-spec JSON file into ("parametric", g, nu) or ("semi", model)."""
+def _read_json(path: str):
     with open(path) as fh:
         try:
-            spec = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as exc:
             raise FalsiflowError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}") from exc
-    return build_model(spec, path)
+
+
+def load_model_spec(path: str):
+    """Parse a model-spec JSON file into ("parametric", g, nu) or ("semi", model)."""
+    return build_model(_read_json(path), path)
 
 
 def build_model(spec: dict, origin: str = "<spec>"):
     kind = spec.get("model")
     params = spec.get("params", {})
-    if kind == "line_network":
-        g, nu = models.line_network_game(params["masses"])
-        return ("parametric", g, nu)
-    if kind == "entry_game":
-        g, nu = models.entry_game(
-            params["delta1"], params["delta2"], resolution=params.get("resolution", 40)
-        )
-        return ("parametric", g, nu)
-    if kind == "search":
-        nu = FiniteDistribution.from_json(params["nu"])
-        alpha = [(lab, val) for lab, val in params["alpha"]]
-        g, nu = models.search_game(alpha, nu)
-        return ("parametric", g, nu)
-    if kind == "pilot":
-        model = models.binary_response_pilot(
-            params["eta"],
-            epsilon_grid=params.get("epsilon_grid"),
-        )
-        return ("semi", model)
-    if kind == "moment_inequality":
-        model = models.moment_inequality_model(
-            params["outcomes"], params["phi"], params["grid"]
-        )
-        return ("semi", model)
-    if kind == "example4":
-        model, _ = models.example4_instance(params["M"])
-        return ("semi", model)
-    if kind == "custom":
-        g = Correspondence.from_json(params["correspondence"])
-        if "moments" in params:
-            return ("semi", SemiparametricModel(g, params["moments"]))
-        nu = FiniteDistribution.from_json(params["nu"])
-        return ("parametric", g, nu)
+    try:
+        if kind == "line_network":
+            g, nu = models.line_network_game(params["masses"])
+            return ("parametric", g, nu)
+        if kind == "entry_game":
+            g, nu = models.entry_game(
+                params["delta1"], params["delta2"], resolution=params.get("resolution", 40)
+            )
+            return ("parametric", g, nu)
+        if kind == "search":
+            nu = FiniteDistribution.from_json(params["nu"])
+            alpha = [(lab, val) for lab, val in params["alpha"]]
+            g, nu = models.search_game(alpha, nu)
+            return ("parametric", g, nu)
+        if kind == "pilot":
+            model = models.binary_response_pilot(
+                params["eta"],
+                epsilon_grid=params.get("epsilon_grid"),
+            )
+            return ("semi", model)
+        if kind == "moment_inequality":
+            model = models.moment_inequality_model(
+                params["outcomes"], params["phi"], params["grid"]
+            )
+            return ("semi", model)
+        if kind == "example4":
+            model, _ = models.example4_instance(params["M"])
+            return ("semi", model)
+        if kind == "custom":
+            g = Correspondence.from_json(params["correspondence"])
+            if "moments" in params:
+                return ("semi", SemiparametricModel(g, params["moments"]))
+            nu = FiniteDistribution.from_json(params["nu"])
+            return ("parametric", g, nu)
+    except KeyError as exc:
+        raise FalsiflowError(f"{origin}: model {kind!r} is missing field {exc.args[0]!r}") from exc
     raise FalsiflowError(f"{origin}: unknown model kind {kind!r}")
 
 
 def load_distribution(path: str) -> FiniteDistribution:
-    with open(path) as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FalsiflowError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}") from exc
-    return FiniteDistribution.from_json(obj)
+    return FiniteDistribution.from_json(_read_json(path))
 
 
 def load_data(path: str, numeric: bool = False) -> list:
@@ -228,8 +229,7 @@ def parse_grid(spec: str) -> list[dict]:
 
 
 def cmd_invert(args) -> int:
-    with open(args.model) as fh:
-        spec = json.load(fh)
+    spec = _read_json(args.model)
     points = parse_grid(args.grid)
     numeric = args.stat == "tn-halflines"
     data = load_data(args.data, numeric=numeric)
@@ -266,8 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, data_required=False):
         p.add_argument("--model", required=True, help="model-spec JSON path")
         p.add_argument("--out", default=None, help="output path (default: stdout)")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--format", choices=["json", "csv"], default="json")
         if data_required:
             p.add_argument("--data", required=True, help="data CSV path (header 'y')")
 
@@ -281,12 +279,15 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_test, data_required=True)
     p_test.add_argument("--stat", choices=["tv-core", "tn-halflines", "semi"], default="tv-core")
     p_test.add_argument("--B", type=int, default=200)
+    p_test.add_argument("--seed", type=int, default=0)
+    p_test.add_argument("--format", choices=["json", "csv"], default="json")
     p_test.set_defaults(func=cmd_test)
 
     p_sim = sub.add_parser("simulate", help="draw outcomes from a parametric model")
     common(p_sim)
     p_sim.add_argument("--n", type=int, required=True)
     p_sim.add_argument("--rule", choices=["first", "uniform-random"], default="first")
+    p_sim.add_argument("--seed", type=int, default=0)
     p_sim.set_defaults(func=cmd_simulate)
 
     p_inv = sub.add_parser("invert", help="accepted parameter region by test inversion")
@@ -295,6 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_inv.add_argument("--B", type=int, default=200)
     p_inv.add_argument("--alpha", type=float, default=0.05)
     p_inv.add_argument("--grid", required=True, help="name=start:stop:step[,name2=...]")
+    p_inv.add_argument("--seed", type=int, default=0)
     p_inv.set_defaults(func=cmd_invert)
 
     return parser

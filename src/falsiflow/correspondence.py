@@ -97,12 +97,12 @@ class Correspondence:
 
     def adjacency_matrix(self) -> np.ndarray:
         """Boolean matrix, entry [i, j] true when outcome i is admissible for latent j."""
-        mat = np.zeros((len(self.outcome_support), len(self.latent_support)), dtype=bool)
-        for j, bits in enumerate(self.image):
-            for i in range(len(self.outcome_support)):
-                if bits >> i & 1:
-                    mat[i, j] = True
-        return mat
+        n_y = len(self.outcome_support)
+        width = (n_y + 7) // 8
+        # int() because images built from numpy integers have no to_bytes
+        raw = b"".join(int(bits).to_bytes(width, "little") for bits in self.image)
+        rows = np.frombuffer(raw, dtype=np.uint8).reshape(len(self.image), width)
+        return np.unpackbits(rows, axis=1, count=n_y, bitorder="little").T.astype(bool)
 
     def to_json(self) -> dict:
         return {

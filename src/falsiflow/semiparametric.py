@@ -157,13 +157,13 @@ def maximize_dual(model: SemiparametricModel, p: FiniteDistribution) -> DualCert
         )
     n_y = len(model.correspondence.outcome_support)
     lam = sol.duals[n_y:] / scales + 0.0  # + 0.0 turns -0.0 into 0.0
-    value, _ = dual_objective(model, p, lam)
+    values, argmin = _evaluate(model, lam)
+    value = float(np.asarray(p.masses) @ values)
     if abs(value - sol.objective) > lp.TOLERANCE * (1.0 + abs(sol.objective)):
         raise CertificateMismatch(
             f"dual objective {value!r} at the LP multiplier does not certify "
             f"the primal optimum {sol.objective!r}"
         )
-    _, argmin = _evaluate(model, lam)
     return DualCertificate(
         T=value,
         lambda_star=lam,
@@ -219,39 +219,3 @@ def primal_lp(
         raise Infeasible("no latent distribution on the grid satisfies the moment restrictions")
     return sol.objective, sol.x.reshape(len(p), -1)
 
-
-def moment_diagnostics(model: SemiparametricModel) -> dict:
-    """Boundedness report for the moment functions on the latent grid.
-
-    Bounded moments on a finite grid satisfy the uniform-integrability,
-    tightness and Slater requirements, so the dual value is conclusive; a grid
-    obtained by truncating an unbounded latent family is flagged.
-    """
-    if model.n_moments == 0:
-        return {
-            "n_moments": 0,
-            "max_moment_norm": 0.0,
-            "bounded": True,
-            "uniform_integrability": True,
-            "tightness": True,
-            "slater": True,
-            "truncated_grid": model.truncated,
-            "notes": ["no moment restrictions: the latent distribution is unrestricted"],
-        }
-    norms = np.linalg.norm(model.moments, axis=0)
-    notes = []
-    if model.truncated:
-        notes.append(
-            "grid truncates an unbounded latent family: conclusions hold for the "
-            "truncated model only"
-        )
-    return {
-        "n_moments": model.n_moments,
-        "max_moment_norm": float(norms.max()),
-        "bounded": True,
-        "uniform_integrability": True,
-        "tightness": True,
-        "slater": True,
-        "truncated_grid": model.truncated,
-        "notes": notes,
-    }

@@ -1,86 +1,25 @@
 """Zero-one-cost transportation between a latent and an outcome distribution.
 
 The parametric compatibility check reduces to a maximum flow on the bipartite
-network latent -> admissible outcomes with integer fixed-point capacities, so
-the verdict is an exact integer comparison.  The min-cut side yields a dual
+network latent -> admissible outcomes with integer fixed-point capacities,
+solved by ``scipy.sparse.csgraph.maximum_flow`` (Dinic's algorithm), so the
+verdict is an exact integer comparison.  The min-cut side yields a dual
 witness set achieving P(A) - capacity(A) = 1 - maxflow.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import breadth_first_order, maximum_flow
 
 from . import lp
 from .correspondence import Correspondence, capacity_fp
 from .errors import CertificateMismatch, LpFailure, SupportMismatch
 from .measure import DENOMINATOR, FiniteDistribution, Label
-
-
-class _Dinic:
-    """Max flow with level graphs on integer capacities (adjacency lists)."""
-
-    def __init__(self, n: int):
-        self.n = n
-        self.graph: list[list[list[int]]] = [[] for _ in range(n)]  # [to, cap, rev]
-
-    def add_edge(self, u: int, v: int, cap: int) -> tuple[int, int]:
-        self.graph[u].append([v, cap, len(self.graph[v])])
-        self.graph[v].append([u, 0, len(self.graph[u]) - 1])
-        return u, len(self.graph[u]) - 1
-
-    def _bfs(self, s: int, t: int) -> bool:
-        self.level = [-1] * self.n
-        self.level[s] = 0
-        dq = deque([s])
-        while dq:
-            u = dq.popleft()
-            for v, cap, _ in self.graph[u]:
-                if cap > 0 and self.level[v] < 0:
-                    self.level[v] = self.level[u] + 1
-                    dq.append(v)
-        return self.level[t] >= 0
-
-    def _dfs(self, u: int, t: int, pushed: int) -> int:
-        if u == t:
-            return pushed
-        while self.it[u] < len(self.graph[u]):
-            edge = self.graph[u][self.it[u]]
-            v, cap, rev = edge
-            if cap > 0 and self.level[v] == self.level[u] + 1:
-                got = self._dfs(v, t, min(pushed, cap))
-                if got:
-                    edge[1] -= got
-                    self.graph[v][rev][1] += got
-                    return got
-            self.it[u] += 1
-        return 0
-
-    def max_flow(self, s: int, t: int) -> int:
-        flow = 0
-        while self._bfs(s, t):
-            self.it = [0] * self.n
-            while True:
-                pushed = self._dfs(s, t, 1 << 62)
-                if not pushed:
-                    break
-                flow += pushed
-        return flow
-
-    def reachable(self, s: int) -> list[bool]:
-        seen = [False] * self.n
-        seen[s] = True
-        dq = deque([s])
-        while dq:
-            u = dq.popleft()
-            for v, cap, _ in self.graph[u]:
-                if cap > 0 and not seen[v]:
-                    seen[v] = True
-                    dq.append(v)
-        return seen
 
 
 @dataclass(frozen=True)
@@ -121,53 +60,51 @@ def solve_zero_one(
 ) -> TransportResult:
     """Minimal violation mass of any coupling of nu and p along the correspondence.
 
-    primal = 1 - maxflow; the witness is the set of outcome nodes not reachable
-    from the source in the residual graph (empty when compatible), and satisfies
-    P(witness) - capacity(witness) = primal exactly in fixed point.
+    primal = 1 - maxflow, with the maximum flow from scipy's csgraph solver on
+    int32 fixed-point capacities.  The witness is the set of outcome nodes not
+    reachable from the source in the residual graph (empty when compatible);
+    every maximum flow leaves the same such set.  It satisfies
+    P(witness) - capacity(witness) = primal exactly in fixed point.  The plan is
+    the flow on the latent -> outcome arcs, listed latent-major.
     """
     _check_supports(p, nu, g)
     n_u, n_y = len(nu), len(p)
     source, sink = 0, 1 + n_u + n_y
-    net = _Dinic(sink + 1)
-    for j, mass in enumerate(nu.numerators):
-        net.add_edge(source, 1 + j, mass)
-    arc_refs = []
-    for j, bits in enumerate(g.image):
-        for i in range(n_y):
-            if bits >> i & 1:
-                arc_refs.append((j, i, net.add_edge(1 + j, 1 + n_u + i, DENOMINATOR)))
-    for i, mass in enumerate(p.numerators):
-        net.add_edge(1 + n_u + i, sink, mass)
+    # latent-major, the order in which the plan is listed
+    latent, outcome = np.nonzero(g.adjacency_matrix().T)
+    tails = np.concatenate([np.zeros(n_u, dtype=np.intp), 1 + latent, 1 + n_u + np.arange(n_y)])
+    heads = np.concatenate([1 + np.arange(n_u), 1 + n_u + outcome, np.full(n_y, sink)])
+    caps = np.concatenate([nu.numerators, np.full(len(latent), DENOMINATOR), p.numerators])
+    net = csr_matrix((caps.astype(np.int32), (tails, heads)), shape=(sink + 1, sink + 1))
 
-    flow = net.max_flow(source, sink)
-    primal_fp = DENOMINATOR - flow
+    result = maximum_flow(net, source, sink, method="dinic")
+    flow = result.flow
+    primal_fp = DENOMINATOR - int(result.flow_value)
 
-    if primal_fp == 0:
-        witness_bits = 0
-    else:
-        seen = net.reachable(source)
-        witness_bits = 0
-        for i in range(n_y):
-            if not seen[1 + n_u + i]:
-                witness_bits |= 1 << i
-    dual_fp = sum(n for i, n in enumerate(p.numerators) if witness_bits >> i & 1)
+    cut = np.zeros(sink + 1, dtype=bool)
+    if primal_fp:
+        cut[1 + n_u : sink] = True
+        cut[breadth_first_order(net - flow > 0, source, return_predecessors=False)] = False
+    cut = cut[1 + n_u : sink]
+    witness_bits = int.from_bytes(np.packbits(cut, bitorder="little").tobytes(), "little")
+    dual_fp = int(np.asarray(p.numerators, dtype=np.int64)[cut].sum())
     dual_fp -= capacity_fp(g, nu, witness_bits)
     if dual_fp != primal_fp:
         raise CertificateMismatch("min-cut witness does not certify the primal value")
 
-    plan = []
-    for j, i, (node, eidx) in arc_refs:
-        sent = net.graph[1 + n_u + i][net.graph[node][eidx][2]][1]
-        if sent > 0:
-            plan.append((nu.support[j], p.support[i], sent))
-    plan.sort(key=lambda rec: (nu.support.index(rec[0]), p.support.index(rec[1])))
+    sent = np.asarray(flow[1 + latent, 1 + n_u + outcome]).ravel()
+    used = sent > 0
+    plan = tuple(
+        (nu.support[j], p.support[i], int(m))
+        for j, i, m in zip(latent[used], outcome[used], sent[used])
+    )
 
     return TransportResult(
         primal_value=primal_fp / DENOMINATOR,
         dual_value=dual_fp / DENOMINATOR,
         primal_fp=primal_fp,
         dual_fp=dual_fp,
-        plan=tuple(plan),
+        plan=plan,
         witness=g.labels_of(witness_bits),
         witness_bits=witness_bits,
     )
@@ -249,8 +186,8 @@ def compatibility_verdict(
 ) -> Verdict:
     """Decide compatibility; the certificate is the plan or the witness set."""
     result = solve_zero_one(p, nu, g)
-    p_w = sum(n for i, n in enumerate(p.numerators) if result.witness_bits >> i & 1)
     cap_w = capacity_fp(g, nu, result.witness_bits)
+    p_w = result.dual_fp + cap_w
     return Verdict(
         compatible=result.compatible,
         result=result,

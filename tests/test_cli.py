@@ -79,6 +79,42 @@ def test_check_missing_file_exit2(entry_model, capsys):
     assert main(["check", "--model", entry_model, "--dist", "/nonexistent.json"]) == 2
 
 
+def test_invert_malformed_model_json_exit2(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    data = tmp_path / "data.csv"
+    data.write_text("y\n(0,0)\n")
+    code = main(["invert", "--model", str(bad), "--data", str(data), "--grid", "delta1=0:1:1"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "bad.json" in err and "Traceback" not in err
+
+
+def test_check_missing_param_names_field_and_file(tmp_path, capsys):
+    spec = write_json(tmp_path, "entry.json", {"model": "entry_game", "params": {"delta2": -1.0}})
+    dist = write_json(tmp_path, "p.json", COMPATIBLE_P)
+    code = main(["check", "--model", spec, "--dist", dist])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "delta1" in err and "entry.json" in err
+
+
+@pytest.mark.parametrize(
+    "command,flag",
+    [("check", "--format"), ("check", "--seed"), ("simulate", "--format"), ("invert", "--format")],
+)
+def test_ignored_flags_are_rejected(command, flag, entry_model, tmp_path):
+    value = "csv" if flag == "--format" else "1"
+    argv = {
+        "check": ["check", "--model", entry_model, "--dist", "p.json"],
+        "simulate": ["simulate", "--model", entry_model, "--n", "5"],
+        "invert": ["invert", "--model", entry_model, "--data", "d.csv", "--grid", "delta1=0:1:1"],
+    }[command]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [flag, value])
+    assert exc.value.code == 2
+
+
 def test_check_semiparametric_model(tmp_path, capsys):
     model = write_json(tmp_path, "pilot.json", {"model": "pilot", "params": {"eta": 0.5}})
     dist = write_json(
@@ -135,13 +171,13 @@ def test_certificate_mismatch_exit2(solver, entry_model, tmp_path, monkeypatch, 
             {"support": ["(0,-1)", "(0,1)", "(1,-1)", "(1,1)"],
              "mass": [250000000, 250000000, 250000000, 250000000], "denominator": 1000000000},
         )
-        real = semiparametric.dual_objective
+        real = semiparametric._evaluate
 
         def shifted(*args):
-            value, grad = real(*args)
-            return value + 1e-6, grad
+            values, argmin = real(*args)
+            return values + 1e-6, argmin
 
-        monkeypatch.setattr(semiparametric, "dual_objective", shifted)
+        monkeypatch.setattr(semiparametric, "_evaluate", shifted)
     code = main(["check", "--model", model, "--dist", dist])
     err = capsys.readouterr().err
     assert code == 2

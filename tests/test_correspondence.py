@@ -224,3 +224,15 @@ def test_witness_certifies_value(data):
     claimed -= capacity_fp(g, nu, rep.witness_bits)
     assert claimed == rep.raw_fp
     assert rep.value_fp == max(rep.raw_fp, 0)
+
+
+def test_adjacency_matrix_multibyte_bitsets():
+    rng = np.random.default_rng(4)
+    outcomes = [f"y{i}" for i in range(70)]
+    mapping = {f"u{j}": [y for y in outcomes if rng.random() < 0.3] or ["y69"] for j in range(25)}
+    mapping["full"] = outcomes
+    g = Correspondence.from_map(mapping, outcome_support=outcomes)
+    adj = g.adjacency_matrix()
+    assert adj.shape == (70, 26) and adj.dtype == bool
+    for j, u in enumerate(g.latent_support):
+        assert tuple(g.outcome_support[i] for i in np.flatnonzero(adj[:, j])) == g.outcomes_of(u)

@@ -11,7 +11,6 @@ from falsiflow.semiparametric import (
     dual_objective,
     g_lambda,
     maximize_dual,
-    moment_diagnostics,
     primal_lp,
 )
 
@@ -188,21 +187,6 @@ def test_minimizer_map_covers_outcomes(pilot_half):
     assert set(cert.minimizer_map.values()) <= set(pilot_half.correspondence.latent_support)
 
 
-def test_diagnostics_pilot(pilot_half):
-    rep = moment_diagnostics(pilot_half)
-    assert rep["bounded"] and rep["slater"]
-    assert not rep["truncated_grid"]
-
-
 def test_diagnostics_example4_flags_truncation():
     model, _ = example4_instance(100)
-    rep = moment_diagnostics(model)
-    assert rep["truncated_grid"]
-    assert rep["notes"]
-
-
-def test_diagnostics_empty_moments():
-    g = Correspondence.from_map({"u": ["a"]})
-    model = SemiparametricModel(g, np.zeros((0, 1)))
-    rep = moment_diagnostics(model)
-    assert rep["n_moments"] == 0 and rep["slater"]
+    assert model.truncated

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from falsiflow.correspondence import Correspondence, capacity_fp, core_deficiency_bruteforce
 from falsiflow.errors import SupportMismatch
-from falsiflow.measure import DENOMINATOR, make_distribution, total_variation_fp
+from falsiflow.measure import DENOMINATOR, FiniteDistribution, make_distribution, total_variation_fp
 from falsiflow.models import line_network_game
 from falsiflow.transport import compatibility_verdict, solve_general_cost, solve_zero_one
 
@@ -16,6 +16,13 @@ def entry_instance():
     )
     nu = make_distribution([("lo", 0.3), ("mid", 0.4), ("hi", 0.3)])
     return g, nu
+
+
+def fixed_point(labels, weights):
+    """Fixed-point distribution proportional to nonnegative integer weights."""
+    numers = weights * DENOMINATOR // weights.sum()
+    numers[np.argmax(numers)] += DENOMINATOR - numers.sum()
+    return FiniteDistribution(tuple(labels), tuple(int(x) for x in numers))
 
 
 def random_instance(rng, n_y, n_u):
@@ -38,11 +45,7 @@ def random_instance(rng, n_y, n_u):
         w = rng.integers(0, 1000, size=len(labels))
         if w.sum() == 0:
             w[0] = 1
-        numers = (w * DENOMINATOR // w.sum()).astype(np.int64)
-        numers[np.argmax(numers)] += DENOMINATOR - numers.sum()
-        from falsiflow.measure import FiniteDistribution
-
-        return FiniteDistribution(tuple(labels), tuple(int(x) for x in numers))
+        return fixed_point(labels, w)
 
     return g, rand_dist(g.latent_support), rand_dist(g.outcome_support)
 
@@ -196,6 +199,30 @@ def test_verdict_line_network_binding_inequality():
     v = compatibility_verdict(p, nu, g)
     assert not v.compatible
     assert {"(0,1,1)", "(1,1,0)"} <= set(v.result.witness)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_flow_matches_bruteforce_at_5000_latents(seed):
+    """Two admissible outcomes per latent; P is the image of nu under a
+    selection (compatible) or a skewed draw (falsified)."""
+    rng = np.random.default_rng(seed)
+    n_u, n_y = 5000, 16
+    first, second = rng.integers(n_y, size=(2, n_u))
+    g = Correspondence(
+        tuple(f"u{j}" for j in range(n_u)),
+        tuple(f"y{i}" for i in range(n_y)),
+        tuple(int(b) for b in (1 << first) | (1 << second)),
+    )
+    nu = fixed_point(g.latent_support, rng.integers(1, 1000, size=n_u))
+    image_of_nu = np.bincount(first, weights=nu.numerators, minlength=n_y).astype(np.int64)
+    skewed = rng.integers(0, 1000, size=n_y) ** 3
+    for weights, falsified in ((image_of_nu, False), (skewed, True)):
+        p = fixed_point(g.outcome_support, weights)
+        res = solve_zero_one(p, nu, g)
+        assert (res.primal_fp > 0) == falsified
+        assert res.primal_fp == core_deficiency_bruteforce(g, nu, p).value_fp
+        lhs = sum(n for i, n in enumerate(p.numerators) if res.witness_bits >> i & 1)
+        assert lhs - capacity_fp(g, nu, res.witness_bits) == res.primal_fp
 
 
 @settings(max_examples=60, deadline=None)
