@@ -48,8 +48,17 @@ def load_model_spec(path: str):
     return build_model(_read_json(path), path)
 
 
+def _check_spec(spec, origin: str) -> dict:
+    """A model spec is a JSON object, with an object under "params" if present."""
+    if not (isinstance(spec, dict) and isinstance(spec.get("params", {}), dict)):
+        raise FalsiflowError(
+            f"{origin}: a model spec must be a JSON object with an object under 'params'"
+        )
+    return spec
+
+
 def build_model(spec: dict, origin: str = "<spec>"):
-    kind = spec.get("model")
+    kind = _check_spec(spec, origin).get("model")
     params = spec.get("params", {})
     try:
         if kind == "line_network":
@@ -229,7 +238,7 @@ def parse_grid(spec: str) -> list[dict]:
 
 
 def cmd_invert(args) -> int:
-    spec = _read_json(args.model)
+    spec = _check_spec(_read_json(args.model), args.model)
     points = parse_grid(args.grid)
     numeric = args.stat == "tn-halflines"
     data = load_data(args.data, numeric=numeric)

@@ -90,7 +90,8 @@ class Correspondence:
 
     def extend_outcomes(self, extra: Sequence[Label]) -> "Correspondence":
         """Append outcome labels with empty preimage (capacity 0)."""
-        new = [y for y in extra if y not in set(self.outcome_support)]
+        known = set(self.outcome_support)
+        new = [y for y in extra if y not in known]
         if not new:
             return self
         return Correspondence(self.latent_support, self.outcome_support + tuple(new), self.image)
@@ -108,7 +109,10 @@ class Correspondence:
         return {
             "latent": [str(u) for u in self.latent_support],
             "outcomes": [str(y) for y in self.outcome_support],
-            "G": {str(u): [str(y) for y in self.outcomes_of(u)] for u in self.latent_support},
+            "G": {
+                str(u): [str(y) for y in self.labels_of(bits)]
+                for u, bits in zip(self.latent_support, self.image)
+            },
         }
 
     @staticmethod

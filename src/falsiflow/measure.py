@@ -7,8 +7,11 @@ Masses are stored as 64-bit integer numerators over the fixed denominator
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Sequence
+
+import numpy as np
 
 from .errors import (
     DuplicateLabel,
@@ -91,11 +94,23 @@ class FiniteDistribution:
 
 
 def _round_preserving_sum(values: Sequence[float]) -> list[int]:
-    """Round probabilities to fixed point; assign the residual to the largest mass."""
-    numers = [round(v * DENOMINATOR) for v in values]
+    """Round probabilities to fixed point; assign the residual to the largest mass.
+
+    ``np.rint`` rounds half to even, as ``round`` does; the residual goes to
+    the first of the largest numerators.  A mass that is not finite, or whose
+    numerator does not fit in int64, raises instead of wrapping around.
+    """
+    scaled = np.asarray(values, dtype=float) * DENOMINATOR
+    bad = np.flatnonzero(~(np.abs(scaled) < 2.0**63))
+    if bad.size:
+        raise MassSumOutOfTolerance(
+            f"mass {values[bad[0]]!r} has no 64-bit fixed-point numerator"
+        )
+    rounded = np.rint(scaled).astype(np.int64)
+    numers = rounded.tolist()
     residual = DENOMINATOR - sum(numers)
     if residual:
-        k = max(range(len(numers)), key=lambda i: (numers[i], -i))
+        k = int(np.argmax(rounded))
         numers[k] += residual
         if numers[k] < 0:
             raise MassSumOutOfTolerance("rounding residual exceeds the largest mass")
@@ -117,6 +132,9 @@ def make_distribution(pairs: Iterable[tuple[Label, float]]) -> FiniteDistributio
     values = [float(m) for _, m in pairs]
     if any(v < 0 for v in values):
         raise NegativeMass(f"negative mass in {values}")
+    for lab, v in zip(labels, values):
+        if not math.isfinite(v):
+            raise MassSumOutOfTolerance(f"mass {v!r} of label {lab!r} is not finite")
     total = sum(values)
     if abs(total - 1.0) > SUM_TOLERANCE:
         raise MassSumOutOfTolerance(f"masses sum to {total!r}, expected 1 within {SUM_TOLERANCE}")
@@ -147,8 +165,10 @@ def total_variation(p: FiniteDistribution, q: FiniteDistribution) -> float:
 
 def total_variation_fp(p: FiniteDistribution, q: FiniteDistribution) -> int:
     """Exact fixed-point total variation (integer numerator)."""
-    labels = list(p.support) + [lab for lab in q.support if lab not in set(p.support)]
-    return sum(max(p.numerator(lab) - q.numerator(lab), 0) for lab in labels)
+    p_mass = dict(zip(p.support, p.numerators))
+    q_mass = dict(zip(q.support, q.numerators))
+    labels = list(p.support) + [lab for lab in q.support if lab not in p_mass]
+    return sum(max(p_mass.get(lab, 0) - q_mass.get(lab, 0), 0) for lab in labels)
 
 
 def align(p: FiniteDistribution, support: Sequence[Label]) -> FiniteDistribution:
@@ -156,7 +176,9 @@ def align(p: FiniteDistribution, support: Sequence[Label]) -> FiniteDistribution
 
     Every label of ``p`` must appear in ``support``.
     """
-    missing = [lab for lab in p.support if lab not in set(support)]
+    target = set(support)
+    missing = [lab for lab in p.support if lab not in target]
     if missing:
         raise SupportMismatch(f"labels {missing} not present in the target support")
-    return FiniteDistribution(tuple(support), tuple(p.numerator(lab) for lab in support))
+    mass = dict(zip(p.support, p.numerators))
+    return FiniteDistribution(tuple(support), tuple(mass.get(lab, 0) for lab in support))

@@ -65,11 +65,14 @@ def uniform_grid_2d(lo: float, hi: float, cells: int) -> LatentGrid:
     """Cell-midpoint discretization of [lo, hi]^2 with equal cell masses.
 
     Midpoints make region masses of axis-aligned rectangles exact area ratios.
+    Nodes run over the first coordinate, then the second; each midpoint is
+    formatted once and the node labels are "(a,b)" pairs of those texts.
     """
     step = (hi - lo) / cells
     mids = lo + step * (np.arange(cells) + 0.5)
-    coords = np.array([(a, b) for a in mids for b in mids])
-    nodes = tuple(tuple_label(a, b) for a, b in coords)
+    coords = np.column_stack([np.repeat(mids, cells), np.tile(mids, cells)])
+    texts = [_fmt(m) for m in mids]
+    nodes = tuple(f"({a},{b})" for a in texts for b in texts)
     weights = make_distribution((n, 1.0 / len(nodes)) for n in nodes)
     return LatentGrid(nodes=nodes, coords=coords, weights=weights, step=step)
 
@@ -125,6 +128,12 @@ def entry_game(
 ) -> tuple[Correspondence, FiniteDistribution]:
     """Two-firm entry game: regions of the profit-shifter grid, aggregated by
     equilibrium set, with the grid mass of each region as its latent weight.
+
+    The best-response test of :func:`entry_equilibria` runs on all grid nodes
+    at once.  Each node gets a 4-bit code whose bit i marks ENTRY_OUTCOMES[i]
+    as an equilibrium; that code is the region's image bitset.  Region masses
+    are exact int64 sums of the node numerators per code, and regions are
+    ordered by their outcome indices.
     """
     if not (delta1 < 0 and delta2 < 0):
         raise BadParameters("monopoly profits must exceed duopoly profits (delta_i < 0)")
@@ -132,21 +141,27 @@ def entry_game(
         grid = uniform_grid_2d(-2.0, 2.0, resolution)
     if grid.weights is None:
         raise BadParameters("the latent grid must carry weights")
+    if grid.coords.shape[1] != 2:
+        raise BadParameters("the latent grid must have two coordinates per node")
 
-    masses: dict[tuple[str, ...], int] = {}
-    for node, (e1, e2) in zip(grid.nodes, grid.coords):
-        eqs = entry_equilibria(delta1, delta2, e1, e2)
-        if not eqs:
-            raise BadParameters(f"no pure equilibrium at grid node {node}")
-        masses[eqs] = masses.get(eqs, 0) + grid.weights.numerator(node)
+    e1, e2 = grid.coords[:, 0], grid.coords[:, 1]
+    codes = np.zeros(len(grid.nodes), dtype=np.int64)
+    for bit, (y1, y2) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
+        best_response = (y1 == (delta2 * y2 + e1 >= 0)) & (y2 == (delta1 * y1 + e2 >= 0))
+        codes |= best_response.astype(np.int64) << bit
+    empty = np.flatnonzero(codes == 0)
+    if empty.size:
+        raise BadParameters(f"no pure equilibrium at grid node {grid.nodes[empty[0]]}")
+    masses = np.zeros(16, dtype=np.int64)
+    np.add.at(masses, codes, np.array(grid.weights.numerators, dtype=np.int64))
 
-    regions = sorted(masses, key=lambda eqs: tuple(ENTRY_OUTCOMES.index(y) for y in eqs))
-    labels = ["{" + ",".join(eqs) + "}" for eqs in regions]
-    nu = FiniteDistribution(tuple(labels), tuple(masses[eqs] for eqs in regions))
-    g = Correspondence.from_map(
-        {lab: list(eqs) for lab, eqs in zip(labels, regions)},
-        outcome_support=ENTRY_OUTCOMES,
+    regions = sorted(
+        (tuple(i for i in range(4) if code >> i & 1), code)
+        for code in np.unique(codes).tolist()
     )
+    labels = tuple("{" + ",".join(ENTRY_OUTCOMES[i] for i in idx) + "}" for idx, _ in regions)
+    nu = FiniteDistribution(labels, tuple(int(masses[code]) for _, code in regions))
+    g = Correspondence(labels, ENTRY_OUTCOMES, tuple(code for _, code in regions))
     return g, nu
 
 
@@ -354,8 +369,8 @@ def simulate(
     if nu.support != g.latent_support:
         raise SupportMismatch("nu must live on the latent support of the correspondence")
     choices: list[tuple[Label, ...]] = []
-    for u in g.latent_support:
-        admissible = g.outcomes_of(u)
+    for u, bits in zip(g.latent_support, g.image):
+        admissible = g.labels_of(bits)
         if rule.name == "first":
             choices.append((admissible[0],))
         elif rule.name == "custom":

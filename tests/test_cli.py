@@ -99,6 +99,23 @@ def test_check_missing_param_names_field_and_file(tmp_path, capsys):
     assert "delta1" in err and "entry.json" in err
 
 
+@pytest.mark.parametrize("command", ["check", "invert"])
+@pytest.mark.parametrize(
+    "spec", [[1], {"model": "entry_game", "params": [1]}], ids=["list", "params-list"]
+)
+def test_malformed_spec_exit2(command, spec, tmp_path, capsys):
+    path = write_json(tmp_path, "spec.json", spec)
+    data = tmp_path / "data.csv"
+    data.write_text("y\n(0,0)\n")
+    argv = ["--model", path, "--data", str(data)]
+    if command == "invert":
+        argv += ["--grid", "delta1=-1:-1:1"]
+    code = main([command] + argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "spec.json" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "command,flag",
     [("check", "--format"), ("check", "--seed"), ("simulate", "--format"), ("invert", "--format")],

@@ -204,6 +204,14 @@ def test_json_round_trip():
     assert h.image == g.image
 
 
+def test_label_lookups_agree_with_json_images():
+    g, _ = entry_regions()
+    assert g.to_json()["G"] == {u: list(g.outcomes_of(u)) for u in g.latent_support}
+    assert g.extend_outcomes(["(1,1)", "new"]).outcome_support == g.outcome_support + ("new",)
+    with pytest.raises(ValueError):
+        g.outcomes_of("nowhere")
+
+
 @settings(max_examples=50)
 @given(st.data())
 def test_witness_certifies_value(data):

@@ -1,18 +1,23 @@
 import itertools
 import json
+import math
+import re
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from falsiflow.errors import (
     DuplicateLabel,
     EmptyData,
+    FalsiflowError,
     MassSumOutOfTolerance,
     NegativeMass,
 )
 from falsiflow.measure import (
     DENOMINATOR,
     FiniteDistribution,
+    _round_preserving_sum,
     align,
     empirical,
     make_distribution,
@@ -134,3 +139,59 @@ def test_residual_goes_to_largest_mass():
     p = make_distribution([("a", 1 / 3), ("b", 1 / 3), ("c", 1 / 3)])
     assert sorted(p.numerators, reverse=True)[0] - sorted(p.numerators)[0] == 1
     assert sum(p.numerators) == DENOMINATOR
+
+
+def round_preserving_sum_python(values):
+    """The pure-Python formula: round each mass, residual to the first largest."""
+    numers = [round(v * DENOMINATOR) for v in values]
+    residual = DENOMINATOR - sum(numers)
+    if residual:
+        k = max(range(len(numers)), key=lambda i: (numers[i], -i))
+        numers[k] += residual
+    return numers
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_round_preserving_sum_matches_python_formula(seed):
+    rng = np.random.default_rng(seed)
+    for trial in range(200):
+        w = rng.random(int(rng.integers(1, 40))) ** int(rng.integers(1, 5))
+        if trial % 2:
+            w = np.round(w * 3) + 1          # ties at the maximum
+        values = (w / w.sum()).tolist()
+        numers = _round_preserving_sum(values)
+        assert numers == round_preserving_sum_python(values)
+        assert all(type(n) is int for n in numers)
+
+
+def test_round_preserving_sum_negative_residual_and_tie():
+    # both round up to 500000001, so the residual is -2 and goes to the first
+    values = [0.5000000006, 0.5000000006]
+    assert round(values[0] * DENOMINATOR) == 500000001
+    assert _round_preserving_sum(values) == round_preserving_sum_python(values) == [499999999, 500000001]
+
+
+@pytest.mark.parametrize(
+    "build,bad",
+    [
+        ("make_distribution", math.nan),
+        ("make_distribution", math.inf),
+        ("from_json", math.nan),
+        ("from_json", math.inf),
+        ("from_json", 1e30),
+    ],
+)
+def test_non_finite_or_oversized_mass_rejected(build, bad):
+    with pytest.raises(FalsiflowError, match=re.escape(repr(bad))):
+        if build == "make_distribution":
+            make_distribution([("a", bad), ("b", 0.5)])
+        else:
+            FiniteDistribution.from_json({"support": ["a", "b"], "mass": [bad, 0], "denominator": 1})
+
+
+def test_label_lookups_keep_their_errors():
+    p = make_distribution([("a", 0.25), ("b", 0.75)])
+    assert p.index("b") == 1 and p.numerator("b") == 750000000
+    assert p.numerator("zz") == 0
+    with pytest.raises(ValueError):
+        p.index("zz")

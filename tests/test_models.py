@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from falsiflow.correspondence import capacity_fp, core_deficiency_bruteforce
+from falsiflow.correspondence import Correspondence, capacity_fp, core_deficiency_bruteforce
 from falsiflow.errors import (
     BadParameters,
     BadRule,
@@ -9,9 +9,11 @@ from falsiflow.errors import (
     NotMonotone,
     SupportMismatch,
 )
-from falsiflow.measure import DENOMINATOR, align, empirical, make_distribution
+from falsiflow.measure import DENOMINATOR, FiniteDistribution, align, empirical, make_distribution
 from falsiflow.models import (
+    ENTRY_OUTCOMES,
     SLACK_OUTCOME,
+    LatentGrid,
     SelectionRule,
     binary_response_pilot,
     entry_equilibria,
@@ -101,6 +103,66 @@ def test_entry_game_16_inequalities_decide_compatibility():
         for bits in range(16)
     )
     assert verdict.compatible == all_hold is True
+
+
+def entry_game_per_node(delta1, delta2, grid):
+    """Reference: one entry_equilibria call and one numerator lookup per node."""
+    masses = {}
+    for node, (e1, e2) in zip(grid.nodes, grid.coords):
+        eqs = entry_equilibria(delta1, delta2, e1, e2)
+        masses[eqs] = masses.get(eqs, 0) + grid.weights.numerator(node)
+    regions = sorted(masses, key=lambda eqs: tuple(ENTRY_OUTCOMES.index(y) for y in eqs))
+    labels = ["{" + ",".join(eqs) + "}" for eqs in regions]
+    nu = FiniteDistribution(tuple(labels), tuple(masses[eqs] for eqs in regions))
+    g = Correspondence.from_map(dict(zip(labels, regions)), outcome_support=ENTRY_OUTCOMES)
+    return g, nu
+
+
+@pytest.mark.parametrize(
+    "resolution,delta1,delta2",
+    [(1, -1.0, -1.0), (3, -0.8, -0.4), (3, -4.0, -4.0), (50, -0.8, -0.4), (50, -1.9, -0.3),
+     (120, -1.0, -1.0)],
+)
+def test_entry_game_matches_per_node_reference(resolution, delta1, delta2):
+    grid = uniform_grid_2d(-2.0, 2.0, resolution)
+    assert entry_game(delta1, delta2, resolution=resolution) == entry_game_per_node(delta1, delta2, grid)
+
+
+def test_uniform_grid_rounding_residual_on_first_node():
+    # 10**9 / 14400 rounds to 69444; the 6400 left over go to node 0
+    grid = uniform_grid_2d(-2.0, 2.0, 120)
+    assert grid.weights.numerators[:2] == (69444 + 6400, 69444)
+
+
+def test_entry_game_best_response_ties_on_midpoints():
+    # delta = -(a midpoint) puts a best-response boundary exactly on grid
+    # nodes, where the >= of the best-response test decides
+    grid = uniform_grid_2d(-2.0, 2.0, 10)
+    positive = [row for row in grid.coords if (row > 0).all()]
+    for c1, c2 in positive[::3]:
+        delta1, delta2 = -float(c1), -float(c2)
+        assert entry_game(delta1, delta2, grid=grid) == entry_game_per_node(delta1, delta2, grid)
+
+
+def test_entry_game_non_uniform_grid():
+    coords = [(0.5, 0.5), (-1.0, 0.0), (1.0, -0.25), (1.5, 1.5), (-2.0, -2.0), (0.25, 0.75)]
+    nodes = tuple(f"u{i}" for i in range(len(coords)))
+    # a zero-mass node still makes its region, (0,0) here, with mass 0
+    weights = make_distribution(zip(nodes, [0.35, 0.1, 0.2, 0.05, 0.0, 0.3]))
+    grid = LatentGrid(nodes=nodes, coords=np.array(coords), weights=weights)
+    g, nu = entry_game(-1.0, -0.75, grid=grid)
+    assert (g, nu) == entry_game_per_node(-1.0, -0.75, grid)
+    assert nu.numerator("{(0,0)}") == 0
+
+
+@pytest.mark.parametrize("columns", [1, 3])
+def test_entry_game_needs_two_coordinates(columns):
+    nodes = ("a", "b")
+    grid = LatentGrid(
+        nodes=nodes, coords=np.ones((2, columns)), weights=make_distribution(zip(nodes, [0.5, 0.5]))
+    )
+    with pytest.raises(BadParameters):
+        entry_game(-1.0, -1.0, grid=grid)
 
 
 # --- search model -------------------------------------------------------------
