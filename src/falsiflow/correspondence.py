@@ -142,6 +142,44 @@ def capacity_fp(g: Correspondence, nu: FiniteDistribution, a: int | Sequence[Lab
     return sum(n for n, img in zip(nu.numerators, g.image) if img & bits)
 
 
+def max_halfline_deficiency_fp(
+    g: Correspondence, nu: FiniteDistribution, p: FiniteDistribution,
+    order: Sequence[int], lower_cuts: Sequence[int], upper_cuts: Sequence[int],
+) -> tuple[int, tuple[Label, ...], bool]:
+    """First maximum of the fixed-point P(A) - capacity(A) over half-line classes.
+
+    ``p`` lives on the outcome support and ``order`` lists the outcome indices
+    from lowest to highest.  Lower cut k is the class of the k lowest
+    outcomes, upper cut k the class of the others; candidates run
+    lower_cuts[0], upper_cuts[0], lower_cuts[1], ... and ties go to the first.
+    Returns the maximum, its class in support order and whether it is upper.
+    P and the capacity of every class are prefix sums in exact int64: an image
+    touches the k lowest outcomes exactly when its lowest outcome is among
+    them, so nu is tallied by each latent's lowest and highest outcome.
+    """
+    if nu.support != g.latent_support:
+        raise SupportMismatch("nu must live on the latent support of the correspondence")
+    n_y = len(g.outcome_support)
+    order = np.asarray(order, dtype=np.intp)
+    ranked = g.adjacency_matrix()[order]
+    mass = np.array(nu.numerators, dtype=np.int64)
+    lowest = np.zeros(n_y, dtype=np.int64)
+    np.add.at(lowest, ranked.argmax(axis=0), mass)
+    highest = np.zeros(n_y, dtype=np.int64)
+    np.add.at(highest, n_y - 1 - ranked[::-1].argmax(axis=0), mass)
+    cap_below = np.concatenate(([0], np.cumsum(lowest)))
+    cap_above = np.concatenate((np.cumsum(highest[::-1])[::-1], [0]))
+    p_below = np.concatenate(([0], np.cumsum(np.array(p.numerators, dtype=np.int64)[order])))
+    values = np.column_stack(
+        [(p_below - cap_below)[lower_cuts], (p_below[-1] - p_below - cap_above)[upper_cuts]]
+    )
+    # row-major argmax: the first maximum in the candidate order
+    row, is_upper = np.unravel_index(np.argmax(values), values.shape)
+    cut = (upper_cuts if is_upper else lower_cuts)[row]
+    members = np.sort(order[cut:] if is_upper else order[:cut])
+    return int(values[row, is_upper]), tuple(g.outcome_support[i] for i in members), bool(is_upper)
+
+
 @dataclass(frozen=True)
 class DeficiencyReport:
     """Exhaustive maximum of P(A) - capacity(A) with a canonical witness."""

@@ -15,6 +15,10 @@ class MassSumOutOfTolerance(FalsiflowError):
     pass
 
 
+class BadDenominator(FalsiflowError):
+    """A fixed-point denominator that is not a positive finite number."""
+
+
 class DuplicateLabel(FalsiflowError):
     pass
 

@@ -9,6 +9,11 @@ class of sets (the least-favorable null approximation, valid whichever
 capacity constraints bind), and for the dual statistic the observed value is
 subtracted.  This keeps the test conservative under the null while retaining
 power against fixed alternatives.
+
+The half-line statistic searches no outcome sets: in outcome order, P_n and
+the capacity of every half-line are prefix sums
+(:func:`~falsiflow.correspondence.max_halfline_deficiency_fp`), and the
+set-supremum replicates of a block of resamples come from one count matrix.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .correspondence import Correspondence, capacity_fp
+from .correspondence import Correspondence, max_halfline_deficiency_fp
 from .errors import EmptyData, NotOrdered, SupportMismatch
 from .measure import (
     DENOMINATOR,
@@ -31,6 +36,9 @@ from .measure import (
 )
 from .semiparametric import DualCertificate, SemiparametricModel, maximize_dual
 from .transport import solve_zero_one
+
+#: Resample counts held at once: the bootstrap draws its replicates in blocks.
+REPLICATE_BLOCK = 2**20
 
 
 @dataclass(frozen=True)
@@ -103,42 +111,43 @@ def statistic_tv_core(
     )
 
 
+def _ascending(labels: Sequence[Label]) -> list[int]:
+    """Indices of ``labels`` from lowest to highest; NaN and mixed types have no order."""
+    if any(y != y for y in labels):
+        raise NotOrdered("half-line statistics need a totally ordered outcome support, not NaN")
+    try:
+        return sorted(range(len(labels)), key=lambda i: labels[i])
+    except TypeError as exc:
+        raise NotOrdered("half-line statistics need a totally ordered outcome support") from exc
+
+
 def statistic_tn_halflines(
     data: Sequence[float], nu: FiniteDistribution, g_on_line: Correspondence
 ) -> TestReport:
     """Deficiency maximized over the 2n half-line classes at the observations.
 
-    Outcome labels must be totally ordered (numeric); reports the maximizing
-    half-line as the witness.
+    Outcome labels must be totally ordered (numeric, no NaN).  The classes
+    are {y' <= y} and {y' > y} at each observed y, scanned by the prefix sums
+    of :func:`~falsiflow.correspondence.max_halfline_deficiency_fp`; the
+    witness is the first maximizing class in ascending y, lower before upper.
     """
     if not data:
         raise EmptyData("no observations")
-    g_ext, p_n = _extend(g_on_line, empirical(list(data)))
+    p = empirical(list(data))
+    g_ext, p_n = _extend(g_on_line, p)
     support = g_ext.outcome_support
-    try:
-        keyed = sorted(range(len(support)), key=lambda i: support[i])
-    except TypeError as exc:
-        raise NotOrdered("half-line statistics need a totally ordered outcome support") from exc
-
-    best_fp, best_bits = None, 0
-    for y in sorted(set(data)):
-        low = sum(1 << i for i in keyed if support[i] <= y)
-        high = sum(1 << i for i in keyed if support[i] > y)
-        for bits in (low, high):
-            value = sum(
-                n for i, n in enumerate(p_n.numerators) if bits >> i & 1
-            ) - capacity_fp(g_ext, nu, bits)
-            if best_fp is None or value > best_fp:
-                best_fp, best_bits = value, bits
-    assert best_fp is not None
+    order = _ascending(support)
+    rank = {support[i]: k for k, i in enumerate(order)}
+    cuts = np.array(sorted(rank[y] for y in p.support)) + 1
+    value_fp, witness, _ = max_halfline_deficiency_fp(g_ext, nu, p_n, order, cuts, cuts)
     n = len(data)
-    value = best_fp / DENOMINATOR
+    value = value_fp / DENOMINATOR
     return TestReport(
         statistic_name="tn-halflines",
         value=value,
         scaled_value=math.sqrt(n) * value,
         n=n,
-        witness=g_ext.labels_of(best_bits),
+        witness=witness,
     )
 
 
@@ -161,43 +170,37 @@ def statistic_semiparametric(data: Sequence[Label], model: SemiparametricModel) 
     )
 
 
-def _compute(kind, counts, n, support, model):
-    """Statistic value from resample counts over a sorted support."""
-    data = [lab for lab, c in zip(support, counts) for _ in range(int(c))]
-    if kind == "tv-core":
-        nu, g = model
-        return statistic_tv_core(data, nu, g)
-    if kind == "tn-halflines":
-        nu, g = model
-        return statistic_tn_halflines(data, nu, g)
+def _compute(kind, data, model):
+    """The statistic ``kind`` on ``data``; ``model`` as in :func:`bootstrap_pvalue`."""
     if kind == "semi":
         return statistic_semiparametric(data, model)
-    raise SupportMismatch(f"unknown statistic kind {kind!r}")
+    if kind not in ("tv-core", "tn-halflines"):
+        raise SupportMismatch(f"unknown statistic kind {kind!r}")
+    nu, g = model
+    return (statistic_tv_core if kind == "tv-core" else statistic_tn_halflines)(data, nu, g)
 
 
-def _recentered_replicate(kind, star_counts, base_counts, n, support, model, observed):
-    """Recentered bootstrap replicate value.
+def _recentered_replicates(kind, star_counts, base_counts, support, model, observed):
+    """Recentered bootstrap replicate values, one per row of resample counts.
 
-    For "tv-core" this is sup over all subsets of [P*(A) - P_n(A)], i.e. the
-    one-sided total variation of the resample against the data; for
-    "tn-halflines" the same supremum restricted to the half-line classes at the
-    observed points.  Both are exact integer computations on the counts.  For
-    "semi" the replicate is the dual statistic on the resample minus the
-    observed value.
+    For "tv-core" a replicate is sup over all subsets of [P*(A) - P_n(A)],
+    i.e. the one-sided total variation of the resample against the data; for
+    "tn-halflines" the same supremum restricted to the half-line classes at
+    the observed points, the largest absolute prefix sum in label order.  Both
+    are exact integers over n, computed for all rows at once.  For "semi" the
+    replicate is the dual statistic on the resample minus the observed value.
     """
+    if kind == "semi":
+        return [
+            _compute(kind, [lab for lab, c in zip(support, row) for _ in range(c)], model).value
+            - observed.value
+            for row in star_counts
+        ]
+    excess = star_counts - base_counts
     if kind == "tv-core":
-        excess = sum(max(int(s) - int(b), 0) for s, b in zip(star_counts, base_counts))
-        return excess / n
-    if kind == "tn-halflines":
-        order = sorted(range(len(support)), key=lambda i: support[i])
-        best = 0
-        prefix = 0
-        for i in order:
-            prefix += int(star_counts[i]) - int(base_counts[i])
-            best = max(best, prefix, -prefix)
-        return best / n
-    rep = _compute(kind, star_counts, n, support, model)
-    return rep.value - observed.value
+        return (np.maximum(excess, 0).sum(axis=1) / observed.n).tolist()
+    prefix = np.cumsum(excess[:, _ascending(support)], axis=1)
+    return (np.abs(prefix).max(axis=1) / observed.n).tolist()
 
 
 def bootstrap_pvalue(
@@ -218,7 +221,7 @@ def bootstrap_pvalue(
         raise EmptyData("no observations")
     if B < 1:
         raise SupportMismatch("B must be at least 1")
-    observed = _compute(statistic_kind, [1] * len(data), len(data), list(data), model)
+    observed = _compute(statistic_kind, list(data), model)
 
     n = len(data)
     p_n = empirical(data)
@@ -227,18 +230,16 @@ def bootstrap_pvalue(
     probs = np.array([p_n.numerators[i] for i in order], dtype=float) / DENOMINATOR
 
     tally = Counter(data)
-    base_counts = [tally[lab] for lab in support]
-    replicates = []
-    exceed = 0
-    for child in np.random.SeedSequence(seed).spawn(B):
-        rng = np.random.default_rng(child)
-        counts = rng.multinomial(n, probs)
-        value = _recentered_replicate(
-            statistic_kind, counts, base_counts, n, support, model, observed
+    base_counts = np.array([tally[lab] for lab in support], dtype=np.int64)
+    children = np.random.SeedSequence(seed).spawn(B)
+    rows = max(1, REPLICATE_BLOCK // len(support))
+    replicates: list[float] = []
+    for start in range(0, B, rows):
+        draws = [np.random.default_rng(c).multinomial(n, probs) for c in children[start:start + rows]]
+        replicates += _recentered_replicates(
+            statistic_kind, np.array(draws), base_counts, support, model, observed
         )
-        replicates.append(value)
-        if value >= observed.value:
-            exceed += 1
+    exceed = sum(value >= observed.value for value in replicates)
     pvalue = (1 + exceed) / (B + 1)
     return TestReport(
         statistic_name=observed.statistic_name,

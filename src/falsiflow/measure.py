@@ -14,6 +14,7 @@ from typing import Hashable, Iterable, Sequence
 import numpy as np
 
 from .errors import (
+    BadDenominator,
     DuplicateLabel,
     EmptyData,
     MassSumOutOfTolerance,
@@ -83,14 +84,13 @@ class FiniteDistribution:
     @staticmethod
     def from_json(obj: dict) -> "FiniteDistribution":
         denom = obj.get("denominator", DENOMINATOR)
-        if denom != DENOMINATOR:
-            # rescale exactly where possible, otherwise round
-            numers = _round_preserving_sum(
-                [m / denom for m in obj["mass"]]
-            )
-        else:
-            numers = [int(m) for m in obj["mass"]]
-        return FiniteDistribution(tuple(obj["support"]), tuple(numers))
+        if isinstance(denom, bool) or not isinstance(denom, (int, float)) or not 0 < denom < math.inf:
+            raise BadDenominator(f"denominator {denom!r} must be a positive finite number")
+        if denom == DENOMINATOR:
+            return FiniteDistribution(tuple(obj["support"]), tuple(int(m) for m in obj["mass"]))
+        if len(obj["support"]) != len(obj["mass"]):
+            raise SupportMismatch("support and mass lists differ in length")
+        return make_distribution(zip(obj["support"], (m / denom for m in obj["mass"])))
 
 
 def _round_preserving_sum(values: Sequence[float]) -> list[int]:

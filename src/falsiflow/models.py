@@ -13,7 +13,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .correspondence import Correspondence, capacity_fp
+from .correspondence import Correspondence, max_halfline_deficiency_fp
 from .errors import (
     BadParameters,
     BadRule,
@@ -178,9 +178,10 @@ def search_game(
     values = [float(v) for _, v in alpha]
     if labels != nu.support:
         raise SupportMismatch("alpha must be tabulated on nu's support, in order")
-    if any(b <= a for a, b in zip(values, values[1:])):
+    # written so that a NaN fails every comparison and raises
+    if not all(a < b for a, b in zip(values, values[1:])):
         raise NotMonotone("alpha must be strictly increasing on the grid")
-    if values and (values[0] < 0 or values[-1] > 1):
+    if values and not (0 <= values[0] and values[-1] <= 1):
         raise NotMonotone("alpha values must lie in [0, 1]")
     outcomes = [0.0] + [v for v in values if v != 0.0]
     g = Correspondence.from_map(
@@ -197,20 +198,18 @@ def interval_deficiency(
 
     Outcome labels must be totally ordered (numeric).  Returns the fixed-point
     maximum (at least 0, attained by the empty class), the maximizing class and
-    its kind ("lower", "upper" or "empty").
+    its kind ("lower", "upper" or "empty").  The classes are scanned by the
+    prefix sums of :func:`~falsiflow.correspondence.max_halfline_deficiency_fp`;
+    ties go to the earliest class in ascending y, lower before upper.
     """
     order = sorted(range(len(g.outcome_support)), key=lambda i: g.outcome_support[i])
-    best, best_bits, kind = 0, 0, "empty"
-    for cut in range(len(order)):
-        lower = sum(1 << i for i in order[: cut + 1])
-        upper = sum(1 << i for i in order[cut:])
-        for bits, name in ((lower, "lower"), (upper, "upper")):
-            value = sum(
-                n for i, n in enumerate(p.numerators) if bits >> i & 1
-            ) - capacity_fp(g, nu, bits)
-            if value > best:
-                best, best_bits, kind = value, bits, name
-    return best, g.labels_of(best_bits), kind
+    # cut k: the lower class holds ranks 0..k, the upper class ranks k..max
+    value, labels, is_upper = max_halfline_deficiency_fp(
+        g, nu, p, order, np.arange(1, len(order) + 1), np.arange(len(order))
+    )
+    if value <= 0:
+        return 0, (), "empty"
+    return value, labels, "upper" if is_upper else "lower"
 
 
 # ---------------------------------------------------------------------------

@@ -75,6 +75,20 @@ def test_check_malformed_json_exit2(entry_model, tmp_path, capsys):
     assert "bad.json" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("denominator", [0, -4, "x"])
+def test_check_bad_denominator_exit2(entry_model, tmp_path, capsys, denominator):
+    dist = write_json(tmp_path, "p.json", dict(COMPATIBLE_P, denominator=denominator))
+    assert main(["check", "--model", entry_model, "--dist", dist]) == 2
+    assert "denominator" in capsys.readouterr().err
+
+
+def test_check_mass_sum_off_denominator_exit2(entry_model, tmp_path, capsys):
+    dist = write_json(tmp_path, "p.json", {"support": ["(0,0)", "(0,1)"], "mass": [1, 1],
+                                           "denominator": 4})
+    assert main(["check", "--model", entry_model, "--dist", dist]) == 2
+    assert "sum" in capsys.readouterr().err
+
+
 def test_check_missing_file_exit2(entry_model, capsys):
     assert main(["check", "--model", entry_model, "--dist", "/nonexistent.json"]) == 2
 
@@ -290,6 +304,28 @@ def test_halflines_on_unordered_outcomes_errors(entry_model, tmp_path, capsys):
     # entry-game labels are tuple strings, which do order lexicographically,
     # but the loader parses tn-halflines data as floats and fails loudly
     assert code == 2
+
+
+@pytest.mark.parametrize("command", ["test", "invert"])
+def test_halflines_nan_data_exit2(tmp_path, capsys, command):
+    model = write_json(tmp_path, "search.json", SEARCH_SPEC)
+    data = tmp_path / "data.csv"
+    data.write_text("y\n0.5\n0.8\nnan\n0.0\n0.5\n")
+    argv = [command, "--model", model, "--data", str(data), "--stat", "tn-halflines", "--B", "5"]
+    if command == "invert":
+        argv += ["--grid", "eta=0:0:1"]
+    assert main(argv) == 2
+    assert "NaN" in capsys.readouterr().err
+
+
+def test_search_nan_alpha_exit2(tmp_path, capsys):
+    spec = json.loads(json.dumps(SEARCH_SPEC))
+    spec["params"]["alpha"][1][1] = float("nan")
+    model = write_json(tmp_path, "search.json", spec)
+    data = tmp_path / "data.csv"
+    data.write_text("y\n0.5\n0.0\n")
+    assert main(["test", "--model", model, "--data", str(data), "--stat", "tn-halflines"]) == 2
+    assert "increasing" in capsys.readouterr().err
 
 
 def test_parse_grid_product_order():

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from falsiflow.errors import (
+    BadDenominator,
     DuplicateLabel,
     EmptyData,
     FalsiflowError,
@@ -187,6 +188,19 @@ def test_non_finite_or_oversized_mass_rejected(build, bad):
             make_distribution([("a", bad), ("b", 0.5)])
         else:
             FiniteDistribution.from_json({"support": ["a", "b"], "mass": [bad, 0], "denominator": 1})
+
+
+def test_from_json_checks_the_sum_against_any_denominator():
+    with pytest.raises(MassSumOutOfTolerance, match="0.5"):
+        FiniteDistribution.from_json({"support": ["a", "b"], "mass": [1, 1], "denominator": 4})
+    q = FiniteDistribution.from_json({"support": ["a", "b"], "mass": [1, 3], "denominator": 4})
+    assert q.numerators == (250000000, 750000000)
+
+
+@pytest.mark.parametrize("denominator", [0, -4, "4", None, True, math.nan, math.inf])
+def test_from_json_rejects_bad_denominators(denominator):
+    with pytest.raises(BadDenominator):
+        FiniteDistribution.from_json({"support": ["a"], "mass": [1], "denominator": denominator})
 
 
 def test_label_lookups_keep_their_errors():
