@@ -39,7 +39,6 @@ from .transport import (
     TransportResult,
     Verdict,
     compatibility_verdict,
-    solve_general_cost,
     solve_zero_one,
 )
 
@@ -71,7 +70,6 @@ __all__ = [
     "preimage",
     "primal_lp",
     "selection_minimax_check",
-    "solve_general_cost",
     "solve_zero_one",
     "statistic_semiparametric",
     "statistic_tn_halflines",

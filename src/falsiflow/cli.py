@@ -163,10 +163,8 @@ def cmd_check(args) -> int:
         return EXIT_COMPATIBLE if verdict.compatible else EXIT_INCOMPATIBLE
     _, model = loaded
     p = _target_distribution(args, model.correspondence.outcome_support)
-    g = model.correspondence.extend_outcomes(p.support)
-    if g is not model.correspondence:
-        model = SemiparametricModel(g, model.moments, truncated=model.truncated)
-    p = align(p, g.outcome_support)
+    model = model.extend_outcomes(p.support)
+    p = align(p, model.correspondence.outcome_support)
     cert = maximize_dual(model, p)
     write_output(render_json(cert.to_json()), args.out)
     return EXIT_COMPATIBLE if cert.compatible else EXIT_INCOMPATIBLE

@@ -19,6 +19,10 @@ class BadDenominator(FalsiflowError):
     """A fixed-point denominator that is not a positive finite number."""
 
 
+class BadMass(FalsiflowError):
+    """A mass in a distribution file that is not a number."""
+
+
 class DuplicateLabel(FalsiflowError):
     pass
 

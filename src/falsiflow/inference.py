@@ -14,6 +14,9 @@ The half-line statistic searches no outcome sets: in outcome order, P_n and
 the capacity of every half-line are prefix sums
 (:func:`~falsiflow.correspondence.max_halfline_deficiency_fp`), and the
 set-supremum replicates of a block of resamples come from one count matrix.
+The dual-statistic replicates of a block are built from the same count
+matrix and certified together by one batched LP
+(:func:`~falsiflow.semiparametric.maximize_dual_batch`).
 """
 
 from __future__ import annotations
@@ -33,8 +36,9 @@ from .measure import (
     Label,
     align,
     empirical,
+    make_distribution,
 )
-from .semiparametric import DualCertificate, SemiparametricModel, maximize_dual
+from .semiparametric import DualCertificate, SemiparametricModel, maximize_dual, maximize_dual_batch
 from .transport import solve_zero_one
 
 #: Resample counts held at once: the bootstrap draws its replicates in blocks.
@@ -155,10 +159,9 @@ def statistic_semiparametric(data: Sequence[Label], model: SemiparametricModel) 
     """Dual moment-restriction statistic on the empirical distribution."""
     if not data:
         raise EmptyData("no observations")
-    g_ext, p_n = _extend(model.correspondence, empirical(data))
-    if g_ext is not model.correspondence:
-        model = SemiparametricModel(g_ext, model.moments, truncated=model.truncated)
-    cert = maximize_dual(model, p_n)
+    p = empirical(data)
+    model = model.extend_outcomes(p.support)
+    cert = maximize_dual(model, align(p, model.correspondence.outcome_support))
     n = len(data)
     value = max(cert.T, 0.0)
     return TestReport(
@@ -188,14 +191,18 @@ def _recentered_replicates(kind, star_counts, base_counts, support, model, obser
     "tn-halflines" the same supremum restricted to the half-line classes at
     the observed points, the largest absolute prefix sum in label order.  Both
     are exact integers over n, computed for all rows at once.  For "semi" the
-    replicate is the dual statistic on the resample minus the observed value.
+    replicate is the dual statistic on the resample minus the observed value;
+    each resample's distribution is built from its count row, and all of them
+    are certified by one batched LP (:func:`maximize_dual_batch`).
     """
     if kind == "semi":
-        return [
-            _compute(kind, [lab for lab, c in zip(support, row) for _ in range(c)], model).value
-            - observed.value
+        model = model.extend_outcomes(support)
+        outcomes = model.correspondence.outcome_support
+        resamples = [
+            align(make_distribution(zip(support, row / observed.n)), outcomes)
             for row in star_counts
         ]
+        return [max(c.T, 0.0) - observed.value for c in maximize_dual_batch(model, resamples)]
     excess = star_counts - base_counts
     if kind == "tv-core":
         return (np.maximum(excess, 0).sum(axis=1) / observed.n).tolist()

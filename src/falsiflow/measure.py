@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import (
     BadDenominator,
+    BadMass,
     DuplicateLabel,
     EmptyData,
     MassSumOutOfTolerance,
@@ -86,11 +87,17 @@ class FiniteDistribution:
         denom = obj.get("denominator", DENOMINATOR)
         if isinstance(denom, bool) or not isinstance(denom, (int, float)) or not 0 < denom < math.inf:
             raise BadDenominator(f"denominator {denom!r} must be a positive finite number")
+        masses = obj["mass"]
+        if not isinstance(masses, list):
+            raise BadMass(f"mass {masses!r} must be a list of numbers")
+        for m in masses:
+            if isinstance(m, bool) or not isinstance(m, (int, float)):
+                raise BadMass(f"mass {m!r} is not a number")
         if denom == DENOMINATOR:
-            return FiniteDistribution(tuple(obj["support"]), tuple(int(m) for m in obj["mass"]))
-        if len(obj["support"]) != len(obj["mass"]):
+            return FiniteDistribution(tuple(obj["support"]), tuple(int(m) for m in masses))
+        if len(obj["support"]) != len(masses):
             raise SupportMismatch("support and mass lists differ in length")
-        return make_distribution(zip(obj["support"], (m / denom for m in obj["mass"])))
+        return make_distribution(zip(obj["support"], (m / denom for m in masses)))
 
 
 def _round_preserving_sum(values: Sequence[float]) -> list[int]:

@@ -13,14 +13,24 @@ solved once on HiGHS; the duals of its moment rows give the multiplier, and
 the closed-form objective above at that multiplier must reproduce the LP
 optimum, which certifies both.  T(P) = 0 certifies compatibility, a positive
 value falsifies the model.
+
+Only latent columns with distinct (image, moment column) pairs matter to the
+LP and to the closed form, so both run on the model's exactly merged columns
+(:attr:`SemiparametricModel.merged_columns`); :func:`primal_lp` keeps every
+column and stays the unmerged oracle.  :func:`maximize_dual_batch` solves the
+primal LPs of k outcome distributions of one model as one block-diagonal LP;
+each block reads its own multiplier and passes its own closed-form
+certificate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
+from scipy import sparse
 
 from . import lp
 from .correspondence import Correspondence
@@ -73,6 +83,30 @@ class SemiparametricModel:
         """1 where the outcome is inadmissible for the latent node, else 0."""
         return 1.0 - self.correspondence.adjacency_matrix().astype(float)
 
+    def extend_outcomes(self, extra: Sequence[Label]) -> "SemiparametricModel":
+        """The model with outcome labels appended that no latent node admits."""
+        g = self.correspondence.extend_outcomes(extra)
+        if g is self.correspondence:
+            return self
+        return SemiparametricModel(g, self.moments, truncated=self.truncated)
+
+    @cached_property
+    def merged_columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Latent columns merged exactly on equal (image bitset, moment column).
+
+        Returns the latent index of each class's first occurrence, in
+        first-occurrence order, and the cost matrix and moment matrix on those
+        columns.  Columns of one class enter the LP and the dual objective
+        identically, so the merge changes neither optimum; and the smallest
+        latent index attaining a minimum is always a first occurrence, so the
+        minimizers keep their tie rule.
+        """
+        classes: dict[tuple[int, bytes], int] = {}
+        for j, key in enumerate(zip(self.correspondence.image, map(bytes, self.moments.T.copy()))):
+            classes.setdefault(key, j)
+        first = np.fromiter(classes.values(), dtype=np.intp, count=len(classes))
+        return first, self.cost_matrix()[:, first], self.moments[:, first]
+
 
 @dataclass(frozen=True)
 class DualCertificate:
@@ -98,12 +132,12 @@ class DualCertificate:
 
 
 def _evaluate(model: SemiparametricModel, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-outcome inner minimum and argmin indices at multiplier ``lam``."""
-    cost = model.cost_matrix()
-    penalty = -(lam @ model.moments) if model.n_moments else np.zeros(cost.shape[1])
+    """Per-outcome inner minimum and its argmin latent index at multiplier ``lam``."""
+    first, cost, moments = model.merged_columns
+    penalty = -(lam @ moments) if model.n_moments else np.zeros(cost.shape[1])
     scores = cost + penalty[None, :]
     argmin = scores.argmin(axis=1)  # ties resolved at the smallest latent index
-    return scores[np.arange(scores.shape[0]), argmin], argmin
+    return scores[np.arange(scores.shape[0]), argmin], first[argmin]
 
 
 def g_lambda(model: SemiparametricModel, y: Label, lam: Sequence[float]) -> tuple[float, Label]:
@@ -131,73 +165,100 @@ def dual_objective(
         raise SupportMismatch(f"multiplier has shape {lam.shape}, expected ({model.n_moments},)")
     values, argmin = _evaluate(model, lam)
     weights = np.asarray(p.masses)
-    value = float(weights @ values)
-    if model.n_moments:
-        grad = -(model.moments[:, argmin] @ weights)
-    else:
-        grad = np.zeros(0)
-    return value, grad
+    return float(weights @ values), -(model.moments[:, argmin] @ weights)
 
 
 def maximize_dual(model: SemiparametricModel, p: FiniteDistribution) -> DualCertificate:
     """Maximize the dual objective over multipliers with one exact LP.
 
-    The primal LP is solved on HiGHS and the multiplier is read from the duals
-    of its moment rows.  The closed-form dual objective at that multiplier must
-    equal the LP optimum to :data:`lp.TOLERANCE`, else
-    :class:`CertificateMismatch` is raised; T is that closed-form value.  An
-    empty moment set (infeasible primal, unbounded dual) raises
+    The k = 1 case of :func:`maximize_dual_batch`: one standalone LP, whose
+    HiGHS iteration count the certificate reports.
+    """
+    return maximize_dual_batch(model, [p])[0]
+
+
+def maximize_dual_batch(
+    model: SemiparametricModel, ps: Sequence[FiniteDistribution]
+) -> list[DualCertificate]:
+    """Maximize the dual objective for each of k outcome distributions of one model.
+
+    The k primal LPs share their matrix and cost and differ only in the
+    outcome marginals, so they are solved on HiGHS as one block-diagonal LP
+    over the model's merged latent columns, split into chunks of at most
+    :data:`lp.MAX_NONZEROS` nonzeros.  Each block's multiplier is read from
+    the duals of its own moment rows.  The closed-form dual objective at that
+    multiplier must equal the block's LP optimum to :data:`lp.TOLERANCE`,
+    else :class:`CertificateMismatch` is raised; T is that closed-form value,
+    and ``iterations`` counts the HiGHS iterations of the LP that held the
+    block.  An empty moment set (infeasible primal, unbounded dual) raises
     :class:`Diverged`.
     """
-    sol, scales = _solve_primal(model, p)
-    if sol.status is lp.Status.INFEASIBLE:
-        raise Diverged(
-            "no latent distribution on the grid satisfies the moment restrictions; "
-            "the dual is unbounded"
-        )
-    n_y = len(model.correspondence.outcome_support)
-    lam = sol.duals[n_y:] / scales + 0.0  # + 0.0 turns -0.0 into 0.0
-    values, argmin = _evaluate(model, lam)
-    value = float(np.asarray(p.masses) @ values)
-    if abs(value - sol.objective) > lp.TOLERANCE * (1.0 + abs(sol.objective)):
-        raise CertificateMismatch(
-            f"dual objective {value!r} at the LP multiplier does not certify "
-            f"the primal optimum {sol.objective!r}"
-        )
-    return DualCertificate(
-        T=value,
-        lambda_star=lam,
-        minimizer_map=_minimizer_map(model, argmin),
-        iterations=sol.iterations,
-        threshold=COMPATIBILITY_THRESHOLD,
-    )
-
-
-def _minimizer_map(model: SemiparametricModel, argmin: np.ndarray) -> dict[Label, Label]:
     g = model.correspondence
-    return {y: g.latent_support[int(j)] for y, j in zip(g.outcome_support, argmin)}
+    if any(p.support != g.outcome_support for p in ps):
+        raise SupportMismatch("p must live on the model's outcome support")
+    n_y = len(g.outcome_support)
+    masses = np.array([p.masses for p in ps], dtype=float).reshape(len(ps), n_y)
+    _, cost, moments = model.merged_columns
+    chunk = max(1, lp.MAX_NONZEROS // (cost.size + n_y * np.count_nonzero(moments)))
+    certificates = []
+    for block in (masses[start:start + chunk] for start in range(0, len(ps), chunk)):
+        sol, scales = _solve_primal(cost, moments, block)
+        if sol.status is lp.Status.INFEASIBLE:
+            raise Diverged(
+                "no latent distribution on the grid satisfies the moment restrictions; "
+                "the dual is unbounded"
+            )
+        objectives = sol.x.reshape(len(block), -1) @ cost.ravel()
+        for weights, duals, objective in zip(block, sol.duals.reshape(len(block), -1), objectives):
+            lam = duals[n_y:] / scales + 0.0  # + 0.0 turns -0.0 into 0.0
+            values, argmin = _evaluate(model, lam)
+            value = float(weights @ values)
+            if abs(value - objective) > lp.TOLERANCE * (1.0 + abs(objective)):
+                raise CertificateMismatch(
+                    f"dual objective {value!r} at the LP multiplier does not certify "
+                    f"the primal optimum {objective!r}"
+                )
+            certificates.append(
+                DualCertificate(
+                    T=value,
+                    lambda_star=lam,
+                    minimizer_map={
+                        y: g.latent_support[int(j)] for y, j in zip(g.outcome_support, argmin)
+                    },
+                    iterations=sol.iterations,
+                    threshold=COMPATIBILITY_THRESHOLD,
+                )
+            )
+    return certificates
 
 
 def _solve_primal(
-    model: SemiparametricModel, p: FiniteDistribution
+    cost: np.ndarray, moments: np.ndarray, masses: np.ndarray
 ) -> tuple[lp.Solution, np.ndarray]:
-    """Solve the primal LP over couplings pi[outcome, latent], flattened row-major.
+    """Solve the primal LP over couplings pi[outcome, column], one block per row of ``masses``.
 
-    Rows: one outcome-marginal row per outcome, then one moment row per moment,
-    scaled to unit sup-norm.  Returns the solution (optimal or infeasible) and
-    the row scales.
+    A block's variables are its pi flattened row-major; its rows are one
+    outcome-marginal row per outcome, then one moment row per moment, scaled
+    to unit sup-norm.  Returns the solution (optimal or infeasible) and the
+    row scales.
     """
-    g = model.correspondence
-    if p.support != g.outcome_support:
-        raise SupportMismatch("p must live on the model's outcome support")
-    n_y, n_u = len(g.outcome_support), len(g.latent_support)
-    scales = np.abs(model.moments).max(axis=1, initial=0.0)
+    k, n_y = masses.shape
+    d, n_c = moments.shape
+    scales = np.abs(moments).max(axis=1, initial=0.0)
     scales[scales == 0] = 1.0
-    a = np.vstack(
-        [np.kron(np.eye(n_y), np.ones(n_u)), np.tile(model.moments / scales[:, None], n_y)]
+    # a block's variable (i, j) has 1 on marginal row i and the scaled moment
+    # column j on the moment rows; built column by column, as CSC stores it
+    template = np.vstack([np.ones((1, n_c)), moments / scales[:, None]])
+    col, row = np.nonzero(template.T)
+    groups = np.arange(k * n_y)[:, None]  # (block, outcome) pairs, block-major
+    rows = np.where(row == 0, groups % n_y, n_y - 1 + row) + groups // n_y * (n_y + d)
+    indptr = np.concatenate([[0], np.cumsum(np.tile(np.bincount(col, minlength=n_c), k * n_y))])
+    a = sparse.csc_array(
+        (np.tile(template[row, col], k * n_y), rows.ravel(), indptr),
+        shape=(k * (n_y + d), k * n_y * n_c),
     )
-    b = np.concatenate([p.masses, np.zeros(model.n_moments)])
-    program = lp.LinearProgram(c=model.cost_matrix().ravel(), a=a, b=b, senses=("=",) * len(b))
+    b = np.hstack([masses, np.zeros((k, d))]).ravel()
+    program = lp.LinearProgram(c=np.tile(cost.ravel(), k), a=a, b=b)
     sol = lp.solve(program)
     if sol.status is lp.Status.UNBOUNDED:
         raise LpFailure("semiparametric primal LP returned unbounded")
@@ -214,7 +275,9 @@ def primal_lp(
     Raises :class:`Infeasible` when no latent distribution on the grid meets
     the moments.
     """
-    sol, _ = _solve_primal(model, p)
+    if p.support != model.correspondence.outcome_support:
+        raise SupportMismatch("p must live on the model's outcome support")
+    sol, _ = _solve_primal(model.cost_matrix(), model.moments, np.array([p.masses]))
     if sol.status is lp.Status.INFEASIBLE:
         raise Infeasible("no latent distribution on the grid satisfies the moment restrictions")
     return sol.objective, sol.x.reshape(len(p), -1)

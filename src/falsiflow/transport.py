@@ -10,15 +10,13 @@ witness set achieving P(A) - capacity(A) = 1 - maxflow.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import breadth_first_order, maximum_flow
 
-from . import lp
 from .correspondence import Correspondence, capacity_fp
-from .errors import CertificateMismatch, LpFailure, SupportMismatch
+from .errors import CertificateMismatch, SupportMismatch
 from .measure import DENOMINATOR, FiniteDistribution, Label
 
 
@@ -108,62 +106,6 @@ def solve_zero_one(
         witness=g.labels_of(witness_bits),
         witness_bits=witness_bits,
     )
-
-
-def solve_general_cost(
-    p: FiniteDistribution, nu: FiniteDistribution, cost: Sequence[Sequence[float]]
-) -> tuple[float, tuple[tuple[Label, Label, int], ...]]:
-    """Exact minimum-cost transportation plan between p and nu.
-
-    ``cost[i][j]`` is the cost of pairing outcome i with latent j.  The plan is
-    reported in fixed-point masses with exactly matching marginals.
-    """
-    cost = np.asarray(cost, dtype=float)
-    n_y, n_u = len(p), len(nu)
-    if cost.shape != (n_y, n_u):
-        raise SupportMismatch(f"cost shape {cost.shape} does not match {(n_y, n_u)}")
-    if not np.all(np.isfinite(cost)) or np.any(cost < 0):
-        raise LpFailure("costs must be finite and nonnegative")
-
-    # variables pi[i, j] flattened row-major
-    n = n_y * n_u
-    rows = []
-    rhs = []
-    for i in range(n_y):
-        row = np.zeros(n)
-        row[i * n_u : (i + 1) * n_u] = 1.0
-        rows.append(row)
-        rhs.append(p.numerators[i] / DENOMINATOR)
-    for j in range(n_u):
-        row = np.zeros(n)
-        row[j::n_u] = 1.0
-        rows.append(row)
-        rhs.append(nu.numerators[j] / DENOMINATOR)
-    program = lp.LinearProgram(
-        c=cost.ravel(),
-        a=np.array(rows),
-        b=np.array(rhs),
-        senses=("=",) * (n_y + n_u),
-    )
-    sol = lp.solve(program)
-    if sol.status is not lp.Status.OPTIMAL:
-        raise LpFailure(f"transportation LP returned {sol.status}")
-
-    plan_fp = np.rint(sol.x.reshape(n_y, n_u) * DENOMINATOR).astype(np.int64)
-    if (plan_fp < 0).any():
-        raise LpFailure("negative plan mass after rounding")
-    if (plan_fp.sum(axis=1) != np.array(p.numerators)).any() or (
-        plan_fp.sum(axis=0) != np.array(nu.numerators)
-    ).any():
-        raise LpFailure("rounded plan does not reproduce the marginals exactly")
-
-    plan = tuple(
-        (nu.support[j], p.support[i], int(plan_fp[i, j]))
-        for j in range(n_u)
-        for i in range(n_y)
-        if plan_fp[i, j] > 0
-    )
-    return float(sol.objective), plan
 
 
 @dataclass(frozen=True)

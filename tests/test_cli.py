@@ -89,6 +89,16 @@ def test_check_mass_sum_off_denominator_exit2(entry_model, tmp_path, capsys):
     assert "sum" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("denominator", [4, 1000000000])
+@pytest.mark.parametrize("bad", ["1", True, None, [1]])
+def test_check_non_numeric_mass_exit2(entry_model, tmp_path, capsys, denominator, bad):
+    mass = [bad, 3] if denominator == 4 else [bad, 999999999]
+    dist = write_json(tmp_path, "p.json", {"support": ["(0,0)", "(1,1)"], "mass": mass,
+                                           "denominator": denominator})
+    assert main(["check", "--model", entry_model, "--dist", dist]) == 2
+    assert "is not a number" in capsys.readouterr().err
+
+
 def test_check_missing_file_exit2(entry_model, capsys):
     assert main(["check", "--model", entry_model, "--dist", "/nonexistent.json"]) == 2
 
@@ -210,6 +220,29 @@ def test_certificate_mismatch_exit2(solver, entry_model, tmp_path, monkeypatch, 
 
         monkeypatch.setattr(semiparametric, "_evaluate", shifted)
     code = main(["check", "--model", model, "--dist", dist])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "certif" in err and "Traceback" not in err
+
+
+def test_test_semi_perturbed_replicate_block_exit2(tmp_path, monkeypatch, capsys):
+    model = write_json(tmp_path, "pilot.json", {"model": "pilot", "params": {"eta": 0.5}})
+    data = tmp_path / "d.csv"
+    data.write_text("y\n" + "(0,-1)\n(0,1)\n(1,-1)\n(1,1)\n" * 5)
+    argv = ["test", "--model", model, "--data", str(data), "--stat", "semi", "--B", "5"]
+    assert main(argv) == 0
+    capsys.readouterr()
+    real = semiparametric._evaluate
+    calls = []
+
+    def second_replicate_shifted(*args):
+        values, argmin = real(*args)
+        calls.append(None)
+        # call 1 certifies the observed statistic, calls 2-6 the replicates
+        return (values + 1e-6 if len(calls) == 3 else values), argmin
+
+    monkeypatch.setattr(semiparametric, "_evaluate", second_replicate_shifted)
+    code = main(argv)
     err = capsys.readouterr().err
     assert code == 2
     assert "certif" in err and "Traceback" not in err

@@ -203,6 +203,27 @@ def test_bootstrap_semiparametric_kind():
     assert rep.pvalue > 0.05
 
 
+def test_bootstrap_semi_batch_matches_one_at_a_time_with_unknown_label():
+    # "(2,1)" lies outside the model's outcome support, so it counts against
+    # the model in every resample that draws it
+    model = binary_response_pilot(0.4)
+    data = ["(0,-1)"] * 30 + ["(0,1)"] * 22 + ["(1,-1)"] * 35 + ["(1,1)"] * 10 + ["(2,1)"] * 3
+    rep = bootstrap_pvalue(data, model, "semi", B=50, seed=4)
+
+    # reference: each resample rebuilt as a label list and tested on its own
+    support = sorted(set(data), key=str)
+    counts = np.array([data.count(y) for y in support])
+    observed = statistic_semiparametric(data, model).value
+    reference = []
+    for child in np.random.SeedSequence(4).spawn(50):
+        row = np.random.default_rng(child).multinomial(len(data), counts / len(data))
+        labels = [y for y, c in zip(support, row) for _ in range(c)]
+        reference.append(statistic_semiparametric(labels, model).value - observed)
+    assert rep.value == observed > 0
+    assert np.abs(np.array(rep.replicates) - reference).max() <= 1e-12
+    assert rep.pvalue == (1 + sum(v >= observed for v in reference)) / 51
+
+
 def test_csv_report_one_row_per_replicate():
     g, nu = entry_instance()
     data = ["(0,0)", "(0,1)", "(1,1)", "(0,1)"]

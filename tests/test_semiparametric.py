@@ -2,17 +2,34 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from falsiflow import semiparametric
 from falsiflow.correspondence import Correspondence
-from falsiflow.errors import Diverged, Infeasible, SupportMismatch, UnknownOutcome
+from falsiflow.errors import (
+    CertificateMismatch,
+    Diverged,
+    Infeasible,
+    SupportMismatch,
+    UnknownOutcome,
+)
 from falsiflow.measure import align, make_distribution
-from falsiflow.models import binary_response_pilot, example4_instance, pilot_distribution
+from falsiflow.models import (
+    binary_response_pilot,
+    example4_instance,
+    moment_inequality_model,
+    pilot_distribution,
+    with_slack,
+)
 from falsiflow.semiparametric import (
     SemiparametricModel,
     dual_objective,
     g_lambda,
     maximize_dual,
+    maximize_dual_batch,
     primal_lp,
 )
+
+# (P(Z=1 | X=1), P(Z=1 | X=-1)): near the boundary, outside, inside, outside
+PILOT_POINTS = [(0.33, 0.67), (0.5, 0.5), (0.2, 0.9), (0.6, 0.4)]
 
 
 @pytest.fixture(scope="module")
@@ -190,3 +207,113 @@ def test_minimizer_map_covers_outcomes(pilot_half):
 def test_diagnostics_example4_flags_truncation():
     model, _ = example4_instance(100)
     assert model.truncated
+
+
+def first_of_class(model, label):
+    """No earlier latent node has the same image and moment column."""
+    g = model.correspondence
+    j = g.latent_support.index(label)
+    same = (np.array(g.image[:j], dtype=object) == g.image[j]) & (
+        model.moments[:, :j] == model.moments[:, [j]]
+    ).all(axis=0)
+    return not same.any()
+
+
+def test_merged_columns_pilot():
+    model = binary_response_pilot(0.3)
+    first, cost, moments = model.merged_columns
+    assert cost.shape == (4, 6) and moments.shape == (2, 6)
+    assert list(first) == sorted(first)
+    assert all(first_of_class(model, model.correspondence.latent_support[j]) for j in first)
+
+
+@pytest.mark.parametrize("nodes", [401, 1001, 20001])
+def test_large_pilot_grids_match_41_nodes(nodes):
+    small = binary_response_pilot(0.3)
+    large = binary_response_pilot(0.3, epsilon_grid=np.linspace(-2.0, 2.0, nodes))
+    for p1, pm1 in PILOT_POINTS:
+        p = pilot_distribution(p1, pm1)
+        ref = maximize_dual(small, aligned(small, p))
+        cert = maximize_dual(large, aligned(large, p))
+        assert cert.T == ref.T
+        assert cert.lambda_star.tobytes() == ref.lambda_star.tobytes()
+        assert all(first_of_class(large, u) for u in cert.minimizer_map.values())
+
+
+def test_unmerged_primal_lp_at_1001_nodes():
+    model = binary_response_pilot(0.3, epsilon_grid=np.linspace(-2.0, 2.0, 1001))
+    for p1, pm1 in PILOT_POINTS:
+        p = aligned(model, pilot_distribution(p1, pm1))
+        value, pi = primal_lp(model, p)
+        assert pi.shape == (4, 2002)
+        assert abs(value - maximize_dual(model, p).T) <= 1e-9
+
+
+def resamples(support, probs, n, count, rng):
+    return [make_distribution(zip(support, rng.multinomial(n, probs) / n)) for _ in range(count)]
+
+
+def test_batch_matches_one_at_a_time_on_pilot_resamples():
+    rng = np.random.default_rng(31)
+    blocks = 0
+    for eta in (0.15, 0.3, 0.5, 0.7, 0.85):
+        model = binary_response_pilot(eta)
+        support = model.correspondence.outcome_support
+        p1, pm1 = rng.uniform(0.1, 0.9, size=2)
+        probs = aligned(model, pilot_distribution(p1, pm1)).masses
+        ps = resamples(support, probs, int(rng.integers(50, 3000)), 200, rng)
+        for cert, p in zip(maximize_dual_batch(model, ps), ps, strict=True):
+            ref = maximize_dual(model, p)
+            assert cert.T == ref.T
+            assert cert.lambda_star.tobytes() == ref.lambda_star.tobytes()
+            assert cert.minimizer_map == ref.minimizer_map
+            blocks += 1
+    assert blocks >= 1000
+
+
+def test_batch_matches_one_at_a_time_on_moment_inequalities_and_example4():
+    rng = np.random.default_rng(32)
+    cases = []
+    outcomes = list("abcde")
+    for _ in range(12):
+        phi = rng.uniform(-1.0, 1.0, size=(5, 2))
+        # the corners dominate every phi and put 0 in the hull of the moments
+        grid = np.vstack([rng.uniform(-1.0, 1.2, size=(40, 2)), [[1.2, 1.2], [-1.0, -1.0]]])
+        model = moment_inequality_model(outcomes, phi, grid)
+        base = rng.dirichlet(np.ones(5))
+        cases.append(
+            (model, [with_slack(p) for p in resamples(outcomes, base, 200, 30, rng)])
+        )
+    real = ["y0", "y1", "y2"]
+    for m in (2, 10, 100, 1000):
+        ps = resamples(real, rng.dirichlet(np.ones(3)), 100, 30, rng)
+        model, _ = example4_instance(m, ps[0])
+        cases.append((model, [with_slack(p) for p in ps]))
+    for model, ps in cases:
+        for cert, p in zip(maximize_dual_batch(model, ps), ps, strict=True):
+            assert abs(cert.T - maximize_dual(model, p).T) <= 1e-12
+
+
+def test_batch_rejects_one_perturbed_block(monkeypatch):
+    model = binary_response_pilot(0.3)
+    ps = [aligned(model, pilot_distribution(p1, pm1)) for p1, pm1 in PILOT_POINTS]
+    assert len(maximize_dual_batch(model, ps)) == len(ps)
+    real = semiparametric._evaluate
+    calls = []
+
+    def third_block_shifted(*args):
+        values, argmin = real(*args)
+        calls.append(None)
+        return (values + 1e-6 if len(calls) == 3 else values), argmin
+
+    monkeypatch.setattr(semiparametric, "_evaluate", third_block_shifted)
+    with pytest.raises(CertificateMismatch):
+        maximize_dual_batch(model, ps)
+    assert len(calls) == 3
+
+
+def test_batch_of_none_and_support_check():
+    model = binary_response_pilot(0.3)
+    assert maximize_dual_batch(model, []) == []
+    with pytest.raises(SupportMismatch):
+        maximize_dual_batch(model, [make_distribution([("a", 1.0)])])

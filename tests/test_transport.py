@@ -6,7 +6,7 @@ from falsiflow.correspondence import Correspondence, capacity_fp, core_deficienc
 from falsiflow.errors import SupportMismatch
 from falsiflow.measure import DENOMINATOR, FiniteDistribution, make_distribution, total_variation_fp
 from falsiflow.models import line_network_game
-from falsiflow.transport import compatibility_verdict, solve_general_cost, solve_zero_one
+from falsiflow.transport import compatibility_verdict, solve_zero_one
 
 
 def entry_instance():
@@ -146,31 +146,6 @@ def test_zero_mass_atoms_prunable():
     pruned_nu = make_distribution([("u1", 0.5), ("u2", 0.5)])
     pruned = solve_zero_one(p, pruned_nu, pruned_g)
     assert full.primal_fp == pruned.primal_fp
-
-
-def test_general_cost_zero():
-    p = make_distribution([("a", 0.5), ("b", 0.5)])
-    nu = make_distribution([("u", 0.4), ("v", 0.6)])
-    value, plan = solve_general_cost(p, nu, [[0, 0], [0, 0]])
-    assert value == pytest.approx(0.0)
-    assert sum(m for _, _, m in plan) == DENOMINATOR
-
-
-def test_general_cost_matches_zero_one():
-    rng = np.random.default_rng(3)
-    for _ in range(20):
-        g, nu, p = random_instance(rng, 4, 4)
-        cost = 1.0 - g.adjacency_matrix().astype(float)
-        value, _ = solve_general_cost(p, nu, cost)
-        assert value == pytest.approx(solve_zero_one(p, nu, g).primal_value, abs=1e-8)
-
-
-def test_general_cost_diagonal():
-    p = make_distribution([("a", 0.5), ("b", 0.5)])
-    nu = make_distribution([("u", 0.5), ("v", 0.5)])
-    value, plan = solve_general_cost(p, nu, [[0, 1], [1, 0]])
-    assert value == pytest.approx(0.0)
-    assert set(plan) == {("u", "a", DENOMINATOR // 2), ("v", "b", DENOMINATOR // 2)}
 
 
 def test_verdict_compatible():
