@@ -218,6 +218,8 @@ def parse_grid(spec: str) -> list[dict]:
         if len(pieces) != 3:
             raise FalsiflowError(f"grid axis {part!r} must be name=start:stop:step")
         start, stop, step = (float(x) for x in pieces)
+        if not np.isfinite([start, stop, step]).all():
+            raise FalsiflowError(f"grid axis {part!r} needs a finite start, stop and step")
         if step <= 0:
             raise FalsiflowError(f"grid axis {part!r} needs a positive step")
         values = []

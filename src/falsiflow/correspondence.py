@@ -15,7 +15,7 @@ from typing import Hashable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .errors import EmptyImage, SupportMismatch, SupportTooLarge, TooManySelections
+from .errors import EmptyImage, NotOrdered, SupportMismatch, SupportTooLarge, TooManySelections
 from .measure import DENOMINATOR, FiniteDistribution, Label
 
 #: Guard on exhaustive subset enumeration.
@@ -140,6 +140,16 @@ def capacity_fp(g: Correspondence, nu: FiniteDistribution, a: int | Sequence[Lab
         raise SupportMismatch("nu must live on the latent support of the correspondence")
     bits = a if isinstance(a, int) else g.bitset_of(a)
     return sum(n for n, img in zip(nu.numerators, g.image) if img & bits)
+
+
+def ascending(labels: Sequence[Label]) -> list[int]:
+    """Indices of ``labels`` from lowest to highest; NaN and mixed types have no order."""
+    if any(y != y for y in labels):
+        raise NotOrdered("half-line statistics need a totally ordered outcome support, not NaN")
+    try:
+        return sorted(range(len(labels)), key=lambda i: labels[i])
+    except TypeError as exc:
+        raise NotOrdered("half-line statistics need a totally ordered outcome support") from exc
 
 
 def max_halfline_deficiency_fp(

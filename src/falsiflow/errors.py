@@ -1,4 +1,5 @@
-"""Semantic exception hierarchy shared by all falsiflow modules."""
+"""Semantic exception hierarchy shared by all falsiflow modules: one class per
+failure, and every :class:`FalsiflowError` ends the CLI with exit code 2."""
 
 
 class FalsiflowError(Exception):
@@ -49,10 +50,6 @@ class EmptyImage(FalsiflowError):
     """A latent point with an empty outcome set; correspondences must be nonempty-valued."""
 
 
-class UnknownOutcome(FalsiflowError):
-    pass
-
-
 class NotOrdered(FalsiflowError):
     pass
 
@@ -76,16 +73,8 @@ class CertificateMismatch(FalsiflowError):
 
 
 class Infeasible(FalsiflowError):
-    """No feasible point; for the semiparametric primal this signals that no
-    latent distribution on the grid satisfies the moment restrictions."""
-
-
-# -- semiparametric dual ---------------------------------------------------------
-
-class Diverged(FalsiflowError):
-    """The dual supremum is not attained: the primal LP is infeasible because no
-    latent distribution on the grid satisfies the moment restrictions (empty V),
-    so the dual objective is unbounded."""
+    """No latent distribution on the grid satisfies the moment restrictions (empty
+    V): the semiparametric primal LP is infeasible and its dual unbounded."""
 
 
 # -- model constructors / simulation ---------------------------------------------

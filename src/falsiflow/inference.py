@@ -23,13 +23,13 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
-from .correspondence import Correspondence, max_halfline_deficiency_fp
-from .errors import EmptyData, NotOrdered, SupportMismatch
+from .correspondence import Correspondence, ascending, max_halfline_deficiency_fp
+from .errors import EmptyData, SupportMismatch
 from .measure import (
     DENOMINATOR,
     FiniteDistribution,
@@ -49,7 +49,6 @@ REPLICATE_BLOCK = 2**20
 class TestReport:
     statistic_name: str
     value: float
-    scaled_value: float           # sqrt(n) * value
     n: int
     witness: tuple[Label, ...] | None = None
     certificate: DualCertificate | None = None
@@ -57,6 +56,10 @@ class TestReport:
     B: int | None = None
     seed: int | None = None
     replicates: tuple[float, ...] | None = None
+
+    @property
+    def scaled_value(self) -> float:
+        return math.sqrt(self.n) * self.value
 
     def to_json(self) -> dict:
         obj = {
@@ -105,24 +108,12 @@ def statistic_tv_core(
         raise EmptyData("no observations")
     g_ext, p_n = _extend(g, empirical(data))
     result = solve_zero_one(p_n, nu, g_ext)
-    n = len(data)
     return TestReport(
         statistic_name="tv-core",
         value=result.primal_value,
-        scaled_value=math.sqrt(n) * result.primal_value,
-        n=n,
+        n=len(data),
         witness=result.witness,
     )
-
-
-def _ascending(labels: Sequence[Label]) -> list[int]:
-    """Indices of ``labels`` from lowest to highest; NaN and mixed types have no order."""
-    if any(y != y for y in labels):
-        raise NotOrdered("half-line statistics need a totally ordered outcome support, not NaN")
-    try:
-        return sorted(range(len(labels)), key=lambda i: labels[i])
-    except TypeError as exc:
-        raise NotOrdered("half-line statistics need a totally ordered outcome support") from exc
 
 
 def statistic_tn_halflines(
@@ -140,17 +131,14 @@ def statistic_tn_halflines(
     p = empirical(list(data))
     g_ext, p_n = _extend(g_on_line, p)
     support = g_ext.outcome_support
-    order = _ascending(support)
+    order = ascending(support)
     rank = {support[i]: k for k, i in enumerate(order)}
     cuts = np.array(sorted(rank[y] for y in p.support)) + 1
     value_fp, witness, _ = max_halfline_deficiency_fp(g_ext, nu, p_n, order, cuts, cuts)
-    n = len(data)
-    value = value_fp / DENOMINATOR
     return TestReport(
         statistic_name="tn-halflines",
-        value=value,
-        scaled_value=math.sqrt(n) * value,
-        n=n,
+        value=value_fp / DENOMINATOR,
+        n=len(data),
         witness=witness,
     )
 
@@ -162,13 +150,10 @@ def statistic_semiparametric(data: Sequence[Label], model: SemiparametricModel) 
     p = empirical(data)
     model = model.extend_outcomes(p.support)
     cert = maximize_dual(model, align(p, model.correspondence.outcome_support))
-    n = len(data)
-    value = max(cert.T, 0.0)
     return TestReport(
         statistic_name="semi",
-        value=value,
-        scaled_value=math.sqrt(n) * value,
-        n=n,
+        value=max(cert.T, 0.0),
+        n=len(data),
         certificate=cert,
     )
 
@@ -206,7 +191,7 @@ def _recentered_replicates(kind, star_counts, base_counts, support, model, obser
     excess = star_counts - base_counts
     if kind == "tv-core":
         return (np.maximum(excess, 0).sum(axis=1) / observed.n).tolist()
-    prefix = np.cumsum(excess[:, _ascending(support)], axis=1)
+    prefix = np.cumsum(excess[:, ascending(support)], axis=1)
     return (np.abs(prefix).max(axis=1) / observed.n).tolist()
 
 
@@ -248,15 +233,4 @@ def bootstrap_pvalue(
         )
     exceed = sum(value >= observed.value for value in replicates)
     pvalue = (1 + exceed) / (B + 1)
-    return TestReport(
-        statistic_name=observed.statistic_name,
-        value=observed.value,
-        scaled_value=observed.scaled_value,
-        n=n,
-        witness=observed.witness,
-        certificate=observed.certificate,
-        pvalue=pvalue,
-        B=B,
-        seed=seed,
-        replicates=tuple(replicates),
-    )
+    return replace(observed, pvalue=pvalue, B=B, seed=seed, replicates=tuple(replicates))

@@ -93,11 +93,17 @@ class FiniteDistribution:
         for m in masses:
             if isinstance(m, bool) or not isinstance(m, (int, float)):
                 raise BadMass(f"mass {m!r} is not a number")
+        support = obj["support"]
+        if not isinstance(support, list):
+            raise SupportMismatch(f"support {support!r} must be a list of labels")
+        for y in support:
+            if isinstance(y, bool) or not isinstance(y, (str, int, float)):
+                raise SupportMismatch(f"support label {y!r} is not a string or number")
         if denom == DENOMINATOR:
-            return FiniteDistribution(tuple(obj["support"]), tuple(int(m) for m in masses))
-        if len(obj["support"]) != len(masses):
+            return FiniteDistribution(tuple(support), tuple(int(m) for m in masses))
+        if len(support) != len(masses):
             raise SupportMismatch("support and mass lists differ in length")
-        return make_distribution(zip(obj["support"], (m / denom for m in masses)))
+        return make_distribution(zip(support, (m / denom for m in masses)))
 
 
 def _round_preserving_sum(values: Sequence[float]) -> list[int]:

@@ -13,7 +13,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .correspondence import Correspondence, max_halfline_deficiency_fp
+from .correspondence import Correspondence, ascending, max_halfline_deficiency_fp
 from .errors import (
     BadParameters,
     BadRule,
@@ -48,16 +48,14 @@ class LatentGrid:
 
     nodes: tuple[Label, ...]
     coords: np.ndarray                      # one row of coordinates per node
-    weights: FiniteDistribution | None = None
-    truncated: bool = False
-    step: float | None = None
+    weights: FiniteDistribution
 
     def __post_init__(self):
         coords = np.atleast_2d(np.asarray(self.coords, dtype=float))
         object.__setattr__(self, "coords", coords)
         if coords.shape[0] != len(self.nodes):
             raise SupportMismatch("one coordinate row per grid node required")
-        if self.weights is not None and self.weights.support != self.nodes:
+        if self.weights.support != self.nodes:
             raise SupportMismatch("grid weights must live on the grid nodes")
 
 
@@ -74,7 +72,7 @@ def uniform_grid_2d(lo: float, hi: float, cells: int) -> LatentGrid:
     texts = [_fmt(m) for m in mids]
     nodes = tuple(f"({a},{b})" for a in texts for b in texts)
     weights = make_distribution((n, 1.0 / len(nodes)) for n in nodes)
-    return LatentGrid(nodes=nodes, coords=coords, weights=weights, step=step)
+    return LatentGrid(nodes=nodes, coords=coords, weights=weights)
 
 
 # ---------------------------------------------------------------------------
@@ -139,8 +137,6 @@ def entry_game(
         raise BadParameters("monopoly profits must exceed duopoly profits (delta_i < 0)")
     if grid is None:
         grid = uniform_grid_2d(-2.0, 2.0, resolution)
-    if grid.weights is None:
-        raise BadParameters("the latent grid must carry weights")
     if grid.coords.shape[1] != 2:
         raise BadParameters("the latent grid must have two coordinates per node")
 
@@ -196,13 +192,14 @@ def interval_deficiency(
 ) -> tuple[int, tuple[Label, ...], str]:
     """Largest deficiency over interval outcome classes [min, y] and [y, max].
 
-    Outcome labels must be totally ordered (numeric).  Returns the fixed-point
+    Outcome labels must be totally ordered (numeric, no NaN), else
+    :class:`~falsiflow.errors.NotOrdered` is raised.  Returns the fixed-point
     maximum (at least 0, attained by the empty class), the maximizing class and
     its kind ("lower", "upper" or "empty").  The classes are scanned by the
     prefix sums of :func:`~falsiflow.correspondence.max_halfline_deficiency_fp`;
     ties go to the earliest class in ascending y, lower before upper.
     """
-    order = sorted(range(len(g.outcome_support)), key=lambda i: g.outcome_support[i])
+    order = ascending(g.outcome_support)
     # cut k: the lower class holds ranks 0..k, the upper class ranks k..max
     value, labels, is_upper = max_halfline_deficiency_fp(
         g, nu, p, order, np.arange(1, len(order) + 1), np.arange(len(order))
@@ -327,11 +324,7 @@ def example4_instance(
         {"1": list(p.support), _fmt(1 - m): [SLACK_OUTCOME]},
         outcome_support=support,
     )
-    model = SemiparametricModel(
-        correspondence=g,
-        moments=np.array([[1.0, float(1 - m)]]),
-        truncated=True,
-    )
+    model = SemiparametricModel(correspondence=g, moments=np.array([[1.0, float(1 - m)]]))
     return model, with_slack(p)
 
 

@@ -12,7 +12,9 @@ couplings pi with outcome marginal P and E_pi[m(U)] = 0.  That primal LP is
 solved once on HiGHS; the duals of its moment rows give the multiplier, and
 the closed-form objective above at that multiplier must reproduce the LP
 optimum, which certifies both.  T(P) = 0 certifies compatibility, a positive
-value falsifies the model.
+value falsifies the model.  :func:`dual_objective` is the closed form at any
+multiplier.  Moments that no latent distribution on the grid meets make every
+solve raise :class:`~falsiflow.errors.Infeasible` (infeasible primal).
 
 Only latent columns with distinct (image, moment column) pairs matter to the
 LP and to the closed form, so both run on the model's exactly merged columns
@@ -34,14 +36,7 @@ from scipy import sparse
 
 from . import lp
 from .correspondence import Correspondence
-from .errors import (
-    CertificateMismatch,
-    Diverged,
-    Infeasible,
-    LpFailure,
-    SupportMismatch,
-    UnknownOutcome,
-)
+from .errors import CertificateMismatch, Infeasible, LpFailure, SupportMismatch
 from .measure import FiniteDistribution, Label
 
 #: Dual values at or below this threshold are read as "compatible".
@@ -54,13 +49,11 @@ class SemiparametricModel:
 
     ``moments[i, j]`` is the i-th moment function evaluated at the j-th latent
     grid node; the restriction on the latent distribution is E[m_i] = 0 for
-    every row.  ``truncated`` flags grids obtained by truncating an unbounded
-    latent family.
+    every row.
     """
 
     correspondence: Correspondence
     moments: np.ndarray
-    truncated: bool = False
 
     def __post_init__(self):
         m = np.atleast_2d(np.asarray(self.moments, dtype=float))
@@ -88,7 +81,7 @@ class SemiparametricModel:
         g = self.correspondence.extend_outcomes(extra)
         if g is self.correspondence:
             return self
-        return SemiparametricModel(g, self.moments, truncated=self.truncated)
+        return SemiparametricModel(g, self.moments)
 
     @cached_property
     def merged_columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -114,18 +107,17 @@ class DualCertificate:
     lambda_star: np.ndarray
     minimizer_map: dict[Label, Label]    # outcome -> latent node attaining the inner min
     iterations: int                      # HiGHS iterations of the LP
-    threshold: float
 
     @property
     def compatible(self) -> bool:
-        return self.T <= self.threshold
+        return self.T <= COMPATIBILITY_THRESHOLD
 
     def to_json(self) -> dict:
         return {
             "T": self.T,
             "lambda": [float(v) for v in self.lambda_star],
             "compatible": self.compatible,
-            "threshold": self.threshold,
+            "threshold": COMPATIBILITY_THRESHOLD,
             "minimizers": {str(y): str(u) for y, u in self.minimizer_map.items()},
             "iterations": self.iterations,
         }
@@ -140,32 +132,16 @@ def _evaluate(model: SemiparametricModel, lam: np.ndarray) -> tuple[np.ndarray, 
     return scores[np.arange(scores.shape[0]), argmin], first[argmin]
 
 
-def g_lambda(model: SemiparametricModel, y: Label, lam: Sequence[float]) -> tuple[float, Label]:
-    """Inner minimum over latent nodes for a single outcome, with its argmin."""
-    g = model.correspondence
-    if y not in g.outcome_support:
-        raise UnknownOutcome(f"outcome {y!r} is not in the model's outcome support")
-    lam = np.asarray(lam, dtype=float)
-    if lam.shape != (model.n_moments,):
-        raise SupportMismatch(f"multiplier has shape {lam.shape}, expected ({model.n_moments},)")
-    values, argmin = _evaluate(model, lam)
-    i = g.outcome_support.index(y)
-    return float(values[i]), g.latent_support[int(argmin[i])]
-
-
-def dual_objective(
-    model: SemiparametricModel, p: FiniteDistribution, lam: Sequence[float]
-) -> tuple[float, np.ndarray]:
-    """Dual objective at ``lam`` and a supergradient of this concave function."""
+def dual_objective(model: SemiparametricModel, p: FiniteDistribution, lam: Sequence[float]) -> float:
+    """Closed-form dual objective T(P, lam), concave in ``lam``."""
     g = model.correspondence
     if p.support != g.outcome_support:
         raise SupportMismatch("p must live on the model's outcome support")
     lam = np.asarray(lam, dtype=float)
     if lam.shape != (model.n_moments,):
         raise SupportMismatch(f"multiplier has shape {lam.shape}, expected ({model.n_moments},)")
-    values, argmin = _evaluate(model, lam)
-    weights = np.asarray(p.masses)
-    return float(weights @ values), -(model.moments[:, argmin] @ weights)
+    values, _ = _evaluate(model, lam)
+    return float(np.asarray(p.masses) @ values)
 
 
 def maximize_dual(model: SemiparametricModel, p: FiniteDistribution) -> DualCertificate:
@@ -190,8 +166,8 @@ def maximize_dual_batch(
     multiplier must equal the block's LP optimum to :data:`lp.TOLERANCE`,
     else :class:`CertificateMismatch` is raised; T is that closed-form value,
     and ``iterations`` counts the HiGHS iterations of the LP that held the
-    block.  An empty moment set (infeasible primal, unbounded dual) raises
-    :class:`Diverged`.
+    block.  Moments no latent distribution on the grid meets (infeasible
+    primal, unbounded dual) raise :class:`Infeasible`.
     """
     g = model.correspondence
     if any(p.support != g.outcome_support for p in ps):
@@ -203,11 +179,6 @@ def maximize_dual_batch(
     certificates = []
     for block in (masses[start:start + chunk] for start in range(0, len(ps), chunk)):
         sol, scales = _solve_primal(cost, moments, block)
-        if sol.status is lp.Status.INFEASIBLE:
-            raise Diverged(
-                "no latent distribution on the grid satisfies the moment restrictions; "
-                "the dual is unbounded"
-            )
         objectives = sol.x.reshape(len(block), -1) @ cost.ravel()
         for weights, duals, objective in zip(block, sol.duals.reshape(len(block), -1), objectives):
             lam = duals[n_y:] / scales + 0.0  # + 0.0 turns -0.0 into 0.0
@@ -226,7 +197,6 @@ def maximize_dual_batch(
                         y: g.latent_support[int(j)] for y, j in zip(g.outcome_support, argmin)
                     },
                     iterations=sol.iterations,
-                    threshold=COMPATIBILITY_THRESHOLD,
                 )
             )
     return certificates
@@ -239,8 +209,9 @@ def _solve_primal(
 
     A block's variables are its pi flattened row-major; its rows are one
     outcome-marginal row per outcome, then one moment row per moment, scaled
-    to unit sup-norm.  Returns the solution (optimal or infeasible) and the
-    row scales.
+    to unit sup-norm.  Returns the optimal solution and the row scales;
+    raises :class:`Infeasible` when no latent distribution on the grid meets
+    the moments.
     """
     k, n_y = masses.shape
     d, n_c = moments.shape
@@ -260,6 +231,11 @@ def _solve_primal(
     b = np.hstack([masses, np.zeros((k, d))]).ravel()
     program = lp.LinearProgram(c=np.tile(cost.ravel(), k), a=a, b=b)
     sol = lp.solve(program)
+    if sol.status is lp.Status.INFEASIBLE:
+        raise Infeasible(
+            "no latent distribution on the grid satisfies the moment restrictions; "
+            "the dual is unbounded"
+        )
     if sol.status is lp.Status.UNBOUNDED:
         raise LpFailure("semiparametric primal LP returned unbounded")
     return sol, scales
@@ -278,7 +254,5 @@ def primal_lp(
     if p.support != model.correspondence.outcome_support:
         raise SupportMismatch("p must live on the model's outcome support")
     sol, _ = _solve_primal(model.cost_matrix(), model.moments, np.array([p.masses]))
-    if sol.status is lp.Status.INFEASIBLE:
-        raise Infeasible("no latent distribution on the grid satisfies the moment restrictions")
     return sol.objective, sol.x.reshape(len(p), -1)
 

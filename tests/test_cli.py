@@ -99,6 +99,19 @@ def test_check_non_numeric_mass_exit2(entry_model, tmp_path, capsys, denominator
     assert "is not a number" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("denominator", [4, 1000000000])
+@pytest.mark.parametrize(
+    "support", [[["(0,0)"], ["(1,1)"]], "ab", ["(0,0)", True]], ids=["lists", "string", "bool"]
+)
+def test_check_malformed_support_exit2(entry_model, tmp_path, capsys, denominator, support):
+    half = denominator // 2
+    dist = write_json(tmp_path, "p.json", {"support": support, "mass": [half, denominator - half],
+                                           "denominator": denominator})
+    assert main(["check", "--model", entry_model, "--dist", dist]) == 2
+    err = capsys.readouterr().err
+    assert "support" in err and "Traceback" not in err
+
+
 def test_check_missing_file_exit2(entry_model, capsys):
     assert main(["check", "--model", entry_model, "--dist", "/nonexistent.json"]) == 2
 
@@ -170,6 +183,19 @@ def test_check_semiparametric_model(tmp_path, capsys):
     code = main(["check", "--model", model, "--dist", dist])
     out = json.loads(capsys.readouterr().out)
     assert code == 0 and out["compatible"] is True
+
+
+def test_check_empty_moment_set_exit2(tmp_path, capsys):
+    # m1(u) > 0 at every latent node, so no latent distribution has E[m1] = 0
+    g = {"latent": ["u1", "u2"], "outcomes": ["a"], "G": {"u1": ["a"], "u2": ["a"]}}
+    spec = write_json(tmp_path, "custom.json",
+                      {"model": "custom", "params": {"correspondence": g, "moments": [[1.0, 2.0]]}})
+    dist = write_json(tmp_path, "p.json", {"support": ["a"], "mass": [1000000000]})
+    assert main(["check", "--model", spec, "--dist", dist]) == 2
+    assert capsys.readouterr().err == (
+        "error: no latent distribution on the grid satisfies the moment restrictions; "
+        "the dual is unbounded\n"
+    )
 
 
 def test_check_search_model_reads_numeric_labels(tmp_path, capsys):
@@ -375,6 +401,19 @@ def test_parse_grid_product_order():
 
 def test_parse_grid_empty():
     assert parse_grid("") == []
+
+
+@pytest.mark.parametrize(
+    "axis", ["eta=0.1:0.2:nan", "eta=0.1:inf:0.1", "eta=nan:0.2:0.1"],
+    ids=["nan-step", "inf-stop", "nan-start"],
+)
+def test_invert_non_finite_grid_exit2(tmp_path, capsys, axis):
+    model = write_json(tmp_path, "pilot.json", {"model": "pilot", "params": {"eta": 0.5}})
+    data = tmp_path / "data.csv"
+    data.write_text("y\n(0,1)\n")
+    code = main(["invert", "--model", model, "--data", str(data), "--stat", "semi", "--grid", axis])
+    assert code == 2
+    assert "finite" in capsys.readouterr().err
 
 
 def test_invert_single_point_matches_test(entry_model, tmp_path, capsys):

@@ -7,6 +7,7 @@ their values, witnesses, kinds, replicates and p-values exactly.
 """
 
 import json
+import math
 from collections import Counter
 
 import numpy as np
@@ -251,6 +252,20 @@ def test_nan_observation_is_not_ordered():
     # an infinite effort is an ordered outcome outside the support
     rep = statistic_tn_halflines([0.2, 0.5, float("inf"), 0.0, 0.5], nu, g)
     assert rep.value == pytest.approx(0.2) and rep.witness == (float("inf"),)
+
+
+@pytest.mark.parametrize(
+    "outcomes", [[0.0, math.nan, 1.0], [math.nan, 0.0, 1.0], [0.0, "x"]],
+    ids=["nan-middle", "nan-first", "mixed"],
+)
+def test_interval_deficiency_needs_ordered_outcomes(outcomes):
+    # one latent node per outcome, so the order decides which classes exist
+    g = Correspondence.from_map({f"u{i}": [y] for i, y in enumerate(outcomes)},
+                                outcome_support=outcomes)
+    nu = make_distribution((u, 1 / len(outcomes)) for u in g.latent_support)
+    p = make_distribution([(outcomes[0], 0.5), (outcomes[-1], 0.5)])
+    with pytest.raises(NotOrdered):
+        interval_deficiency(g, nu, align(p, g.outcome_support))
 
 
 @pytest.mark.parametrize("alpha", [[0.2, float("nan")], [float("nan"), 0.5], [float("nan")]])

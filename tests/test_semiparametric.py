@@ -1,16 +1,13 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from falsiflow import semiparametric
 from falsiflow.correspondence import Correspondence
-from falsiflow.errors import (
-    CertificateMismatch,
-    Diverged,
-    Infeasible,
-    SupportMismatch,
-    UnknownOutcome,
-)
+from falsiflow.errors import CertificateMismatch, Infeasible, SupportMismatch
 from falsiflow.measure import align, make_distribution
 from falsiflow.models import (
     binary_response_pilot,
@@ -20,9 +17,9 @@ from falsiflow.models import (
     with_slack,
 )
 from falsiflow.semiparametric import (
+    COMPATIBILITY_THRESHOLD,
     SemiparametricModel,
     dual_objective,
-    g_lambda,
     maximize_dual,
     maximize_dual_batch,
     primal_lp,
@@ -41,18 +38,12 @@ def aligned(model, p):
     return align(p, model.correspondence.outcome_support)
 
 
-def test_g_lambda_zero_multiplier(pilot_half):
-    value, _ = g_lambda(pilot_half, "(1,1)", [0.0, 0.0])
-    assert value == 0.0
-
-
-def test_g_lambda_pilot_quarter(pilot_half):
-    # at lambda=(0.25, 0) the minimum for (Z=1, X=1) is -0.25, attained on the
-    # cell x=1, eps <= -1 where the moment vector is (1, 0)
-    value, argmin = g_lambda(pilot_half, "(1,1)", [0.25, 0.0])
-    assert value == pytest.approx(-0.25)
-    x, e = argmin.strip("()").split(",")
-    assert x == "1" and float(e) <= -1.0
+def test_dual_objective_pilot_quarter(pilot_half):
+    # on the point mass at (Z=1, X=1), at lambda=(0.25, 0) the objective is the
+    # inner minimum -0.25, attained on the cell x=1, eps <= -1 where the
+    # moment vector is (1, 0)
+    p = aligned(pilot_half, make_distribution([("(1,1)", 1.0)]))
+    assert dual_objective(pilot_half, p, [0.25, 0.0]) == pytest.approx(-0.25)
 
 
 def test_pilot_moment_values():
@@ -63,16 +54,9 @@ def test_pilot_moment_values():
     assert m.moments[1, j] == pytest.approx(0.0)
 
 
-def test_g_lambda_unknown_outcome(pilot_half):
-    with pytest.raises(UnknownOutcome):
-        g_lambda(pilot_half, "nope", [0.0, 0.0])
-
-
 def test_dual_objective_zero_lambda(pilot_half):
     p = aligned(pilot_half, pilot_distribution(0.4, 0.6))
-    value, grad = dual_objective(pilot_half, p, [0.0, 0.0])
-    assert value == 0.0
-    assert grad.shape == (2,)
+    assert dual_objective(pilot_half, p, [0.0, 0.0]) == 0.0
 
 
 def test_dual_objective_support_mismatch(pilot_half):
@@ -89,24 +73,10 @@ def test_dual_objective_concave_midpoint(l1, l2):
     model = binary_response_pilot(0.3, epsilon_grid=[-1.5, -0.5, 0.5, 1.5])
     p = aligned(model, pilot_distribution(0.45, 0.55))
     l1, l2 = np.array(l1), np.array(l2)
-    f1, _ = dual_objective(model, p, l1)
-    f2, _ = dual_objective(model, p, l2)
-    fmid, _ = dual_objective(model, p, (l1 + l2) / 2)
+    f1 = dual_objective(model, p, l1)
+    f2 = dual_objective(model, p, l2)
+    fmid = dual_objective(model, p, (l1 + l2) / 2)
     assert fmid >= (f1 + f2) / 2 - 1e-12
-
-
-@settings(max_examples=25, deadline=None)
-@given(
-    st.tuples(st.floats(-5, 5), st.floats(-5, 5)),
-    st.tuples(st.floats(-5, 5), st.floats(-5, 5)),
-)
-def test_supergradient_inequality(l1, l2):
-    model = binary_response_pilot(0.7, epsilon_grid=[-1.5, -0.5, 0.5, 1.5])
-    p = aligned(model, pilot_distribution(0.5, 0.8))
-    l1, l2 = np.array(l1), np.array(l2)
-    f1, grad = dual_objective(model, p, l1)
-    f2, _ = dual_objective(model, p, l2)
-    assert f2 <= f1 + grad @ (l2 - l1) + 1e-12
 
 
 def test_compatible_pilot_T_zero(pilot_half):
@@ -155,8 +125,7 @@ def test_weak_duality_random_lambdas():
     rng = np.random.default_rng(9)
     for _ in range(25):
         lam = rng.normal(scale=3.0, size=2)
-        obj, _ = dual_objective(model, p, lam)
-        assert obj <= value + 1e-9
+        assert dual_objective(model, p, lam) <= value + 1e-9
 
 
 def test_primal_lp_infeasible_moments():
@@ -171,7 +140,7 @@ def test_maximize_dual_diverges_on_empty_V():
     g = Correspondence.from_map({"u1": ["a"], "u2": ["a"]})
     model = SemiparametricModel(g, np.array([[1.0, 2.0]]))
     p = make_distribution([("a", 1.0)])
-    with pytest.raises(Diverged):
+    with pytest.raises(Infeasible):
         maximize_dual(model, p)
 
 
@@ -204,9 +173,14 @@ def test_minimizer_map_covers_outcomes(pilot_half):
     assert set(cert.minimizer_map.values()) <= set(pilot_half.correspondence.latent_support)
 
 
-def test_diagnostics_example4_flags_truncation():
-    model, _ = example4_instance(100)
-    assert model.truncated
+def test_certificate_threshold(pilot_half):
+    cert = maximize_dual(pilot_half, aligned(pilot_half, pilot_distribution(0.3, 0.7)))
+    assert cert.to_json()["threshold"] == 1e-06
+    above = math.nextafter(COMPATIBILITY_THRESHOLD, 1.0)
+    for T, compatible in [(COMPATIBILITY_THRESHOLD, True), (above, False)]:
+        flipped = replace(cert, T=T)
+        assert flipped.compatible is compatible
+        assert flipped.to_json()["compatible"] is compatible
 
 
 def first_of_class(model, label):
