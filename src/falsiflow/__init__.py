@@ -35,12 +35,7 @@ from .semiparametric import (
     maximize_dual,
     primal_lp,
 )
-from .transport import (
-    TransportResult,
-    Verdict,
-    compatibility_verdict,
-    solve_zero_one,
-)
+from .transport import TransportResult, solve_zero_one
 
 __version__ = "0.1.0"
 
@@ -55,12 +50,10 @@ __all__ = [
     "SemiparametricModel",
     "TestReport",
     "TransportResult",
-    "Verdict",
     "align",
     "bootstrap_pvalue",
     "capacity",
     "capacity_fp",
-    "compatibility_verdict",
     "core_deficiency_bruteforce",
     "deficiency_table",
     "empirical",

@@ -24,7 +24,7 @@ from .inference import (
 )
 from .measure import FiniteDistribution, align, empirical
 from .semiparametric import SemiparametricModel, maximize_dual
-from .transport import compatibility_verdict
+from .transport import solve_zero_one
 
 EXIT_COMPATIBLE = 0
 EXIT_INCOMPATIBLE = 1
@@ -44,7 +44,7 @@ def _read_json(path: str):
 
 
 def load_model_spec(path: str):
-    """Parse a model-spec JSON file into ("parametric", g, nu) or ("semi", model)."""
+    """Parse a model-spec JSON file into (g, nu) or a ``SemiparametricModel``."""
     return build_model(_read_json(path), path)
 
 
@@ -62,38 +62,32 @@ def build_model(spec: dict, origin: str = "<spec>"):
     params = spec.get("params", {})
     try:
         if kind == "line_network":
-            g, nu = models.line_network_game(params["masses"])
-            return ("parametric", g, nu)
+            return models.line_network_game(params["masses"])
         if kind == "entry_game":
-            g, nu = models.entry_game(
+            return models.entry_game(
                 params["delta1"], params["delta2"], resolution=params.get("resolution", 40)
             )
-            return ("parametric", g, nu)
         if kind == "search":
             nu = FiniteDistribution.from_json(params["nu"])
             alpha = [(lab, val) for lab, val in params["alpha"]]
-            g, nu = models.search_game(alpha, nu)
-            return ("parametric", g, nu)
+            return models.search_game(alpha, nu)
         if kind == "pilot":
-            model = models.binary_response_pilot(
+            return models.binary_response_pilot(
                 params["eta"],
                 epsilon_grid=params.get("epsilon_grid"),
             )
-            return ("semi", model)
         if kind == "moment_inequality":
-            model = models.moment_inequality_model(
+            return models.moment_inequality_model(
                 params["outcomes"], params["phi"], params["grid"]
             )
-            return ("semi", model)
         if kind == "example4":
             model, _ = models.example4_instance(params["M"])
-            return ("semi", model)
+            return model
         if kind == "custom":
             g = Correspondence.from_json(params["correspondence"])
             if "moments" in params:
-                return ("semi", SemiparametricModel(g, params["moments"]))
-            nu = FiniteDistribution.from_json(params["nu"])
-            return ("parametric", g, nu)
+                return SemiparametricModel(g, params["moments"])
+            return g, FiniteDistribution.from_json(params["nu"])
     except KeyError as exc:
         raise FalsiflowError(f"{origin}: model {kind!r} is missing field {exc.args[0]!r}") from exc
     raise FalsiflowError(f"{origin}: unknown model kind {kind!r}")
@@ -152,16 +146,15 @@ def _target_distribution(args, outcome_support) -> FiniteDistribution:
 
 
 def cmd_check(args) -> int:
-    loaded = load_model_spec(args.model)
-    if loaded[0] == "parametric":
-        _, g, nu = loaded
+    model = load_model_spec(args.model)
+    if not isinstance(model, SemiparametricModel):
+        g, nu = model
         p = _target_distribution(args, g.outcome_support)
         g = g.extend_outcomes(p.support)
         p = align(p, g.outcome_support)
-        verdict = compatibility_verdict(p, nu, g)
-        write_output(render_json(verdict.to_json()), args.out)
-        return EXIT_COMPATIBLE if verdict.compatible else EXIT_INCOMPATIBLE
-    _, model = loaded
+        result = solve_zero_one(p, nu, g)
+        write_output(render_json(result.to_json()), args.out)
+        return EXIT_COMPATIBLE if result.compatible else EXIT_INCOMPATIBLE
     p = _target_distribution(args, model.correspondence.outcome_support)
     model = model.extend_outcomes(p.support)
     p = align(p, model.correspondence.outcome_support)
@@ -170,24 +163,25 @@ def cmd_check(args) -> int:
     return EXIT_COMPATIBLE if cert.compatible else EXIT_INCOMPATIBLE
 
 
-def _run_test(loaded, data, stat, B, seed):
+def _run_test(model, data, stat, B, seed):
+    semi = isinstance(model, SemiparametricModel)
     if stat == "semi":
-        if loaded[0] != "semi":
+        if not semi:
             raise FalsiflowError("--stat semi requires a semiparametric model spec")
-        model = loaded[1]
         outcome_support = model.correspondence.outcome_support
     else:
-        if loaded[0] != "parametric":
+        if semi:
             raise FalsiflowError(f"--stat {stat} requires a parametric model spec")
-        model = (loaded[2], loaded[1])
-        outcome_support = loaded[1].outcome_support
+        g, nu = model
+        model = (nu, g)
+        outcome_support = g.outcome_support
     return bootstrap_pvalue(_canonical_labels(data, outcome_support), model, stat, B, seed)
 
 
 def cmd_test(args) -> int:
-    loaded = load_model_spec(args.model)
+    model = load_model_spec(args.model)
     data = load_data(args.data, numeric=args.stat == "tn-halflines")
-    report = _run_test(loaded, data, args.stat, args.B, args.seed)
+    report = _run_test(model, data, args.stat, args.B, args.seed)
     if args.format == "csv":
         write_output(report.to_csv(), args.out)
     else:
@@ -196,12 +190,11 @@ def cmd_test(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    loaded = load_model_spec(args.model)
-    if loaded[0] != "parametric":
+    model = load_model_spec(args.model)
+    if isinstance(model, SemiparametricModel):
         raise FalsiflowError("simulation needs a parametric model spec (with a latent distribution)")
-    _, g, nu = loaded
-    rule = models.SelectionRule(args.rule)
-    draws = models.simulate(g, nu, rule, args.n, args.seed)
+    g, nu = model
+    draws = models.simulate(g, nu, args.rule, args.n, args.seed)
     text = "y\n" + "".join(f"{y}\n" for y in draws)
     write_output(text, args.out)
     return EXIT_COMPATIBLE
@@ -222,6 +215,8 @@ def parse_grid(spec: str) -> list[dict]:
             raise FalsiflowError(f"grid axis {part!r} needs a finite start, stop and step")
         if step <= 0:
             raise FalsiflowError(f"grid axis {part!r} needs a positive step")
+        if step < 1e-10:  # grid values are rounded to 10 decimals below
+            raise FalsiflowError(f"grid axis {part!r} needs a step of at least 1e-10")
         values = []
         k = 0
         while True:
@@ -253,8 +248,8 @@ def cmd_invert(args) -> int:
     lines = [header]
     for pt, seed in zip(points, seeds):
         local = dict(spec, params=dict(spec.get("params", {}), **pt))
-        loaded = build_model(local, args.model)
-        pv = _run_test(loaded, data, args.stat, args.B, int(seed.generate_state(1)[0])).pvalue
+        model = build_model(local, args.model)
+        pv = _run_test(model, data, args.stat, args.B, int(seed.generate_state(1)[0])).pvalue
         accepted = pv >= args.alpha
         lines.append(",".join([format(pt[n], ".10g") for n in names] + [repr(pv), str(accepted).lower()]))
     write_output("\n".join(lines) + "\n", args.out)
@@ -295,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="draw outcomes from a parametric model")
     common(p_sim)
     p_sim.add_argument("--n", type=int, required=True)
-    p_sim.add_argument("--rule", choices=["first", "uniform-random"], default="first")
+    p_sim.add_argument("--rule", choices=models.SELECTION_RULES, default="first")
     p_sim.add_argument("--seed", type=int, default=0)
     p_sim.set_defaults(func=cmd_simulate)
 

@@ -91,6 +91,8 @@ def solve(program: LinearProgram) -> Solution:
 def _verify(program: LinearProgram, x: np.ndarray, duals: np.ndarray):
     a, b, c = program.a, program.b, program.c
     scale = 1.0 + max(np.abs(b).max(initial=0.0), np.abs(x).max(initial=0.0))
+    if (x < -TOLERANCE * scale).any():
+        raise LpFailure("primal solution violates x >= 0")
     resid = a @ x - b
     bad = np.flatnonzero(np.abs(resid) > TOLERANCE * scale)
     if bad.size:

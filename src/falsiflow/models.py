@@ -9,7 +9,7 @@ stay numeric so half-line statistics can order them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -332,46 +332,32 @@ def example4_instance(
 # Simulation
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SelectionRule:
-    """Equilibrium-picking rule used by the simulator."""
-
-    name: str = "first"                      # "first" | "uniform-random" | "custom"
-    mapping: Mapping[Label, Label] | None = None
-
-    def __post_init__(self):
-        if self.name not in ("first", "uniform-random", "custom"):
-            raise BadRule(f"unknown selection rule {self.name!r}")
-        if self.name == "custom" and self.mapping is None:
-            raise BadRule("custom rules require a latent -> outcome mapping")
+#: Equilibrium-picking rules of the simulator: the first admissible outcome,
+#: or one drawn uniformly from the admissible set.
+SELECTION_RULES = ("first", "uniform-random")
 
 
 def simulate(
     g: Correspondence,
     nu: FiniteDistribution,
-    rule: SelectionRule,
+    rule: str,
     n: int,
     seed: int,
 ) -> list[Label]:
     """Draw n outcomes: latent points by inverse CDF on the fixed-point masses,
-    then one admissible outcome per draw according to the selection rule.
+    then one admissible outcome per draw according to the selection rule,
+    one of ``SELECTION_RULES``.
 
     Identical (inputs, seed) give identical output sequences.
     """
+    if rule not in SELECTION_RULES:
+        raise BadRule(f"unknown selection rule {rule!r}")
     if nu.support != g.latent_support:
         raise SupportMismatch("nu must live on the latent support of the correspondence")
     choices: list[tuple[Label, ...]] = []
-    for u, bits in zip(g.latent_support, g.image):
+    for bits in g.image:
         admissible = g.labels_of(bits)
-        if rule.name == "first":
-            choices.append((admissible[0],))
-        elif rule.name == "custom":
-            y = rule.mapping.get(u)
-            if y is None or y not in admissible:
-                raise BadRule(f"custom rule maps {u!r} to inadmissible outcome {y!r}")
-            choices.append((y,))
-        else:
-            choices.append(admissible)
+        choices.append(admissible[:1] if rule == "first" else admissible)
     if n == 0:
         return []
     rng = np.random.default_rng(np.random.SeedSequence(seed))
@@ -389,4 +375,4 @@ def sample_distribution(p: FiniteDistribution, n: int, seed: int) -> list[Label]
     """Draw n i.i.d. outcomes directly from a finite distribution."""
     identity = Correspondence.from_map({y: [y] for y in p.support}, outcome_support=p.support)
     nu = FiniteDistribution(p.support, p.numerators)
-    return simulate(identity, nu, SelectionRule("first"), n, seed)
+    return simulate(identity, nu, "first", n, seed)

@@ -22,35 +22,43 @@ from .measure import DENOMINATOR, FiniteDistribution, Label
 
 @dataclass(frozen=True)
 class TransportResult:
-    """Primal/dual solution of the zero-one transportation problem."""
+    """Solution of the zero-one transportation problem.  The primal value is
+    also the dual one: the witness's deficiency, checked equal by the solver."""
 
-    primal_value: float
-    dual_value: float
     primal_fp: int
-    dual_fp: int
     plan: tuple[tuple[Label, Label, int], ...]  # (latent, outcome, fixed-point mass)
     witness: tuple[Label, ...]
     witness_bits: int
+    witness_capacity_fp: int
 
     @property
     def compatible(self) -> bool:
         return self.primal_fp == 0
 
+    @property
+    def primal_value(self) -> float:
+        return self.primal_fp / DENOMINATOR
+
+    @property
+    def witness_probability(self) -> float:
+        return (self.primal_fp + self.witness_capacity_fp) / DENOMINATOR
+
+    @property
+    def witness_capacity(self) -> float:
+        return self.witness_capacity_fp / DENOMINATOR
+
     def to_json(self) -> dict:
-        return {
+        obj = {
             "primal": self.primal_value,
-            "dual": self.dual_value,
+            "dual": self.primal_value,
             "compatible": self.compatible,
             "witness": [str(y) for y in self.witness],
             "plan": [[str(u), str(y), m] for u, y, m in self.plan],
         }
-
-
-def _check_supports(p: FiniteDistribution, nu: FiniteDistribution, g: Correspondence):
-    if p.support != g.outcome_support:
-        raise SupportMismatch("p must live on the outcome support of the correspondence")
-    if nu.support != g.latent_support:
-        raise SupportMismatch("nu must live on the latent support of the correspondence")
+        if not self.compatible:
+            obj["witness_probability"] = self.witness_probability
+            obj["witness_capacity"] = self.witness_capacity
+        return obj
 
 
 def solve_zero_one(
@@ -65,7 +73,10 @@ def solve_zero_one(
     P(witness) - capacity(witness) = primal exactly in fixed point.  The plan is
     the flow on the latent -> outcome arcs, listed latent-major.
     """
-    _check_supports(p, nu, g)
+    if p.support != g.outcome_support:
+        raise SupportMismatch("p must live on the outcome support of the correspondence")
+    if nu.support != g.latent_support:
+        raise SupportMismatch("nu must live on the latent support of the correspondence")
     n_u, n_y = len(nu), len(p)
     source, sink = 0, 1 + n_u + n_y
     # latent-major, the order in which the plan is listed
@@ -85,9 +96,9 @@ def solve_zero_one(
         cut[breadth_first_order(net - flow > 0, source, return_predecessors=False)] = False
     cut = cut[1 + n_u : sink]
     witness_bits = int.from_bytes(np.packbits(cut, bitorder="little").tobytes(), "little")
-    dual_fp = int(np.asarray(p.numerators, dtype=np.int64)[cut].sum())
-    dual_fp -= capacity_fp(g, nu, witness_bits)
-    if dual_fp != primal_fp:
+    witness_capacity_fp = capacity_fp(g, nu, witness_bits)
+    p_witness_fp = int(np.asarray(p.numerators, dtype=np.int64)[cut].sum())
+    if p_witness_fp - witness_capacity_fp != primal_fp:
         raise CertificateMismatch("min-cut witness does not certify the primal value")
 
     sent = np.asarray(flow[1 + latent, 1 + n_u + outcome]).ravel()
@@ -98,41 +109,9 @@ def solve_zero_one(
     )
 
     return TransportResult(
-        primal_value=primal_fp / DENOMINATOR,
-        dual_value=dual_fp / DENOMINATOR,
         primal_fp=primal_fp,
-        dual_fp=dual_fp,
         plan=plan,
         witness=g.labels_of(witness_bits),
         witness_bits=witness_bits,
-    )
-
-
-@dataclass(frozen=True)
-class Verdict:
-    compatible: bool
-    result: TransportResult
-    witness_probability: float
-    witness_capacity: float
-
-    def to_json(self) -> dict:
-        obj = self.result.to_json()
-        if not self.compatible:
-            obj["witness_probability"] = self.witness_probability
-            obj["witness_capacity"] = self.witness_capacity
-        return obj
-
-
-def compatibility_verdict(
-    p: FiniteDistribution, nu: FiniteDistribution, g: Correspondence
-) -> Verdict:
-    """Decide compatibility; the certificate is the plan or the witness set."""
-    result = solve_zero_one(p, nu, g)
-    cap_w = capacity_fp(g, nu, result.witness_bits)
-    p_w = result.dual_fp + cap_w
-    return Verdict(
-        compatible=result.compatible,
-        result=result,
-        witness_probability=p_w / DENOMINATOR,
-        witness_capacity=cap_w / DENOMINATOR,
+        witness_capacity_fp=witness_capacity_fp,
     )

@@ -37,7 +37,7 @@ from falsiflow.models import (
     search_game,
 )
 from falsiflow.semiparametric import SemiparametricModel, maximize_dual, primal_lp
-from falsiflow.transport import compatibility_verdict, solve_zero_one
+from falsiflow.transport import solve_zero_one
 
 
 def random_fixed_point(rng, labels):
@@ -104,7 +104,7 @@ def test_criterion_03_line_network_flip():
         p = make_distribution(
             [("(0,0,0)", 0.9 - t), ("(0,1,1)", t / 2), ("(1,1,0)", t / 2), ("(1,1,1)", 0.1)]
         )
-        compatible = compatibility_verdict(p, nu, g).compatible
+        compatible = solve_zero_one(p, nu, g).compatible
         if prev is not None and compatible != prev:
             flips.append(t)
         prev = compatible
@@ -120,7 +120,7 @@ def test_criterion_04_entry_game_16_inequalities():
     rng = np.random.default_rng(44)
     for _ in range(100):
         p = align(random_fixed_point(rng, g.outcome_support), g.outcome_support)
-        verdict = compatibility_verdict(p, nu, g).compatible
+        verdict = solve_zero_one(p, nu, g).compatible
         holds = all(
             sum(n for i, n in enumerate(p.numerators) if bits >> i & 1)
             <= capacity_fp(g, nu, bits)
@@ -304,7 +304,7 @@ def test_criterion_10_bootstrap_size_and_power():
     alt = make_distribution(
         [("(0,0)", 0.25), ("(0,1)", 0.475), ("(1,0)", 0.2125), ("(1,1)", 0.0625)]
     )
-    assert compatibility_verdict(null, nu, g).compatible
+    assert solve_zero_one(null, nu, g).compatible
     report = core_deficiency_bruteforce(g, nu, alt)
     assert report.value_fp == DENOMINATOR // 10
 

@@ -50,6 +50,26 @@ def test_check_compatible_exit0(entry_model, tmp_path, capsys):
     assert out["compatible"] is True
 
 
+def _entry_plan(mass_to_10):
+    return [["{(0,0)}", "(0,0)", 250000000], ["{(0,1)}", "(0,1)", 312500000],
+            ["{(0,1),(1,0)}", "(0,1)", 62500000], ["{(1,0)}", "(1,0)", mass_to_10],
+            ["{(1,1)}", "(1,1)", 62500000]]
+
+
+@pytest.mark.parametrize("dist, code, report", [
+    (COMPATIBLE_P, 0, {"compatible": True, "dual": 0.0, "plan": _entry_plan(312500000),
+                       "primal": 0.0, "witness": []}),
+    (INCOMPATIBLE_P, 1, {"compatible": False, "dual": 0.1, "plan": _entry_plan(212500000),
+                         "primal": 0.1, "witness": ["(0,0)", "(0,1)", "(1,1)"],
+                         "witness_capacity": 0.6875, "witness_probability": 0.7875}),
+], ids=["compatible", "incompatible"])
+def test_check_entry_game_golden_bytes(entry_model, tmp_path, dist, code, report):
+    out = tmp_path / "out.json"
+    assert main(["check", "--model", entry_model, "--dist", write_json(tmp_path, "p.json", dist),
+                 "--out", str(out)]) == code
+    assert out.read_text() == json.dumps(report, sort_keys=True, indent=2) + "\n"
+
+
 def test_check_incompatible_exit1(entry_model, tmp_path, capsys):
     dist = write_json(tmp_path, "p.json", INCOMPATIBLE_P)
     code = main(["check", "--model", entry_model, "--dist", dist])
@@ -414,6 +434,20 @@ def test_invert_non_finite_grid_exit2(tmp_path, capsys, axis):
     code = main(["invert", "--model", model, "--data", str(data), "--stat", "semi", "--grid", axis])
     assert code == 2
     assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "axis", ["eta=0:1e-9:1e-11", "eta=0:1:1e-13"], ids=["repeated-points", "endless"],
+)
+def test_invert_grid_step_below_rounding_exit2(tmp_path, capsys, axis):
+    # grid values are rounded to 1e-10, so a finer step repeats points; at
+    # 1e-13 the grid would list each of the 10**10 values a thousand times
+    model = write_json(tmp_path, "pilot.json", {"model": "pilot", "params": {"eta": 0.5}})
+    data = tmp_path / "data.csv"
+    data.write_text("y\n(0,1)\n")
+    code = main(["invert", "--model", model, "--data", str(data), "--stat", "semi", "--grid", axis])
+    assert code == 2
+    assert "step of at least 1e-10" in capsys.readouterr().err
 
 
 def test_invert_single_point_matches_test(entry_model, tmp_path, capsys):

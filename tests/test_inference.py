@@ -19,7 +19,6 @@ from falsiflow.models import (
     sample_distribution,
     search_game,
     simulate,
-    SelectionRule,
 )
 
 
@@ -180,7 +179,7 @@ def test_bootstrap_single_tie():
 
 def test_bootstrap_pvalue_range_and_fields():
     g, nu = entry_instance()
-    data = list(simulate(g, nu, SelectionRule("uniform-random"), 80, seed=2))
+    data = list(simulate(g, nu, "uniform-random", 80, seed=2))
     rep = bootstrap_pvalue(data, (nu, g), "tv-core", B=37, seed=5)
     assert 0 < rep.pvalue <= 1
     assert rep.B == 37 and len(rep.replicates) == 37

@@ -122,6 +122,11 @@ def test_verify_rejects_each_violation():
         lp._verify(prog, x, np.array([1.5]))
     with pytest.raises(LpFailure, match="duality gap"):
         lp._verify(prog, x, np.array([0.5]))
+    # min 0 s.t. x1 + x2 = 1: x = (2, -1) with y = 0 meets every equation,
+    # reduced cost, gap and slackness check, but not x >= 0
+    prog = lp.LinearProgram(c=[0.0, 0.0], a=[[1.0, 1.0]], b=[1.0])
+    with pytest.raises(LpFailure, match="x >= 0"):
+        lp._verify(prog, np.array([2.0, -1.0]), np.array([0.0]))
     # x1 + x2 = 1 and x1 - x2 = 1 at x = (1, 0): the multipliers (-999, 1000)
     # are dual feasible with no gap, but weigh a 1e-9 residual by 1000
     prog = lp.LinearProgram(c=[1.0, 2.0], a=[[1.0, 1.0], [1.0, -1.0]], b=[1.0, 1.0])

@@ -14,7 +14,6 @@ from falsiflow.models import (
     ENTRY_OUTCOMES,
     SLACK_OUTCOME,
     LatentGrid,
-    SelectionRule,
     binary_response_pilot,
     entry_equilibria,
     entry_game,
@@ -29,7 +28,7 @@ from falsiflow.models import (
     uniform_grid_2d,
 )
 from falsiflow.semiparametric import maximize_dual, primal_lp
-from falsiflow.transport import compatibility_verdict, solve_zero_one
+from falsiflow.transport import solve_zero_one
 
 
 # --- line network -----------------------------------------------------------
@@ -38,10 +37,10 @@ def test_line_network_degenerate_region():
     g, nu = line_network_game([1.0, 0.0, 0.0, 0.0])
     delta = make_distribution([("(0,0,0)", 1.0)])
     p = align(delta, g.outcome_support)
-    assert compatibility_verdict(p, nu, g).compatible
+    assert solve_zero_one(p, nu, g).compatible
     # every other outcome has capacity 0, so any mass elsewhere falsifies
     other = align(make_distribution([("(0,0,0)", 0.9), ("(0,1,1)", 0.1)]), g.outcome_support)
-    assert not compatibility_verdict(other, nu, g).compatible
+    assert not solve_zero_one(other, nu, g).compatible
 
 
 def test_line_network_binding_inequality():
@@ -49,7 +48,7 @@ def test_line_network_binding_inequality():
     p = make_distribution(
         [("(0,0,0)", 0.3), ("(0,1,1)", 0.25), ("(1,1,0)", 0.25), ("(1,1,1)", 0.2)]
     )
-    assert not compatibility_verdict(p, nu, g).compatible
+    assert not solve_zero_one(p, nu, g).compatible
 
 
 def test_line_network_identity_masses_compatible():
@@ -57,7 +56,7 @@ def test_line_network_identity_masses_compatible():
     p = make_distribution(
         [("(0,0,0)", 0.4), ("(0,1,1)", 0.2), ("(1,1,0)", 0.2), ("(1,1,1)", 0.2)]
     )
-    assert compatibility_verdict(p, nu, g).compatible
+    assert solve_zero_one(p, nu, g).compatible
 
 
 def test_line_network_arity():
@@ -97,7 +96,7 @@ def test_entry_game_rejects_nonnegative_delta():
 def test_entry_game_16_inequalities_decide_compatibility():
     g, nu = entry_game(-1.0, -1.0)
     p = make_distribution([("(0,0)", 0.25), ("(0,1)", 0.375), ("(1,0)", 0.3125), ("(1,1)", 0.0625)])
-    verdict = compatibility_verdict(p, nu, g)
+    verdict = solve_zero_one(p, nu, g)
     all_hold = all(
         sum(n for i, n in enumerate(p.numerators) if bits >> i & 1) <= capacity_fp(g, nu, bits)
         for bits in range(16)
@@ -181,13 +180,13 @@ def test_search_outcomes_are_numeric_and_contain_zero():
 def test_search_constant_zero_data_compatible():
     g, nu = search_instance()
     p = align(make_distribution([(0.0, 1.0)]), g.outcome_support)
-    assert compatibility_verdict(p, nu, g).compatible
+    assert solve_zero_one(p, nu, g).compatible
 
 
 def test_search_pushforward_compatible():
     g, nu = search_instance()
     p = align(make_distribution([(0.2, 0.2), (0.5, 0.3), (0.9, 0.5)]), g.outcome_support)
-    assert compatibility_verdict(p, nu, g).compatible
+    assert solve_zero_one(p, nu, g).compatible
 
 
 def test_search_requires_monotone_alpha():
@@ -309,20 +308,20 @@ def test_example4_rejects_small_m():
 
 def test_simulate_deterministic():
     g, nu = entry_game(-1.0, -1.0)
-    a = simulate(g, nu, SelectionRule("uniform-random"), 200, seed=3)
-    b = simulate(g, nu, SelectionRule("uniform-random"), 200, seed=3)
+    a = simulate(g, nu, "uniform-random", 200, seed=3)
+    b = simulate(g, nu, "uniform-random", 200, seed=3)
     assert a == b
 
 
 def test_simulate_zero_draws():
     g, nu = line_network_game([0.25, 0.25, 0.25, 0.25])
-    assert simulate(g, nu, SelectionRule("first"), 0, seed=0) == []
+    assert simulate(g, nu, "first", 0, seed=0) == []
 
 
 def test_simulate_first_rule_pushforward_band():
     g, nu = entry_game(-1.0, -1.0)
     n = 10_000
-    data = simulate(g, nu, SelectionRule("first"), n, seed=7)
+    data = simulate(g, nu, "first", n, seed=7)
     # under "first" the multiplicity region always reports (0,1)
     expected = {"(0,0)": 0.25, "(0,1)": 0.375, "(1,0)": 0.3125, "(1,1)": 0.0625}
     p_n = empirical(data)
@@ -334,16 +333,13 @@ def test_simulate_first_rule_pushforward_band():
 def test_simulate_pushforward_is_compatible():
     g, nu = entry_game(-1.0, -1.0)
     push = make_distribution([("(0,0)", 0.25), ("(0,1)", 0.375), ("(1,0)", 0.3125), ("(1,1)", 0.0625)])
-    assert compatibility_verdict(push, nu, g).compatible
+    assert solve_zero_one(push, nu, g).compatible
 
 
 def test_custom_rule_validated():
     g, nu = line_network_game([0.25, 0.25, 0.25, 0.25])
-    bad = SelectionRule("custom", mapping={u: "(1,1,1)" for u in g.latent_support})
     with pytest.raises(BadRule):
-        simulate(g, nu, bad, 5, seed=0)
-    with pytest.raises(BadRule):
-        SelectionRule("nonsense")
+        simulate(g, nu, "nonsense", 5, seed=0)
 
 
 def test_sample_distribution_counts():

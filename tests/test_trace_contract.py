@@ -1,7 +1,8 @@
 """The benchmark's tracer (bench/tracer.py) patches falsiflow by name and reads
 a few fields of what the patched calls take and return.  These tests run it
-over one pilot ``check`` and one ``test --stat tn-halflines``, so a renamed
-method or a dropped field fails here and not only in a traced benchmark run.
+over a pilot and an entry-game ``check`` and one ``test --stat tn-halflines``,
+so a renamed method or a dropped field fails here and not only in a traced
+benchmark run.
 """
 
 import importlib.util
@@ -57,3 +58,27 @@ def test_tracer_counts_lp_solves_and_replicates(tmp_path):
     assert metrics["lp.solve_calls"] == 1 and metrics["lp.entries"] > 0
     assert metrics["semi.dual_calls"] == 1
     assert metrics["inference.replicates"] == 5
+
+
+def test_tracer_counts_one_capacity_call_per_parametric_check(tmp_path):
+    entry = write(tmp_path / "entry.json", json.dumps(
+        {"model": "entry_game", "params": {"delta1": -1.0, "delta2": -1.0}}))
+    dist = write(tmp_path / "p.json", json.dumps({
+        "support": ["(0,0)", "(0,1)", "(1,0)", "(1,1)"],
+        "mass": [250000000, 475000000, 212500000, 62500000],
+    }))
+
+    tracer = load_tracer_class()()
+    tracer.install(falsiflow)
+    try:
+        tracer.start_round()
+        assert main(["check", "--model", entry, "--dist", dist,
+                     "--out", str(tmp_path / "check.json")]) == 1
+        tracer.end_round()
+    finally:
+        tracer.remove()
+
+    metrics, _ = tracer.metrics()
+    assert metrics["transport.solve_calls"] == 1 and metrics["transport.arcs"] > 0
+    # the witness's capacity is computed once, by the certificate check
+    assert metrics["correspondence.capacity_calls"] == 1
