@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -200,9 +201,19 @@ def cmd_simulate(args) -> int:
     return EXIT_COMPATIBLE
 
 
+#: Guard on the points of an ``invert`` grid.  A point holds about 700 bytes
+#: (its parameter dict, its seed and its output row), so a grid stays near 70 MB.
+MAX_GRID_POINTS = 10**5
+
+
 def parse_grid(spec: str) -> list[dict]:
-    """Grid spec "name=start:stop:step[,name2=...]" -> list of param dicts (product order)."""
+    """Grid spec "name=start:stop:step[,name2=...]" -> list of param dicts (product order).
+
+    The points are counted, floor((stop - start) / step) + 1 per axis, before
+    any is built; a grid of more than :data:`MAX_GRID_POINTS` is refused.
+    """
     axes = []
+    size = 1
     for part in spec.split(","):
         if not part:
             continue
@@ -217,6 +228,15 @@ def parse_grid(spec: str) -> list[dict]:
             raise FalsiflowError(f"grid axis {part!r} needs a positive step")
         if step < 1e-10:  # grid values are rounded to 10 decimals below
             raise FalsiflowError(f"grid axis {part!r} needs a step of at least 1e-10")
+        span = (stop - start) / step  # may be inf, so bounded before floor
+        if span >= MAX_GRID_POINTS:
+            raise FalsiflowError(f"grid axis {part!r} has more than {MAX_GRID_POINTS} points")
+        size *= max(0, math.floor(span) + 1)
+        axes.append((name.strip(), start, stop, step))
+    if size > MAX_GRID_POINTS:
+        raise FalsiflowError(f"grid {spec!r} has {size} points, more than {MAX_GRID_POINTS}")
+    points: list[dict] = [{}]
+    for name, start, stop, step in axes:
         values = []
         k = 0
         while True:
@@ -225,9 +245,6 @@ def parse_grid(spec: str) -> list[dict]:
                 break
             values.append(v)
             k += 1
-        axes.append((name.strip(), values))
-    points: list[dict] = [{}]
-    for name, values in axes:
         points = [dict(pt, **{name: v}) for pt in points for v in values]
     return points if axes else []
 

@@ -2,9 +2,11 @@
 semiparametric statistic.
 
 A program is  min c'x  s.t.  A x = b,  x >= 0,  with A a ``scipy.sparse``
-matrix, solved by HiGHS (scipy.optimize.linprog).  Every optimal return is
-verified for primal feasibility, dual feasibility, complementary slackness
-and strong duality at 1e-9 before being handed back.
+matrix, solved by the dual simplex method of HiGHS through the bindings scipy
+ships, ``scipy.optimize._highspy._core``: the one private scipy module
+``src/`` imports, and only here.  Every optimal return is verified for
+primal feasibility, dual feasibility, complementary slackness and strong
+duality at 1e-9 before being handed back.
 """
 
 from __future__ import annotations
@@ -13,8 +15,10 @@ import enum
 from dataclasses import dataclass
 
 import numpy as np
+# by its full path: ``from scipy.optimize._highspy import _core`` adds about
+# 0.1 s to every start-up under scipy 1.17 (``python -X importtime``)
+import scipy.optimize._highspy._core as highs
 from scipy import sparse
-from scipy.optimize import linprog
 
 from .errors import DimensionMismatch, IterationLimit, LpFailure
 
@@ -22,8 +26,16 @@ from .errors import DimensionMismatch, IterationLimit, LpFailure
 TOLERANCE = 1e-9
 
 #: Guard on the stored nonzeros of A.  Each costs about 12 bytes here and
-#: again in each copy scipy and HiGHS make, so a program stays near 100 MB.
+#: again in each copy HiGHS makes, so a program stays near 100 MB.
 MAX_NONZEROS = 10**6
+
+
+#: The HiGHS options scipy's own LP front end sets: presolve on, dual simplex
+#: (strategy 1), no output.
+_OPTIONS = highs.HighsOptions()
+_OPTIONS.presolve = "on"
+_OPTIONS.simplex_strategy = 1
+_OPTIONS.output_flag = _OPTIONS.log_to_console = False
 
 
 class Status(enum.Enum):
@@ -74,18 +86,40 @@ class Solution:
 
 def solve(program: LinearProgram) -> Solution:
     """Solve the program; optimal returns are residual-verified at 1e-9."""
-    res = linprog(program.c, A_eq=program.a, b_eq=program.b, bounds=(0, None), method="highs")
-    if res.status == 2:
+    model, matrix = highs.HighsLp(), program.a
+    model.num_row_, model.num_col_ = matrix.shape
+    model.a_matrix_.num_row_, model.a_matrix_.num_col_ = matrix.shape
+    model.a_matrix_.format_ = highs.MatrixFormat.kColwise
+    model.a_matrix_.start_ = matrix.indptr
+    model.a_matrix_.index_ = matrix.indices
+    model.a_matrix_.value_ = matrix.data
+    model.col_cost_ = program.c
+    model.col_lower_ = np.zeros(program.c.size)
+    model.col_upper_ = np.full(program.c.size, highs.kHighsInf)
+    model.row_lower_ = model.row_upper_ = program.b
+    solver = highs._Highs()
+    solver.passOptions(_OPTIONS)
+    if solver.passModel(model) == highs.HighsStatus.kError:
+        raise LpFailure("HiGHS refused the program")
+    solver.run()
+    status = solver.getModelStatus()
+    if status in (highs.HighsModelStatus.kInfeasible, highs.HighsModelStatus.kModelError):
         return Solution(Status.INFEASIBLE, None, None, None)
-    if res.status == 3:
+    if status == highs.HighsModelStatus.kUnbounded:
         return Solution(Status.UNBOUNDED, None, None, None)
-    if res.status == 1:
-        raise IterationLimit(f"solver hit its iteration limit: {res.message}")
-    if res.status != 0:
-        raise LpFailure(f"solver failure: {res.message}")
-    duals = res.eqlin.marginals
-    _verify(program, res.x, duals)
-    return Solution(Status.OPTIMAL, res.x, float(res.fun), duals, int(res.nit))
+    message = solver.modelStatusToString(status)
+    if status in (highs.HighsModelStatus.kIterationLimit, highs.HighsModelStatus.kTimeLimit):
+        raise IterationLimit(f"solver hit its iteration limit: {message}")
+    if status != highs.HighsModelStatus.kOptimal:
+        raise LpFailure(f"solver failure: {message}")
+    solution, info = solver.getSolution(), solver.getInfo()
+    x, duals = np.array(solution.col_value), np.array(solution.row_dual)
+    objective = info.objective_function_value
+    if not (np.isfinite(x).all() and np.isfinite(duals).all() and np.isfinite(objective)):
+        raise LpFailure("solver returned a non-finite solution")
+    _verify(program, x, duals)
+    nit = info.simplex_iteration_count or info.ipm_iteration_count
+    return Solution(Status.OPTIMAL, x, float(objective), duals, int(nit))
 
 
 def _verify(program: LinearProgram, x: np.ndarray, duals: np.ndarray):

@@ -1,9 +1,10 @@
 import json
+import tracemalloc
 
 import pytest
 
 from falsiflow import semiparametric, transport
-from falsiflow.cli import main, parse_grid
+from falsiflow.cli import MAX_GRID_POINTS, main, parse_grid
 
 
 ENTRY_SPEC = {"model": "entry_game", "params": {"delta1": -1.0, "delta2": -1.0}}
@@ -448,6 +449,29 @@ def test_invert_grid_step_below_rounding_exit2(tmp_path, capsys, axis):
     code = main(["invert", "--model", model, "--data", str(data), "--stat", "semi", "--grid", axis])
     assert code == 2
     assert "step of at least 1e-10" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "axis", ["eta=0:1:1e-10", "eta=0:1:1e-3,b=0:1:1e-3"], ids=["one-axis", "product"],
+)
+def test_invert_grid_too_large_exit2(tmp_path, capsys, axis):
+    # 10**10 and 1002001 points: refused on their count, before a value is built
+    model = write_json(tmp_path, "pilot.json", {"model": "pilot", "params": {"eta": 0.5}})
+    data = tmp_path / "data.csv"
+    data.write_text("y\n(0,1)\n")
+    tracemalloc.start()
+    try:
+        code = main(["invert", "--model", model, "--data", str(data), "--stat", "semi", "--grid", axis])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert peak < 10**6
+    assert f"more than {MAX_GRID_POINTS}" in capsys.readouterr().err
+
+
+def test_parse_grid_at_the_guard():
+    assert len(parse_grid(f"a=0:{MAX_GRID_POINTS - 1}:1")) == MAX_GRID_POINTS
 
 
 def test_invert_single_point_matches_test(entry_model, tmp_path, capsys):

@@ -1,9 +1,17 @@
 import numpy as np
 import pytest
 from scipy import sparse
+from scipy.optimize import linprog
 
-from falsiflow import lp
+from falsiflow import lp, semiparametric
 from falsiflow.errors import DimensionMismatch, LpFailure
+from falsiflow.measure import align, make_distribution
+from falsiflow.models import (
+    binary_response_pilot,
+    example4_instance,
+    moment_inequality_model,
+    pilot_distribution,
+)
 
 
 def test_one_variable():
@@ -136,8 +144,8 @@ def test_verify_rejects_each_violation():
 
 
 def test_fuzz_terminates_and_verifies():
-    # every Optimal return passes the internal residual checks at 1e-9;
-    # Infeasible/Unbounded are legitimate outcomes of the draw
+    # every Optimal return passes the internal residual checks at 1e-9 and
+    # matches linprog; Infeasible/Unbounded are legitimate outcomes of the draw
     rng = np.random.default_rng(2024)
     statuses = set()
     for _ in range(300):
@@ -147,12 +155,61 @@ def test_fuzz_terminates_and_verifies():
         # half the draws are feasible by construction
         b = a @ rng.random(n) if rng.random() < 0.5 else rng.normal(size=m)
         prog = lp.LinearProgram(c=rng.normal(size=n), a=sparse.csc_array(a), b=b)
-        sol = lp.solve(prog)
+        sol = _solve_matching_linprog(prog)
         statuses.add(sol.status)
         if sol.status is lp.Status.OPTIMAL:
             assert sol.objective is not None
             assert np.abs(prog.a @ sol.x - prog.b).max() <= 1e-8
     assert statuses == set(lp.Status)
+
+
+def _solve_matching_linprog(program):
+    # scipy's linprog front end to the same HiGHS build is the independent
+    # reference: the same status and, when optimal, bit-equal x, duals,
+    # objective and iteration count
+    ref = linprog(program.c, A_eq=program.a, b_eq=program.b, bounds=(0, None), method="highs")
+    statuses = {0: lp.Status.OPTIMAL, 2: lp.Status.INFEASIBLE, 3: lp.Status.UNBOUNDED}
+    assert ref.status in statuses, ref.message
+    sol = lp.solve(program)
+    assert sol.status is statuses[ref.status]
+    if sol.status is lp.Status.OPTIMAL:
+        assert np.array_equal(sol.x, ref.x)
+        assert np.array_equal(sol.duals, ref.eqlin.marginals)
+        assert sol.objective == ref.fun
+        assert sol.iterations == ref.nit
+    return sol
+
+
+def test_matches_linprog_on_semiparametric_programs(monkeypatch):
+    # the programs semiparametric._solve_primal builds: the pilot at several
+    # eta, alone and batched 25 to a program, two moment-inequality models
+    # and example 4
+    programs = []
+    solve = lp.solve
+    monkeypatch.setattr(lp, "solve", lambda program: programs.append(program) or solve(program))
+    rng = np.random.default_rng(7)
+    for eta in (0.1, 0.3, 0.5, 0.7, 0.9):
+        model = binary_response_pilot(eta)
+        sup = model.correspondence.outcome_support
+        ps = [align(pilot_distribution(*rng.random(2)), sup) for _ in range(25)]
+        semiparametric.maximize_dual(model, ps[0])
+        semiparametric.maximize_dual_batch(model, ps)
+    nodes = np.linspace(-1.0, 1.0, 5)
+    for phi, grid in (
+        ([[-0.25], [0.75]], [[-1.0], [-0.25], [0.0], [0.75], [1.0]]),
+        ([[0.0, 0.0], [0.5, -0.5]], np.array(np.meshgrid(nodes, nodes)).reshape(2, -1).T),
+    ):
+        model = moment_inequality_model(["0", "1"], phi, grid)
+        sup = model.correspondence.outcome_support
+        for q in (0.1, 0.25, 0.9):
+            semiparametric.maximize_dual(model, align(make_distribution([("0", 1 - q), ("1", q)]), sup))
+    for m in (2, 10, 1000):
+        semiparametric.maximize_dual(*example4_instance(m))
+    monkeypatch.undo()
+    assert len(programs) == 19
+    assert max(p.b.size for p in programs) == 25 * 6
+    for program in programs:
+        assert _solve_matching_linprog(program).status is lp.Status.OPTIMAL
 
 
 def test_reproducible():
