@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import numbers
 import sys
 
 import numpy as np
@@ -23,7 +24,7 @@ from .inference import (
     statistic_tn_halflines,
     statistic_tv_core,
 )
-from .measure import FiniteDistribution, align, empirical
+from .measure import FiniteDistribution, empirical
 from .semiparametric import SemiparametricModel, maximize_dual
 from .transport import solve_zero_one
 
@@ -98,16 +99,13 @@ def load_distribution(path: str) -> FiniteDistribution:
     return FiniteDistribution.from_json(_read_json(path))
 
 
-def load_data(path: str, numeric: bool = False) -> list:
+def load_data(path: str) -> list:
     """Data CSV: header "y", one outcome label per line."""
     with open(path) as fh:
         lines = [line.rstrip("\n") for line in fh]
     if not lines or lines[0] != "y":
         raise FalsiflowError(f"{path}:1: expected a single-column CSV with header 'y'")
-    rows = [line for line in lines[1:] if line]
-    if numeric:
-        return [float(v) for v in rows]
-    return rows
+    return [line for line in lines[1:] if line]
 
 
 def write_output(text: str, out: str | None):
@@ -127,12 +125,17 @@ def render_json(obj: dict) -> str:
 # ---------------------------------------------------------------------------
 
 def _canonical_labels(labels, outcome_support) -> list:
-    """Read file labels as the model's outcome labels with the same text.
+    """Read file labels, which are text, the way the model labels its outcomes.
 
-    Files carry every label as text, while a model may label its outcomes
-    with numbers.  Labels with no match are kept, so they count against the
-    model.
+    When every outcome is a real number, every label is read with float(), so
+    "0.50" is the outcome 0.5, and NaN is refused; otherwise labels match by
+    text.  Labels with no match are kept, so they count against the model.
     """
+    if all(isinstance(y, numbers.Real) and not isinstance(y, bool) for y in outcome_support):
+        values = [float(lab) for lab in labels]
+        if any(v != v for v in values):
+            raise FalsiflowError("the model's outcomes are numbers, and a label is NaN")
+        return values
     by_text = {str(y): y for y in outcome_support}
     return [by_text.get(str(lab), lab) for lab in labels]
 
@@ -148,20 +151,12 @@ def _target_distribution(args, outcome_support) -> FiniteDistribution:
 
 def cmd_check(args) -> int:
     model = load_model_spec(args.model)
-    if not isinstance(model, SemiparametricModel):
-        g, nu = model
-        p = _target_distribution(args, g.outcome_support)
-        g = g.extend_outcomes(p.support)
-        p = align(p, g.outcome_support)
-        result = solve_zero_one(p, nu, g)
-        write_output(render_json(result.to_json()), args.out)
-        return EXIT_COMPATIBLE if result.compatible else EXIT_INCOMPATIBLE
-    p = _target_distribution(args, model.correspondence.outcome_support)
-    model = model.extend_outcomes(p.support)
-    p = align(p, model.correspondence.outcome_support)
-    cert = maximize_dual(model, p)
-    write_output(render_json(cert.to_json()), args.out)
-    return EXIT_COMPATIBLE if cert.compatible else EXIT_INCOMPATIBLE
+    semi = isinstance(model, SemiparametricModel)
+    g = model.correspondence if semi else model[0]
+    p = _target_distribution(args, g.outcome_support)
+    result = maximize_dual(model, p) if semi else solve_zero_one(p, model[1], g)
+    write_output(render_json(result.to_json()), args.out)
+    return EXIT_COMPATIBLE if result.compatible else EXIT_INCOMPATIBLE
 
 
 def _run_test(model, data, stat, B, seed):
@@ -181,7 +176,7 @@ def _run_test(model, data, stat, B, seed):
 
 def cmd_test(args) -> int:
     model = load_model_spec(args.model)
-    data = load_data(args.data, numeric=args.stat == "tn-halflines")
+    data = load_data(args.data)
     report = _run_test(model, data, args.stat, args.B, args.seed)
     if args.format == "csv":
         write_output(report.to_csv(), args.out)
@@ -210,7 +205,8 @@ def parse_grid(spec: str) -> list[dict]:
     """Grid spec "name=start:stop:step[,name2=...]" -> list of param dicts (product order).
 
     The points are counted, floor((stop - start) / step) + 1 per axis, before
-    any is built; a grid of more than :data:`MAX_GRID_POINTS` is refused.
+    any is built; a grid of more than :data:`MAX_GRID_POINTS` is refused, and
+    so is an axis whose values, rounded to 10 decimals, repeat.
     """
     axes = []
     size = 1
@@ -232,19 +228,19 @@ def parse_grid(spec: str) -> list[dict]:
         if span >= MAX_GRID_POINTS:
             raise FalsiflowError(f"grid axis {part!r} has more than {MAX_GRID_POINTS} points")
         size *= max(0, math.floor(span) + 1)
-        axes.append((name.strip(), start, stop, step))
+        axes.append((part, name.strip(), start, stop, step, math.floor(span) + 2))
     if size > MAX_GRID_POINTS:
         raise FalsiflowError(f"grid {spec!r} has {size} points, more than {MAX_GRID_POINTS}")
     points: list[dict] = [{}]
-    for name, start, stop, step in axes:
+    for part, name, start, stop, step, cap in axes:
         values = []
-        k = 0
-        while True:
+        for k in range(cap):  # one more than counted, for the tolerance on stop
             v = round(start + k * step, 10)
             if v > stop + 1e-12:
                 break
             values.append(v)
-            k += 1
+        if len(set(values)) < len(values):
+            raise FalsiflowError(f"grid axis {part!r} repeats values at 10 decimals")
         points = [dict(pt, **{name: v}) for pt in points for v in values]
     return points if axes else []
 
@@ -252,8 +248,7 @@ def parse_grid(spec: str) -> list[dict]:
 def cmd_invert(args) -> int:
     spec = _check_spec(_read_json(args.model), args.model)
     points = parse_grid(args.grid)
-    numeric = args.stat == "tn-halflines"
-    data = load_data(args.data, numeric=numeric)
+    data = load_data(args.data)
     names = sorted({k for pt in points for k in pt})
     header = ",".join(names + ["pvalue", "accepted"])
     if not points:

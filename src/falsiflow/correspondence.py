@@ -10,12 +10,15 @@ brute-force maximizer of that deficiency is the falsification witness.
 from __future__ import annotations
 
 import itertools
+import numbers
+from collections import Counter
 from dataclasses import dataclass
 from typing import Hashable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .errors import EmptyImage, NotOrdered, SupportMismatch, SupportTooLarge, TooManySelections
+from .errors import (DuplicateLabel, EmptyImage, NotOrdered, SupportMismatch, SupportTooLarge,
+                     TooManySelections)
 from .measure import DENOMINATOR, FiniteDistribution, Label
 
 #: Guard on exhaustive subset enumeration.
@@ -91,7 +94,7 @@ class Correspondence:
     def extend_outcomes(self, extra: Sequence[Label]) -> "Correspondence":
         """Append outcome labels with empty preimage (capacity 0)."""
         known = set(self.outcome_support)
-        new = [y for y in extra if y not in known]
+        new = [y for y in dict.fromkeys(extra) if y not in known]
         if not new:
             return self
         return Correspondence(self.latent_support, self.outcome_support + tuple(new), self.image)
@@ -117,6 +120,10 @@ class Correspondence:
 
     @staticmethod
     def from_json(obj: dict) -> "Correspondence":
+        for key in ("latent", "outcomes"):
+            repeated = [y for y, count in Counter(obj[key]).items() if count > 1]
+            if repeated:
+                raise DuplicateLabel(f"correspondence {key!r} repeats the label {repeated[0]!r}")
         mapping = {u: obj["G"][u] for u in obj["latent"]}
         return Correspondence.from_map(mapping, outcome_support=obj["outcomes"])
 
@@ -143,13 +150,10 @@ def capacity_fp(g: Correspondence, nu: FiniteDistribution, a: int | Sequence[Lab
 
 
 def ascending(labels: Sequence[Label]) -> list[int]:
-    """Indices of ``labels`` from lowest to highest; NaN and mixed types have no order."""
-    if any(y != y for y in labels):
-        raise NotOrdered("half-line statistics need a totally ordered outcome support, not NaN")
-    try:
-        return sorted(range(len(labels)), key=lambda i: labels[i])
-    except TypeError as exc:
-        raise NotOrdered("half-line statistics need a totally ordered outcome support") from exc
+    """Indices of ``labels`` from lowest to highest; only real numbers other than NaN are ordered."""
+    if not all(isinstance(y, numbers.Real) and not isinstance(y, bool) and y == y for y in labels):
+        raise NotOrdered("half-line statistics need numeric outcome labels, not text or NaN")
+    return sorted(range(len(labels)), key=lambda i: labels[i])
 
 
 def max_halfline_deficiency_fp(

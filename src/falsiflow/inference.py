@@ -87,27 +87,17 @@ class TestReport:
         return "\n".join(lines) + "\n"
 
 
-def _extend(g: Correspondence, p: FiniteDistribution) -> tuple[Correspondence, FiniteDistribution]:
-    """Bring an empirical distribution onto the model's outcome support.
-
-    Observed labels outside the support are appended with empty preimage, so
-    their mass immediately counts against the model.
-    """
-    g = g.extend_outcomes(p.support)
-    return g, align(p, g.outcome_support)
-
-
 def statistic_tv_core(
     data: Sequence[Label], nu: FiniteDistribution, g: Correspondence
 ) -> TestReport:
     """Largest excess of the empirical distribution over the model capacity.
 
-    Zero exactly when the empirical distribution is achievable by the model.
+    Zero exactly when the empirical distribution is achievable by the model;
+    observed labels the model does not list count against it.
     """
     if not data:
         raise EmptyData("no observations")
-    g_ext, p_n = _extend(g, empirical(data))
-    result = solve_zero_one(p_n, nu, g_ext)
+    result = solve_zero_one(empirical(data), nu, g)
     return TestReport(
         statistic_name="tv-core",
         value=result.primal_value,
@@ -129,7 +119,8 @@ def statistic_tn_halflines(
     if not data:
         raise EmptyData("no observations")
     p = empirical(list(data))
-    g_ext, p_n = _extend(g_on_line, p)
+    g_ext = g_on_line.extend_outcomes(p.support)
+    p_n = align(p, g_ext.outcome_support)
     support = g_ext.outcome_support
     order = ascending(support)
     rank = {support[i]: k for k, i in enumerate(order)}
@@ -147,9 +138,7 @@ def statistic_semiparametric(data: Sequence[Label], model: SemiparametricModel) 
     """Dual moment-restriction statistic on the empirical distribution."""
     if not data:
         raise EmptyData("no observations")
-    p = empirical(data)
-    model = model.extend_outcomes(p.support)
-    cert = maximize_dual(model, align(p, model.correspondence.outcome_support))
+    cert = maximize_dual(model, empirical(data))
     return TestReport(
         statistic_name="semi",
         value=max(cert.T, 0.0),
@@ -181,12 +170,7 @@ def _recentered_replicates(kind, star_counts, base_counts, support, model, obser
     are certified by one batched LP (:func:`maximize_dual_batch`).
     """
     if kind == "semi":
-        model = model.extend_outcomes(support)
-        outcomes = model.correspondence.outcome_support
-        resamples = [
-            align(make_distribution(zip(support, row / observed.n)), outcomes)
-            for row in star_counts
-        ]
+        resamples = [make_distribution(zip(support, row / observed.n)) for row in star_counts]
         return [max(c.T, 0.0) - observed.value for c in maximize_dual_batch(model, resamples)]
     excess = star_counts - base_counts
     if kind == "tv-core":

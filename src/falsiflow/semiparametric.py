@@ -12,9 +12,11 @@ couplings pi with outcome marginal P and E_pi[m(U)] = 0.  That primal LP is
 solved once on HiGHS; the duals of its moment rows give the multiplier, and
 the closed-form objective above at that multiplier must reproduce the LP
 optimum, which certifies both.  T(P) = 0 certifies compatibility, a positive
-value falsifies the model.  :func:`dual_objective` is the closed form at any
-multiplier.  Moments that no latent distribution on the grid meets make every
-solve raise :class:`~falsiflow.errors.Infeasible` (infeasible primal).
+value falsifies the model.  An outcome of P the model does not list has an
+empty preimage, so its mass counts against the model.  :func:`dual_objective`
+is the closed form at any multiplier.  Moments that no latent distribution on
+the grid meets make every solve raise :class:`~falsiflow.errors.Infeasible`
+(infeasible primal).
 
 Only latent columns with distinct (image, moment column) pairs matter to the
 LP and to the closed form, so both run on the model's exactly merged columns
@@ -37,7 +39,7 @@ from scipy import sparse
 from . import lp
 from .correspondence import Correspondence
 from .errors import CertificateMismatch, Infeasible, LpFailure, SupportMismatch
-from .measure import FiniteDistribution, Label
+from .measure import FiniteDistribution, Label, align
 
 #: Dual values at or below this threshold are read as "compatible".
 COMPATIBILITY_THRESHOLD = 1e-6
@@ -158,8 +160,10 @@ def maximize_dual_batch(
 ) -> list[DualCertificate]:
     """Maximize the dual objective for each of k outcome distributions of one model.
 
-    The k primal LPs share their matrix and cost and differ only in the
-    outcome marginals, so they are solved on HiGHS as one block-diagonal LP
+    Labels of ``ps`` the model does not list are appended to its outcomes with
+    an empty preimage, and each distribution is aligned onto them.  The k
+    primal LPs share their matrix and cost and differ only in the outcome
+    marginals, so they are solved on HiGHS as one block-diagonal LP
     over the model's merged latent columns, split into chunks of at most
     :data:`lp.MAX_NONZEROS` nonzeros.  Each block's multiplier is read from
     the duals of its own moment rows.  The closed-form dual objective at that
@@ -169,11 +173,10 @@ def maximize_dual_batch(
     block.  Moments no latent distribution on the grid meets (infeasible
     primal, unbounded dual) raise :class:`Infeasible`.
     """
+    model = model.extend_outcomes([y for p in ps for y in p.support])
     g = model.correspondence
-    if any(p.support != g.outcome_support for p in ps):
-        raise SupportMismatch("p must live on the model's outcome support")
     n_y = len(g.outcome_support)
-    masses = np.array([p.masses for p in ps], dtype=float).reshape(len(ps), n_y)
+    masses = np.array([align(p, g.outcome_support).masses for p in ps]).reshape(len(ps), n_y)
     _, cost, moments = model.merged_columns
     chunk = max(1, lp.MAX_NONZEROS // (cost.size + n_y * np.count_nonzero(moments)))
     certificates = []

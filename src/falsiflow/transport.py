@@ -4,7 +4,9 @@ The parametric compatibility check reduces to a maximum flow on the bipartite
 network latent -> admissible outcomes with integer fixed-point capacities,
 solved by ``scipy.sparse.csgraph.maximum_flow`` (Dinic's algorithm), so the
 verdict is an exact integer comparison.  The min-cut side yields a dual
-witness set achieving P(A) - capacity(A) = 1 - maxflow.
+witness set achieving P(A) - capacity(A) = 1 - maxflow.  An outcome of P the
+correspondence does not list has an empty preimage, so its mass counts
+against the model.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from scipy.sparse.csgraph import breadth_first_order, maximum_flow
 
 from .correspondence import Correspondence, capacity_fp
 from .errors import CertificateMismatch, SupportMismatch
-from .measure import DENOMINATOR, FiniteDistribution, Label
+from .measure import DENOMINATOR, FiniteDistribution, Label, align
 
 
 @dataclass(frozen=True)
@@ -66,17 +68,19 @@ def solve_zero_one(
 ) -> TransportResult:
     """Minimal violation mass of any coupling of nu and p along the correspondence.
 
-    primal = 1 - maxflow, with the maximum flow from scipy's csgraph solver on
-    int32 fixed-point capacities.  The witness is the set of outcome nodes not
-    reachable from the source in the residual graph (empty when compatible);
-    every maximum flow leaves the same such set.  It satisfies
-    P(witness) - capacity(witness) = primal exactly in fixed point.  The plan is
-    the flow on the latent -> outcome arcs, listed latent-major.
+    Labels of ``p`` that ``g`` does not list are appended to its outcomes with
+    an empty preimage, and ``p`` is aligned onto them.  primal = 1 - maxflow,
+    with the maximum flow from scipy's csgraph solver on int32 fixed-point
+    capacities.  The witness is the set of outcome nodes not reachable from
+    the source in the residual graph (empty when compatible); every maximum
+    flow leaves the same such set.  It satisfies P(witness) - capacity(witness)
+    = primal exactly in fixed point.  The plan is the flow on the latent ->
+    outcome arcs, listed latent-major.
     """
-    if p.support != g.outcome_support:
-        raise SupportMismatch("p must live on the outcome support of the correspondence")
     if nu.support != g.latent_support:
         raise SupportMismatch("nu must live on the latent support of the correspondence")
+    g = g.extend_outcomes(p.support)
+    p = align(p, g.outcome_support)
     n_u, n_y = len(nu), len(p)
     source, sink = 0, 1 + n_u + n_y
     # latent-major, the order in which the plan is listed

@@ -1,8 +1,14 @@
 import json
+import os
+import resource
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
+import falsiflow
 from falsiflow import semiparametric, transport
 from falsiflow.cli import MAX_GRID_POINTS, main, parse_grid
 
@@ -233,6 +239,44 @@ def test_check_search_model_reads_numeric_labels(tmp_path, capsys):
     assert out["primal"] == 0.0
 
 
+def test_search_label_spelling_gives_one_verdict(tmp_path, capsys):
+    # "0.50" is the outcome 0.5 of the search model under every command
+    model = write_json(tmp_path, "search.json", SEARCH_SPEC)
+    runs = [["check"], ["test", "--stat", "tv-core"], ["test", "--stat", "tn-halflines"]]
+    for command in runs:
+        outputs = []
+        for text in ("0.5", "0.50"):
+            data = tmp_path / f"data-{text}.csv"
+            data.write_text(f"y\n{text}\n0.0\n")
+            argv = command[:1] + ["--model", model, "--data", str(data)] + command[1:]
+            assert main(argv + (["--B", "5"] if command[0] == "test" else [])) == 0
+            outputs.append(json.loads(capsys.readouterr().out))
+        assert outputs[0] == outputs[1]
+        assert outputs[0].get("primal", outputs[0].get("value")) == 0.0
+
+
+@pytest.mark.parametrize("command", ["check", "test"])
+@pytest.mark.parametrize("label, message", [("high", "'high'"), ("nan", "NaN")])
+def test_search_non_numeric_label_exit2(tmp_path, capsys, command, label, message):
+    model = write_json(tmp_path, "search.json", SEARCH_SPEC)
+    data = tmp_path / "data.csv"
+    data.write_text(f"y\n0.5\n{label}\n{label}\n")
+    assert main([command, "--model", model, "--data", str(data)]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["latent", "outcomes"])
+def test_custom_spec_repeated_label_exit2(tmp_path, capsys, key):
+    g = {"latent": ["u1", "u2"], "outcomes": ["a", "b"], "G": {"u1": ["a"], "u2": ["a", "b"]}}
+    g[key] = g[key] + g[key][-1:]
+    spec = write_json(tmp_path, "custom.json", {"model": "custom", "params": {
+        "correspondence": g,
+        "nu": {"support": ["u1", "u2"], "mass": [1, 1], "denominator": 2}}})
+    dist = write_json(tmp_path, "p.json", {"support": ["a"], "mass": [1], "denominator": 1})
+    assert main(["check", "--model", spec, "--dist", dist]) == 2
+    assert repr(g[key][-1]) in capsys.readouterr().err
+
+
 def test_test_tv_core_accepts_compatible_search_sample(tmp_path, capsys):
     model = write_json(tmp_path, "search.json", SEARCH_SPEC)
     data = tmp_path / "data.csv"
@@ -381,8 +425,8 @@ def test_halflines_on_unordered_outcomes_errors(entry_model, tmp_path, capsys):
     code = main(
         ["test", "--model", entry_model, "--data", str(data), "--stat", "tn-halflines"]
     )
-    # entry-game labels are tuple strings, which do order lexicographically,
-    # but the loader parses tn-halflines data as floats and fails loudly
+    # entry-game labels are tuple strings: text orders lexicographically, but
+    # half-lines are defined on numeric outcomes only, so this is an input error
     assert code == 2
 
 
@@ -468,6 +512,28 @@ def test_invert_grid_too_large_exit2(tmp_path, capsys, axis):
     assert code == 2
     assert peak < 10**6
     assert f"more than {MAX_GRID_POINTS}" in capsys.readouterr().err
+
+
+def test_invert_grid_axis_repeating_values_exit2(tmp_path):
+    # 1e17 + k * 1e-10 == 1e17: the axis repeats one value.  Run in a child
+    # process with a timeout and an address-space limit, so that a build loop
+    # that never ends fails the test instead of hanging it.
+    model = write_json(tmp_path, "pilot.json", {"model": "pilot", "params": {"eta": 0.5}})
+    data = tmp_path / "data.csv"
+    data.write_text("y\n(0,1)\n")
+    argv = ["invert", "--model", model, "--data", str(data), "--stat", "semi",
+            "--grid", "eta=1e17:1e17:1e-10"]
+    env = dict(os.environ, PYTHONPATH=str(Path(falsiflow.__file__).parent.parent))
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+    child = subprocess.run(
+        [sys.executable, "-c", f"import sys; from falsiflow.cli import main; sys.exit(main({argv!r}))"],
+        env=env, capture_output=True, text=True, timeout=60, preexec_fn=limit_memory,
+    )
+    assert child.returncode == 2
+    assert "repeats values" in child.stderr
 
 
 def test_parse_grid_at_the_guard():

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from falsiflow.correspondence import (
     Correspondence,
+    ascending,
     capacity,
     capacity_fp,
     core_deficiency_bruteforce,
@@ -14,7 +15,14 @@ from falsiflow.correspondence import (
     preimage,
     selection_minimax_check,
 )
-from falsiflow.errors import EmptyImage, SupportMismatch, SupportTooLarge, TooManySelections
+from falsiflow.errors import (
+    DuplicateLabel,
+    EmptyImage,
+    NotOrdered,
+    SupportMismatch,
+    SupportTooLarge,
+    TooManySelections,
+)
 from falsiflow.measure import DENOMINATOR, make_distribution
 from falsiflow.models import line_network_game
 
@@ -210,6 +218,26 @@ def test_label_lookups_agree_with_json_images():
     assert g.extend_outcomes(["(1,1)", "new"]).outcome_support == g.outcome_support + ("new",)
     with pytest.raises(ValueError):
         g.outcomes_of("nowhere")
+
+
+def test_extend_outcomes_appends_each_label_once():
+    g, _ = entry_regions()
+    h = g.extend_outcomes(["x", "x", "(1,1)", "y", "x"])
+    assert h.outcome_support == g.outcome_support + ("x", "y")
+
+
+@pytest.mark.parametrize("key", ["latent", "outcomes"])
+def test_from_json_rejects_repeated_label(key):
+    obj = {"latent": ["u1", "u2"], "outcomes": ["a", "b"], "G": {"u1": ["a"], "u2": ["b"]}}
+    obj[key] = obj[key] + obj[key][:1]
+    with pytest.raises(DuplicateLabel, match=repr(obj[key][0])):
+        Correspondence.from_json(obj)
+
+
+@pytest.mark.parametrize("labels", [["b", "a"], [0.5, "a"], [1.0, True]], ids=["text", "mixed", "bool"])
+def test_ascending_needs_numeric_labels(labels):
+    with pytest.raises(NotOrdered):
+        ascending(labels)
 
 
 @settings(max_examples=50)

@@ -286,8 +286,37 @@ def test_batch_rejects_one_perturbed_block(monkeypatch):
     assert len(calls) == 3
 
 
-def test_batch_of_none_and_support_check():
+def test_batch_of_none_and_unseen_outcome():
     model = binary_response_pilot(0.3)
     assert maximize_dual_batch(model, []) == []
-    with pytest.raises(SupportMismatch):
-        maximize_dual_batch(model, [make_distribution([("a", 1.0)])])
+    [cert] = maximize_dual_batch(model, [make_distribution([("a", 1.0)])])
+    assert cert.T == 1.0
+    assert list(cert.minimizer_map) == list(model.correspondence.outcome_support) + ["a"]
+
+
+def assert_same_certificate(cert, ref):
+    assert cert.T == ref.T
+    assert cert.lambda_star.tobytes() == ref.lambda_star.tobytes()
+    assert list(cert.minimizer_map.items()) == list(ref.minimizer_map.items())
+    assert cert.iterations == ref.iterations
+
+
+def test_any_labels_equal_explicit_extension():
+    """Distributions with shuffled, missing and unseen labels give what
+    extending the model over their union and aligning them first gives."""
+    rng = np.random.default_rng(33)
+    for eta in (0.2, 0.5, 0.8):
+        model = binary_response_pilot(eta)
+        ps = []
+        for _ in range(20):
+            labels = [y for y in model.correspondence.outcome_support if rng.random() < 0.7]
+            labels += [f"new{k}" for k in range(rng.integers(0 if labels else 1, 3))]
+            ps.append(make_distribution(zip(rng.permutation(np.array(labels, dtype=object)),
+                                            rng.dirichlet(np.ones(len(labels))))))
+        for p in ps:
+            ext = model.extend_outcomes(p.support)
+            assert_same_certificate(maximize_dual(model, p), maximize_dual(ext, aligned(ext, p)))
+        ext = model.extend_outcomes([y for p in ps for y in p.support])
+        for cert, ref in zip(maximize_dual_batch(model, ps),
+                             maximize_dual_batch(ext, [aligned(ext, p) for p in ps]), strict=True):
+            assert_same_certificate(cert, ref)

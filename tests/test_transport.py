@@ -4,7 +4,13 @@ from hypothesis import given, settings, strategies as st
 
 from falsiflow.correspondence import Correspondence, capacity_fp, core_deficiency_bruteforce
 from falsiflow.errors import SupportMismatch
-from falsiflow.measure import DENOMINATOR, FiniteDistribution, make_distribution, total_variation_fp
+from falsiflow.measure import (
+    DENOMINATOR,
+    FiniteDistribution,
+    align,
+    make_distribution,
+    total_variation_fp,
+)
 from falsiflow.models import line_network_game
 from falsiflow.transport import solve_zero_one
 
@@ -98,10 +104,28 @@ def test_plan_marginals_and_adjacency():
     assert sum(m for _, _, m in res.plan) == DENOMINATOR - res.primal_fp
 
 
-def test_support_mismatch():
+def test_unseen_outcome_counts_against_model():
     g, nu = entry_instance()
+    res = solve_zero_one(make_distribution([("x", 1.0)]), nu, g)
+    assert res.primal_value == 1.0
+    assert res.witness == ("x",)
+    assert res.plan == ()
     with pytest.raises(SupportMismatch):
-        solve_zero_one(make_distribution([("x", 1.0)]), nu, g)
+        solve_zero_one(make_distribution([("x", 1.0)]), make_distribution([("v", 1.0)]), g)
+
+
+def test_any_labels_equal_explicit_extension():
+    """P with shuffled, missing and unseen labels gives what extending the
+    correspondence and aligning P first gives."""
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        g, nu, _ = random_instance(rng, rng.integers(1, 8), rng.integers(1, 8))
+        labels = [y for y in g.outcome_support if rng.random() < 0.7]
+        labels += [f"new{k}" for k in range(rng.integers(0 if labels else 1, 3))]
+        p = fixed_point(rng.permutation(np.array(labels, dtype=object)),
+                        rng.integers(1, 1000, size=len(labels)))
+        g_ext = g.extend_outcomes(p.support)
+        assert solve_zero_one(p, nu, g) == solve_zero_one(align(p, g_ext.outcome_support), nu, g_ext)
 
 
 def test_witness_certifies_dual():
