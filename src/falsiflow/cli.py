@@ -12,6 +12,7 @@ import json
 import math
 import numbers
 import sys
+from json.encoder import encode_basestring_ascii as quote
 
 import numpy as np
 
@@ -117,7 +118,23 @@ def write_output(text: str, out: str | None):
 
 
 def render_json(obj: dict) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """``json.dumps(obj, sort_keys=True, indent=2) + "\\n"``.
+
+    The rows of a top-level "plan", which ``TransportResult.to_json`` makes
+    ``[str, str, int]``, are formatted here in that layout: ``indent`` selects
+    json's pure-Python encoder, which spent most of a large check on them.
+    """
+    plan = obj.get("plan")
+    if not plan:
+        return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    text = json.dumps(dict(obj, plan=[]), sort_keys=True, indent=2) + "\n"
+    # the only line that starts so: strings hold no raw newline, nested keys sit deeper
+    head, _, tail = text.partition('\n  "plan": []')
+    rows = ",\n".join(
+        f"    [\n      {quote(u)},\n      {quote(y)},\n      {int.__repr__(m)}\n    ]"
+        for u, y, m in plan
+    )
+    return f'{head}\n  "plan": [\n{rows}\n  ]{tail}'
 
 
 # ---------------------------------------------------------------------------

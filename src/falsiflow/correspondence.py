@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import (DuplicateLabel, EmptyImage, NotOrdered, SupportMismatch, SupportTooLarge,
                      TooManySelections)
-from .measure import DENOMINATOR, FiniteDistribution, Label
+from .measure import DENOMINATOR, FiniteDistribution, Label, align, json_labels
 
 #: Guard on exhaustive subset enumeration.
 BRUTEFORCE_MAX_OUTCOMES = 20
@@ -121,10 +121,14 @@ class Correspondence:
     @staticmethod
     def from_json(obj: dict) -> "Correspondence":
         for key in ("latent", "outcomes"):
-            repeated = [y for y, count in Counter(obj[key]).items() if count > 1]
+            labels = json_labels(obj[key], f"correspondence {key!r}")
+            repeated = [y for y, count in Counter(labels).items() if count > 1]
             if repeated:
                 raise DuplicateLabel(f"correspondence {key!r} repeats the label {repeated[0]!r}")
-        mapping = {u: obj["G"][u] for u in obj["latent"]}
+        images = obj["G"]
+        if not isinstance(images, dict):
+            raise SupportMismatch("correspondence 'G' must map each latent label to a list of outcomes")
+        mapping = {u: json_labels(images[u], "correspondence 'G'") for u in obj["latent"]}
         return Correspondence.from_map(mapping, outcome_support=obj["outcomes"])
 
 
@@ -162,9 +166,10 @@ def max_halfline_deficiency_fp(
 ) -> tuple[int, tuple[Label, ...], bool]:
     """First maximum of the fixed-point P(A) - capacity(A) over half-line classes.
 
-    ``p`` lives on the outcome support and ``order`` lists the outcome indices
-    from lowest to highest.  Lower cut k is the class of the k lowest
-    outcomes, upper cut k the class of the others; candidates run
+    ``p`` is aligned onto the outcome support (a label of ``p`` the support
+    does not list raises :class:`SupportMismatch`), and ``order`` lists the
+    outcome indices from lowest to highest.  Lower cut k is the class of the
+    k lowest outcomes, upper cut k the class of the others; candidates run
     lower_cuts[0], upper_cuts[0], lower_cuts[1], ... and ties go to the first.
     Returns the maximum, its class in support order and whether it is upper.
     P and the capacity of every class are prefix sums in exact int64: an image
@@ -173,6 +178,7 @@ def max_halfline_deficiency_fp(
     """
     if nu.support != g.latent_support:
         raise SupportMismatch("nu must live on the latent support of the correspondence")
+    p = align(p, g.outcome_support)
     n_y = len(g.outcome_support)
     order = np.asarray(order, dtype=np.intp)
     ranked = g.adjacency_matrix()[order]

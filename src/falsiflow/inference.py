@@ -34,7 +34,6 @@ from .measure import (
     DENOMINATOR,
     FiniteDistribution,
     Label,
-    align,
     empirical,
     make_distribution,
 )
@@ -120,12 +119,11 @@ def statistic_tn_halflines(
         raise EmptyData("no observations")
     p = empirical(list(data))
     g_ext = g_on_line.extend_outcomes(p.support)
-    p_n = align(p, g_ext.outcome_support)
     support = g_ext.outcome_support
     order = ascending(support)
     rank = {support[i]: k for k, i in enumerate(order)}
     cuts = np.array(sorted(rank[y] for y in p.support)) + 1
-    value_fp, witness, _ = max_halfline_deficiency_fp(g_ext, nu, p_n, order, cuts, cuts)
+    value_fp, witness, _ = max_halfline_deficiency_fp(g_ext, nu, p, order, cuts, cuts)
     return TestReport(
         statistic_name="tn-halflines",
         value=value_fp / DENOMINATOR,

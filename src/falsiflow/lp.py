@@ -4,23 +4,48 @@ semiparametric statistic.
 A program is  min c'x  s.t.  A x = b,  x >= 0,  with A a ``scipy.sparse``
 matrix, solved by the dual simplex method of HiGHS through the bindings scipy
 ships, ``scipy.optimize._highspy._core``: the one private scipy module
-``src/`` imports, and only here.  Every optimal return is verified for
-primal feasibility, dual feasibility, complementary slackness and strong
-duality at 1e-9 before being handed back.
+``src/`` imports, and only here.  It is loaded from its file, because
+importing it by name runs the ``scipy.optimize`` package init, which costs
+every start-up about 0.3 s and of which nothing here is used.  Every optimal
+return is verified for primal feasibility, dual feasibility, complementary
+slackness and strong duality at 1e-9 before being handed back.
 """
 
 from __future__ import annotations
 
 import enum
+import importlib.machinery
+import importlib.util
+import sys
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
-# by its full path: ``from scipy.optimize._highspy import _core`` adds about
-# 0.1 s to every start-up under scipy 1.17 (``python -X importtime``)
-import scipy.optimize._highspy._core as highs
+import scipy
 from scipy import sparse
 
 from .errors import DimensionMismatch, IterationLimit, LpFailure
+
+
+def _load_highs():
+    """scipy's HiGHS bindings, registered under their own name, so that a
+    later ``import scipy.optimize`` in the process gets this module object;
+    the one already imported, if ``scipy.optimize`` came first."""
+    name = "scipy.optimize._highspy._core"
+    if name in sys.modules:
+        return sys.modules[name]
+    suffix = importlib.machinery.EXTENSION_SUFFIXES[0]
+    path = Path(scipy.__file__).parent / "optimize" / "_highspy" / f"_core{suffix}"
+    if not path.is_file():
+        raise ImportError(f"scipy's HiGHS bindings are not at {path}", name=name, path=str(path))
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+highs = _load_highs()
 
 #: Feasibility / duality-gap tolerance on verified optimal returns.
 TOLERANCE = 1e-9

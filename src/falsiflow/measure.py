@@ -93,17 +93,23 @@ class FiniteDistribution:
         for m in masses:
             if isinstance(m, bool) or not isinstance(m, (int, float)):
                 raise BadMass(f"mass {m!r} is not a number")
-        support = obj["support"]
-        if not isinstance(support, list):
-            raise SupportMismatch(f"support {support!r} must be a list of labels")
-        for y in support:
-            if isinstance(y, bool) or not isinstance(y, (str, int, float)):
-                raise SupportMismatch(f"support label {y!r} is not a string or number")
+        support = json_labels(obj["support"], "support")
         if denom == DENOMINATOR:
             return FiniteDistribution(tuple(support), tuple(int(m) for m in masses))
         if len(support) != len(masses):
             raise SupportMismatch("support and mass lists differ in length")
         return make_distribution(zip(support, (m / denom for m in masses)))
+
+
+def json_labels(labels, where: str) -> list:
+    """``labels`` read from a JSON file, checked to be a list of strings and numbers;
+    ``where`` names the list in the error."""
+    if not isinstance(labels, list):
+        raise SupportMismatch(f"{where} {labels!r} must be a list of labels")
+    for y in labels:
+        if isinstance(y, bool) or not isinstance(y, (str, int, float)):
+            raise SupportMismatch(f"{where} label {y!r} is not a string or number")
+    return labels
 
 
 def _round_preserving_sum(values: Sequence[float]) -> list[int]:

@@ -7,10 +7,11 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 import falsiflow
 from falsiflow import semiparametric, transport
-from falsiflow.cli import MAX_GRID_POINTS, main, parse_grid
+from falsiflow.cli import MAX_GRID_POINTS, main, parse_grid, render_json
 
 
 ENTRY_SPEC = {"model": "entry_game", "params": {"delta1": -1.0, "delta2": -1.0}}
@@ -75,6 +76,25 @@ def test_check_entry_game_golden_bytes(entry_model, tmp_path, dist, code, report
     assert main(["check", "--model", entry_model, "--dist", write_json(tmp_path, "p.json", dist),
                  "--out", str(out)]) == code
     assert out.read_text() == json.dumps(report, sort_keys=True, indent=2) + "\n"
+
+
+# labels with quotes, backslashes, control characters and non-ASCII text, and any text
+LABELS = st.text(alphabet='"\\/\n\t\x00\x1f\x7fa é€😀') | st.text()
+
+
+@given(
+    plan=st.lists(st.tuples(LABELS, LABELS, st.integers()), max_size=4),
+    witness=st.lists(LABELS, max_size=3),
+    compatible=st.booleans(),
+)
+@example(plan=[], witness=[], compatible=True)
+@example(plan=[("u", "y", 10**9)], witness=['\n  "plan": []'], compatible=False)
+def test_render_json_matches_json_dumps(plan, witness, compatible):
+    obj = {"primal": 0.25, "dual": 0.25, "compatible": compatible, "witness": witness,
+           "plan": [list(row) for row in plan]}
+    if not compatible:
+        obj.update(witness_probability=0.5, witness_capacity=0.25)
+    assert render_json(obj) == json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
 def test_check_incompatible_exit1(entry_model, tmp_path, capsys):
@@ -275,6 +295,19 @@ def test_custom_spec_repeated_label_exit2(tmp_path, capsys, key):
     dist = write_json(tmp_path, "p.json", {"support": ["a"], "mass": [1], "denominator": 1})
     assert main(["check", "--model", spec, "--dist", dist]) == 2
     assert repr(g[key][-1]) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("where", ["latent", "outcomes", "G"])
+def test_custom_spec_unhashable_label_exit2(tmp_path, capsys, where):
+    g = {"latent": ["u1", "u2"], "outcomes": ["a", "b"], "G": {"u1": ["a"], "u2": ["a", "b"]}}
+    labels = g["G"]["u2"] if where == "G" else g[where]
+    labels[1] = [labels[1]]
+    spec = write_json(tmp_path, "custom.json", {"model": "custom", "params": {
+        "correspondence": g,
+        "nu": {"support": ["u1", "u2"], "mass": [1, 1], "denominator": 2}}})
+    dist = write_json(tmp_path, "p.json", {"support": ["a"], "mass": [1], "denominator": 1})
+    assert main(["check", "--model", spec, "--dist", dist]) == 2
+    assert repr(labels[1]) in capsys.readouterr().err
 
 
 def test_test_tv_core_accepts_compatible_search_sample(tmp_path, capsys):

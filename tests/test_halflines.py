@@ -16,7 +16,7 @@ import pytest
 from falsiflow import correspondence, inference, models
 from falsiflow.cli import main
 from falsiflow.correspondence import Correspondence, capacity_fp, max_halfline_deficiency_fp
-from falsiflow.errors import NotMonotone, NotOrdered
+from falsiflow.errors import NotMonotone, NotOrdered, SupportMismatch
 from falsiflow.inference import bootstrap_pvalue, statistic_tn_halflines, statistic_tv_core
 from falsiflow.measure import DENOMINATOR, FiniteDistribution, align, empirical, make_distribution
 from falsiflow.models import interval_deficiency, search_game
@@ -266,6 +266,17 @@ def test_interval_deficiency_needs_ordered_outcomes(outcomes):
     p = make_distribution([(outcomes[0], 0.5), (outcomes[-1], 0.5)])
     with pytest.raises(NotOrdered):
         interval_deficiency(g, nu, align(p, g.outcome_support))
+
+
+def test_interval_deficiency_aligns_p_onto_the_outcomes():
+    # P listed off the model's outcome order (0.0, 0.5, 0.8) gets the same answer
+    nu = make_distribution([("e1", 0.5), ("e2", 0.5)])
+    g, nu = search_game([("e1", 0.5), ("e2", 0.8)], nu)
+    listed = FiniteDistribution((0.8, 0.5, 0.0), (900000000, 0, 100000000))
+    assert interval_deficiency(g, nu, listed) == (400000000, (0.8,), "upper")
+    assert interval_deficiency(g, nu, align(listed, g.outcome_support)) == (400000000, (0.8,), "upper")
+    with pytest.raises(SupportMismatch, match="0.3"):
+        interval_deficiency(g, nu, FiniteDistribution((0.8, 0.3), (DENOMINATOR - 1, 1)))
 
 
 @pytest.mark.parametrize("alpha", [[0.2, float("nan")], [float("nan"), 0.5], [float("nan")]])

@@ -1,8 +1,15 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy import sparse
 from scipy.optimize import linprog
 
+import falsiflow
 from falsiflow import lp, semiparametric
 from falsiflow.errors import DimensionMismatch, LpFailure
 from falsiflow.measure import align, make_distribution
@@ -222,3 +229,60 @@ def test_reproducible():
     b = lp.solve(prog)
     assert np.array_equal(a.x, b.x)
     assert a.objective == b.objective
+
+
+# --- start-up: the HiGHS bindings without the scipy.optimize package --------
+
+CORE = "scipy.optimize._highspy._core"
+
+
+def _python(code: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter that imports falsiflow from this tree."""
+    env = dict(os.environ, PYTHONPATH=str(Path(falsiflow.__file__).parent.parent))
+    return subprocess.run([sys.executable, "-c", textwrap.dedent(code)],
+                          env=env, capture_output=True, text=True, timeout=120)
+
+
+def test_cli_import_runs_no_scipy_optimize_init():
+    child = _python("""
+        import sys
+        import falsiflow.cli
+        print(*sorted(k for k in sys.modules if k.startswith("scipy.optimize")))
+    """)
+    assert child.returncode == 0, child.stderr
+    loaded = child.stdout.split()
+    # the extension registers its own submodules (``cb``, ``simplex_constants``)
+    assert CORE in loaded
+    assert all(k == CORE or k.startswith(CORE + ".") for k in loaded), loaded
+
+
+@pytest.mark.parametrize("first", ["falsiflow", "scipy.optimize"])
+def test_scipy_optimize_shares_the_bindings(first):
+    imports = ["from falsiflow import lp", "from scipy.optimize import linprog"]
+    if first == "scipy.optimize":
+        imports.reverse()
+    child = _python(f"""
+        {imports[0]}
+        {imports[1]}
+        import sys
+        import numpy as np
+        import {CORE} as core
+        assert core is lp.highs is sys.modules["{CORE}"]
+        c, a, b = [1.0, 2.0, 0.5, 0.0], [[1.0, 1.0, 1.0, 0.0], [2.0, 0.0, 1.0, -1.0]], [1.0, 0.7]
+        ref = linprog(c, A_eq=a, b_eq=b, bounds=(0, None), method="highs")
+        sol = lp.solve(lp.LinearProgram(c=c, a=a, b=b))
+        assert ref.status == 0 and sol.status is lp.Status.OPTIMAL
+        assert np.array_equal(ref.x, sol.x) and ref.fun == sol.objective, (ref.x, sol.x)
+    """)
+    assert child.returncode == 0, child.stderr
+
+
+def test_missing_bindings_name_the_path():
+    child = _python("""
+        import importlib.machinery
+        importlib.machinery.EXTENSION_SUFFIXES.insert(0, ".moved.so")
+        import falsiflow.lp
+    """)
+    assert child.returncode == 1
+    assert "ImportError: scipy's HiGHS bindings are not at " in child.stderr
+    assert "_highspy/_core.moved.so" in child.stderr.replace(os.sep, "/")
