@@ -11,6 +11,7 @@ import argparse
 import json
 import math
 import numbers
+import reprlib
 import sys
 from json.encoder import encode_basestring_ascii as quote
 
@@ -25,7 +26,7 @@ from .inference import (
     statistic_tn_halflines,
     statistic_tv_core,
 )
-from .measure import FiniteDistribution, empirical
+from .measure import FiniteDistribution, empirical, json_labels
 from .semiparametric import SemiparametricModel, maximize_dual
 from .transport import solve_zero_one
 
@@ -60,34 +61,70 @@ def _check_spec(spec, origin: str) -> dict:
     return spec
 
 
+def _real(v) -> bool:
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
+def _reals(v) -> bool:
+    return isinstance(v, list) and all(map(_real, v))
+
+
+def _alpha_table(v) -> bool:
+    return isinstance(v, list) and all(
+        isinstance(row, list) and len(row) == 2 and _real(row[1]) for row in v
+    )
+
+
+def _count(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool) and v >= 1
+
+
+_REQUIRED = object()
+
+
 def build_model(spec: dict, origin: str = "<spec>"):
     kind = _check_spec(spec, origin).get("model")
     params = spec.get("params", {})
+
+    def field(key: str, ok, what: str, default=_REQUIRED):
+        """``params[key]``, or ``default`` when given and the key is absent,
+        checked by ``ok`` at the file's boundary."""
+        value = params[key] if default is _REQUIRED else params.get(key, default)
+        if not ok(value):
+            raise FalsiflowError(f"{origin}: field {key!r} of model {kind!r} must be {what}, "
+                                 f"not {reprlib.repr(value)}")
+        return value
+
     try:
         if kind == "line_network":
-            return models.line_network_game(params["masses"])
+            return models.line_network_game(field("masses", _reals, "a list of numbers"))
         if kind == "entry_game":
             return models.entry_game(
-                params["delta1"], params["delta2"], resolution=params.get("resolution", 40)
+                field("delta1", _real, "a number"), field("delta2", _real, "a number"),
+                resolution=field("resolution", _count, "a positive integer", 40),
             )
         if kind == "search":
             nu = FiniteDistribution.from_json(params["nu"])
-            alpha = [(lab, val) for lab, val in params["alpha"]]
-            return models.search_game(alpha, nu)
+            alpha = field("alpha", _alpha_table, "a list of [latent label, number] pairs")
+            return models.search_game([(lab, val) for lab, val in alpha], nu)
         if kind == "pilot":
             return models.binary_response_pilot(
-                params["eta"],
-                epsilon_grid=params.get("epsilon_grid"),
+                field("eta", _real, "a number"),
+                epsilon_grid=field("epsilon_grid", lambda v: v is None or _reals(v),
+                                   "a list of numbers", None),
             )
         if kind == "moment_inequality":
             return models.moment_inequality_model(
-                params["outcomes"], params["phi"], params["grid"]
+                json_labels(params["outcomes"], "moment_inequality 'outcomes'"),
+                params["phi"], params["grid"],
             )
         if kind == "example4":
-            model, _ = models.example4_instance(params["M"])
+            model, _ = models.example4_instance(field("M", _real, "a number"))
             return model
         if kind == "custom":
-            g = Correspondence.from_json(params["correspondence"])
+            g = Correspondence.from_json(
+                field("correspondence", lambda v: isinstance(v, dict), "a JSON object")
+            )
             if "moments" in params:
                 return SemiparametricModel(g, params["moments"])
             return g, FiniteDistribution.from_json(params["nu"])

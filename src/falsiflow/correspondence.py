@@ -128,6 +128,12 @@ class Correspondence:
         images = obj["G"]
         if not isinstance(images, dict):
             raise SupportMismatch("correspondence 'G' must map each latent label to a list of outcomes")
+        for u in obj["latent"]:
+            if u not in images:
+                why = "" if isinstance(u, str) else (
+                    "; JSON object keys are text, so 'G' cannot key a numeric label")
+                raise SupportMismatch(
+                    f"correspondence 'G' has no entry for the latent label {u!r}{why}")
         mapping = {u: json_labels(images[u], "correspondence 'G'") for u in obj["latent"]}
         return Correspondence.from_map(mapping, outcome_support=obj["outcomes"])
 

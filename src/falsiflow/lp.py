@@ -1,14 +1,17 @@
 """Sparse equality-form linear programs: the primal oracle of the
 semiparametric statistic.
 
-A program is  min c'x  s.t.  A x = b,  x >= 0,  with A a ``scipy.sparse``
-matrix, solved by the dual simplex method of HiGHS through the bindings scipy
-ships, ``scipy.optimize._highspy._core``: the one private scipy module
-``src/`` imports, and only here.  It is loaded from its file, because
-importing it by name runs the ``scipy.optimize`` package init, which costs
-every start-up about 0.3 s and of which nothing here is used.  Every optimal
-return is verified for primal feasibility, dual feasibility, complementary
-slackness and strong duality at 1e-9 before being handed back.
+A program is  min c'x  s.t.  A x = b,  x >= 0,  with A held as a
+:class:`CscMatrix`, the three compressed-column arrays HiGHS reads.  It is
+solved by the dual simplex method of HiGHS through the bindings scipy ships,
+``scipy.optimize._highspy._core``: the one private scipy module ``src/``
+imports, and only here.  It is loaded from its file, because importing it by
+name runs the ``scipy.optimize`` package init, which costs every start-up
+about 0.3 s and of which nothing here is used.  Nothing here imports
+``scipy.sparse`` either (about 0.2 s more): a scipy sparse matrix handed in is
+read through its own methods.  Every optimal return is verified for primal
+feasibility, dual feasibility, complementary slackness and strong duality at
+1e-9, with numpy, before being handed back.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from pathlib import Path
 
 import numpy as np
 import scipy
-from scipy import sparse
 
 from .errors import DimensionMismatch, IterationLimit, LpFailure
 
@@ -69,24 +71,73 @@ class Status(enum.Enum):
     UNBOUNDED = "unbounded"
 
 
+@dataclass(frozen=True, eq=False)
+class CscMatrix:
+    """A sparse matrix in compressed sparse column form, without explicit
+    zeros and with the row indices of each column ascending: column j holds
+    the values ``data[indptr[j]:indptr[j + 1]]`` in the rows
+    ``indices[indptr[j]:indptr[j + 1]]``."""
+
+    data: np.ndarray     # float64
+    indices: np.ndarray  # int32 row indices
+    indptr: np.ndarray   # int32 column starts, shape[1] + 1 of them
+    shape: tuple[int, int]
+
+    @property
+    def size(self) -> int:
+        """The number of stored entries."""
+        return self.data.size
+
+    def _columns(self) -> np.ndarray:
+        return np.repeat(np.arange(self.shape[1]), np.diff(self.indptr))
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        """A x, summed entry by entry in storage order."""
+        return np.bincount(self.indices, self.data * x[self._columns()], minlength=self.shape[0])
+
+    def rmatvec(self, y: np.ndarray) -> np.ndarray:
+        """A'y, summed entry by entry in storage order."""
+        return np.bincount(self._columns(), self.data * y[self.indices], minlength=self.shape[1])
+
+
+def _as_csc(a) -> CscMatrix:
+    """``a`` as a :class:`CscMatrix`: a dense array-like, or a scipy sparse
+    matrix, which is read through its own ``tocsc`` on a copy and so left as
+    it was.  Duplicate entries are summed and zeros dropped."""
+    if hasattr(a, "tocsc"):
+        m = a.tocsc(copy=True)
+        m.sum_duplicates()  # also sorts the row indices
+        m.eliminate_zeros()
+        data, indices, indptr, shape = m.data, m.indices, m.indptr, m.shape
+    else:
+        dense = np.asarray(a, dtype=float)
+        if dense.ndim != 2:
+            raise DimensionMismatch(f"constraint matrix has {dense.ndim} dimensions, expected 2")
+        col, indices = np.nonzero(dense.T)  # column by column, rows ascending
+        data, shape = dense[indices, col], dense.shape
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(col, minlength=shape[1]))])
+    return CscMatrix(
+        np.asarray(data, dtype=float), np.asarray(indices, dtype=np.int32),
+        np.asarray(indptr, dtype=np.int32), tuple(shape),
+    )
+
+
 @dataclass(frozen=True)
 class LinearProgram:
     """min c'x  s.t.  a x = b,  x >= 0.
 
-    ``a`` may be dense or sparse; it is held as a CSC array without explicit
-    zeros, the matrix HiGHS receives.
+    ``a`` may be a :class:`CscMatrix`, which is taken as it is, or anything
+    :func:`_as_csc` reads.
     """
 
     c: np.ndarray
-    a: sparse.csc_array
+    a: CscMatrix
     b: np.ndarray
 
     def __post_init__(self):
         c = np.atleast_1d(np.asarray(self.c, dtype=float))
         b = np.atleast_1d(np.asarray(self.b, dtype=float))
-        a = sparse.csc_array(self.a, dtype=float, copy=True)
-        a.eliminate_zeros()
-        a.sort_indices()
+        a = self.a if isinstance(self.a, CscMatrix) else _as_csc(self.a)
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
@@ -94,9 +145,9 @@ class LinearProgram:
             raise DimensionMismatch(f"constraint matrix is {a.shape}, expected {(b.size, c.size)}")
         if not (np.isfinite(c).all() and np.isfinite(a.data).all() and np.isfinite(b).all()):
             raise DimensionMismatch("all problem entries must be finite")
-        if a.nnz > MAX_NONZEROS:
+        if a.size > MAX_NONZEROS:
             raise DimensionMismatch(
-                f"constraint matrix has {a.nnz} nonzeros, above the guard of {MAX_NONZEROS}"
+                f"constraint matrix has {a.size} nonzeros, above the guard of {MAX_NONZEROS}"
             )
 
 
@@ -152,12 +203,12 @@ def _verify(program: LinearProgram, x: np.ndarray, duals: np.ndarray):
     scale = 1.0 + max(np.abs(b).max(initial=0.0), np.abs(x).max(initial=0.0))
     if (x < -TOLERANCE * scale).any():
         raise LpFailure("primal solution violates x >= 0")
-    resid = a @ x - b
+    resid = a.matvec(x) - b
     bad = np.flatnonzero(np.abs(resid) > TOLERANCE * scale)
     if bad.size:
         raise LpFailure(f"primal residual {resid[bad[0]]:.3e} on row {bad[0]}")
     # reduced costs: z = c - a' y must be >= 0 (variables bounded below by 0)
-    z = c - a.T @ duals
+    z = c - a.rmatvec(duals)
     if (z < -TOLERANCE * (1.0 + np.abs(c).max(initial=0.0))).any():
         raise LpFailure("dual infeasibility in returned multipliers")
     dual_obj = float(duals @ b)

@@ -84,6 +84,11 @@ class FiniteDistribution:
 
     @staticmethod
     def from_json(obj: dict) -> "FiniteDistribution":
+        if not isinstance(obj, dict):
+            raise SupportMismatch(
+                f"a distribution must be a JSON object with 'support' and 'mass', "
+                f"not a {type(obj).__name__}"
+            )
         denom = obj.get("denominator", DENOMINATOR)
         if isinstance(denom, bool) or not isinstance(denom, (int, float)) or not 0 < denom < math.inf:
             raise BadDenominator(f"denominator {denom!r} must be a positive finite number")

@@ -34,7 +34,6 @@ from functools import cached_property
 from typing import Sequence
 
 import numpy as np
-from scipy import sparse
 
 from . import lp
 from .correspondence import Correspondence
@@ -227,9 +226,9 @@ def _solve_primal(
     groups = np.arange(k * n_y)[:, None]  # (block, outcome) pairs, block-major
     rows = np.where(row == 0, groups % n_y, n_y - 1 + row) + groups // n_y * (n_y + d)
     indptr = np.concatenate([[0], np.cumsum(np.tile(np.bincount(col, minlength=n_c), k * n_y))])
-    a = sparse.csc_array(
-        (np.tile(template[row, col], k * n_y), rows.ravel(), indptr),
-        shape=(k * (n_y + d), k * n_y * n_c),
+    a = lp.CscMatrix(
+        np.tile(template[row, col], k * n_y), rows.ravel().astype(np.int32),
+        indptr.astype(np.int32), (k * (n_y + d), k * n_y * n_c),
     )
     b = np.hstack([masses, np.zeros((k, d))]).ravel()
     program = lp.LinearProgram(c=np.tile(cost.ravel(), k), a=a, b=b)

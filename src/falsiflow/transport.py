@@ -7,6 +7,11 @@ verdict is an exact integer comparison.  The min-cut side yields a dual
 witness set achieving P(A) - capacity(A) = 1 - maxflow.  An outcome of P the
 correspondence does not list has an empty preimage, so its mass counts
 against the model.
+
+csgraph is imported inside :func:`solve_zero_one`, not with this module: it
+and ``scipy.sparse`` cost a start-up about 0.35 s, which the commands that
+run no max flow (the half-line and semiparametric tests, ``simulate``) need
+not pay.
 """
 
 from __future__ import annotations
@@ -14,8 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import breadth_first_order, maximum_flow
 
 from .correspondence import Correspondence, capacity_fp
 from .errors import CertificateMismatch, SupportMismatch
@@ -77,6 +80,10 @@ def solve_zero_one(
     = primal exactly in fixed point.  The plan is the flow on the latent ->
     outcome arcs, listed latent-major.
     """
+    # imported here, so that commands that run no max flow never load scipy.sparse
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import breadth_first_order, maximum_flow
+
     if nu.support != g.latent_support:
         raise SupportMismatch("nu must live on the latent support of the correspondence")
     g = g.extend_outcomes(p.support)

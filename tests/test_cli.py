@@ -310,6 +310,81 @@ def test_custom_spec_unhashable_label_exit2(tmp_path, capsys, where):
     assert repr(labels[1]) in capsys.readouterr().err
 
 
+CUSTOM_G = {"latent": ["u1", "u2"], "outcomes": ["a", "b"], "G": {"u1": ["a"], "u2": ["a", "b"]}}
+HALVES = {"support": ["u1", "u2"], "mass": [1, 1], "denominator": 2}
+
+
+@pytest.mark.parametrize("kind, key, value", [
+    ("custom", "correspondence", []),
+    ("custom", "correspondence", "G"),
+    ("entry_game", "delta1", "a"),
+    ("entry_game", "delta2", True),
+    ("entry_game", "resolution", 0),
+    ("entry_game", "resolution", 2.5),
+    ("pilot", "eta", "0.5"),
+    ("pilot", "eta", [0.5]),
+    ("pilot", "epsilon_grid", 5),
+    ("pilot", "epsilon_grid", [-1.5, "0.5"]),
+    ("search", "alpha", 5),
+    ("search", "alpha", [0.5]),
+    ("search", "alpha", [["u1", {}], ["u2", 0.8]]),
+    ("line_network", "masses", 4),
+    ("example4", "M", "2"),
+])
+def test_spec_field_of_wrong_type_exit2(kind, key, value, tmp_path, capsys):
+    params = {
+        "custom": {"correspondence": CUSTOM_G, "nu": HALVES},
+        "entry_game": {"delta1": -1.0, "delta2": -1.0},
+        "pilot": {"eta": 0.5},
+        "search": {"nu": HALVES, "alpha": [["u1", 0.5], ["u2", 0.8]]},
+        "line_network": {"masses": [0.25, 0.25, 0.25, 0.25]},
+        "example4": {"M": 2},
+    }[kind]
+    spec = write_json(tmp_path, "spec.json", {"model": kind, "params": dict(params, **{key: value})})
+    dist = write_json(tmp_path, "p.json", {"support": ["a"], "mass": [1], "denominator": 1})
+    assert main(["check", "--model", spec, "--dist", dist]) == 2
+    err = capsys.readouterr().err
+    assert f"spec.json: field {key!r} of model {kind!r} must be " in err
+
+
+@pytest.mark.parametrize("where", ["dist", "search-nu", "custom-nu", "mi-outcomes"])
+def test_distribution_or_labels_of_wrong_type_exit2(where, tmp_path, capsys):
+    spec = {
+        "dist": {"model": "custom", "params": {"correspondence": CUSTOM_G, "nu": HALVES}},
+        "search-nu": {"model": "search", "params": {"nu": [1], "alpha": [["u1", 0.5]]}},
+        "custom-nu": {"model": "custom", "params": {"correspondence": CUSTOM_G, "nu": [1]}},
+        "mi-outcomes": {"model": "moment_inequality",
+                        "params": {"outcomes": 2, "phi": [[0.0], [1.0]], "grid": [[1.0]]}},
+    }[where]
+    model = write_json(tmp_path, "spec.json", spec)
+    p = [1] if where == "dist" else {"support": ["a"], "mass": [1], "denominator": 1}
+    dist = write_json(tmp_path, "p.json", p)
+    assert main(["check", "--model", model, "--dist", dist]) == 2
+    err = capsys.readouterr().err
+    if where == "mi-outcomes":
+        assert "'outcomes' 2 must be a list of labels" in err
+    else:
+        assert "a distribution must be a JSON object with 'support' and 'mass', not a list" in err
+
+
+def test_custom_spec_numeric_latent_label_exit2(tmp_path):
+    # JSON object keys are text, so "G" has no key for the latent label 1
+    spec = write_json(tmp_path, "custom.json", {"model": "custom", "params": {
+        "correspondence": {"latent": [1], "outcomes": ["a"], "G": {"1": ["a"]}},
+        "nu": {"support": [1], "mass": [1], "denominator": 1}}})
+    dist = write_json(tmp_path, "p.json", {"support": ["a"], "mass": [1], "denominator": 1})
+    env = dict(os.environ, PYTHONPATH=str(Path(falsiflow.__file__).parent.parent))
+    child = subprocess.run(
+        [sys.executable, "-m", "falsiflow.cli", "check", "--model", spec, "--dist", dist],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert child.returncode == 2
+    assert child.stderr == (
+        "error: correspondence 'G' has no entry for the latent label 1; "
+        "JSON object keys are text, so 'G' cannot key a numeric label\n"
+    )
+
+
 def test_test_tv_core_accepts_compatible_search_sample(tmp_path, capsys):
     model = write_json(tmp_path, "search.json", SEARCH_SPEC)
     data = tmp_path / "data.csv"

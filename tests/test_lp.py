@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -19,6 +20,11 @@ from falsiflow.models import (
     moment_inequality_model,
     pilot_distribution,
 )
+
+
+def _scipy(a: lp.CscMatrix) -> sparse.csc_array:
+    """A program's constraint matrix as scipy's CSC array, for the reference computations."""
+    return sparse.csc_array((a.data, a.indices, a.indptr), shape=a.shape)
 
 
 def test_one_variable():
@@ -66,10 +72,93 @@ def test_size_guard():
 def test_sparse_input_drops_explicit_zeros():
     a = sparse.csc_array((np.array([1.0, 0.0, 2.0]), np.array([0, 1, 1]), np.array([0, 2, 3])))
     prog = lp.LinearProgram(c=[1.0, 1.0], a=a, b=[1.0, 2.0])
-    assert prog.a.nnz == 2
+    assert _scipy(prog.a).nnz == 2
     assert a.nnz == 3  # the caller's matrix is left as it was
-    assert np.array_equal(prog.a.toarray(), [[1.0, 0.0], [0.0, 2.0]])
+    assert np.array_equal(_scipy(prog.a).toarray(), [[1.0, 0.0], [0.0, 2.0]])
     assert lp.solve(prog).objective == pytest.approx(2.0)
+
+
+def _canonical(a) -> sparse.csc_array:
+    """scipy's canonical CSC form of ``a``: duplicates summed, no explicit
+    zeros, row indices sorted."""
+    ref = sparse.csc_array(a, dtype=float, copy=True)
+    ref.sum_duplicates()
+    ref.eliminate_zeros()
+    return ref
+
+
+def _assert_same_csc(record: lp.CscMatrix, ref: sparse.csc_array):
+    assert record.shape == ref.shape
+    assert record.size == ref.nnz
+    assert np.array_equal(record.data, ref.data)
+    assert np.array_equal(record.indices, ref.indices)
+    assert np.array_equal(record.indptr, ref.indptr)
+    assert record.data.dtype == np.float64
+    assert record.indices.dtype == record.indptr.dtype == np.int32
+
+
+def test_csc_record_from_dense_matches_scipy():
+    rng = np.random.default_rng(3)
+    for m, n in ((1, 1), (3, 5), (7, 2), (0, 3), (4, 0), (6, 6)):
+        dense = rng.normal(size=(m, n)) * (rng.random(size=(m, n)) < 0.5)
+        _assert_same_csc(lp.LinearProgram(c=np.zeros(n), a=dense, b=np.zeros(m)).a, _canonical(dense))
+        if m:  # an empty list of rows has one dimension
+            _assert_same_csc(lp.LinearProgram(c=np.zeros(n), a=dense.tolist(), b=np.zeros(m)).a,
+                             _canonical(dense))
+
+
+def test_csc_record_from_scipy_matches_and_leaves_the_callers_matrix():
+    # column 0 holds unsorted rows and an explicit zero, column 2 a duplicate
+    data = np.array([2.0, 0.0, 1.0, 3.0, 4.0, 5.0])
+    indices = np.array([2, 0, 1, 1, 0, 1])
+    indptr = np.array([0, 3, 3, 6])
+    for kind in (sparse.csc_array, sparse.csc_matrix):
+        a = kind((data.copy(), indices.copy(), indptr.copy()), shape=(3, 3))
+        assert not a.has_sorted_indices
+        ref = _canonical(a)
+        assert np.array_equal(ref.toarray(), [[0.0, 0.0, 4.0], [1.0, 0.0, 8.0], [2.0, 0.0, 0.0]])
+        for given in (a, a.tocsr(), a.tocoo()):
+            _assert_same_csc(lp.LinearProgram(c=np.zeros(3), a=given, b=np.zeros(3)).a, ref)
+        assert np.array_equal(a.data, data)
+        assert np.array_equal(a.indices, indices)
+        assert np.array_equal(a.indptr, indptr)
+        assert not a.has_sorted_indices
+
+
+def test_csc_record_from_solve_primal_matches_scipy(monkeypatch):
+    programs = []
+    solve = lp.solve
+    monkeypatch.setattr(lp, "solve", lambda program: programs.append(program) or solve(program))
+    model = binary_response_pilot(0.3)
+    _, cost, moments = model.merged_columns
+    rng = np.random.default_rng(5)
+    for k in (1, 3):
+        semiparametric._solve_primal(cost, moments, rng.dirichlet(np.ones(cost.shape[0]), size=k))
+    phi, grid = [[-0.25], [0.75]], [[-1.0], [-0.25], [0.0], [0.75], [1.0]]
+    model = moment_inequality_model(["0", "1"], phi, grid)
+    cost = model.cost_matrix()
+    semiparametric._solve_primal(cost, model.moments, rng.dirichlet(np.ones(cost.shape[0]), size=2))
+    monkeypatch.undo()
+    assert len(programs) == 3
+    for program in programs:
+        _assert_same_csc(program.a, _canonical(_scipy(program.a).toarray()))
+
+
+def test_products_match_scipy():
+    # _verify's A x and A'y against scipy's own sparse products
+    rng = np.random.default_rng(2024)
+    for _ in range(300):
+        m = int(rng.integers(1, 8))
+        n = int(rng.integers(1, 8))
+        a = rng.normal(size=(m, n)) * (rng.random(size=(m, n)) < 0.7)
+        record = lp.LinearProgram(c=np.zeros(n), a=sparse.csc_array(a), b=np.zeros(m)).a
+        x, y = rng.normal(size=n), rng.normal(size=m)
+        for ours, ref, terms in (
+            (record.matvec(x), _scipy(record) @ x, np.abs(a) @ np.abs(x)),
+            (record.rmatvec(y), _scipy(record).T @ y, np.abs(a).T @ np.abs(y)),
+        ):
+            assert ours.shape == ref.shape
+            assert (np.abs(ours - ref) <= 1e-15 * terms).all()
 
 
 def test_transportation_lp_known_value():
@@ -166,7 +255,7 @@ def test_fuzz_terminates_and_verifies():
         statuses.add(sol.status)
         if sol.status is lp.Status.OPTIMAL:
             assert sol.objective is not None
-            assert np.abs(prog.a @ sol.x - prog.b).max() <= 1e-8
+            assert np.abs(_scipy(prog.a) @ sol.x - prog.b).max() <= 1e-8
     assert statuses == set(lp.Status)
 
 
@@ -174,7 +263,7 @@ def _solve_matching_linprog(program):
     # scipy's linprog front end to the same HiGHS build is the independent
     # reference: the same status and, when optimal, bit-equal x, duals,
     # objective and iteration count
-    ref = linprog(program.c, A_eq=program.a, b_eq=program.b, bounds=(0, None), method="highs")
+    ref = linprog(program.c, A_eq=_scipy(program.a), b_eq=program.b, bounds=(0, None), method="highs")
     statuses = {0: lp.Status.OPTIMAL, 2: lp.Status.INFEASIBLE, 3: lp.Status.UNBOUNDED}
     assert ref.status in statuses, ref.message
     sol = lp.solve(program)
@@ -231,7 +320,7 @@ def test_reproducible():
     assert a.objective == b.objective
 
 
-# --- start-up: the HiGHS bindings without the scipy.optimize package --------
+# --- start-up: the HiGHS bindings without scipy.optimize or scipy.sparse ----
 
 CORE = "scipy.optimize._highspy._core"
 
@@ -254,6 +343,91 @@ def test_cli_import_runs_no_scipy_optimize_init():
     # the extension registers its own submodules (``cb``, ``simplex_constants``)
     assert CORE in loaded
     assert all(k == CORE or k.startswith(CORE + ".") for k in loaded), loaded
+
+
+def _sparse_modules(stdout: str) -> list[str]:
+    return [k for k in stdout.split() if k.startswith("scipy.sparse")]
+
+
+def test_cli_import_loads_no_scipy_sparse():
+    child = _python("""
+        import sys
+        import falsiflow.cli
+        print(*sorted(sys.modules))
+    """)
+    assert child.returncode == 0, child.stderr
+    assert _sparse_modules(child.stdout) == []
+
+
+def _write_json(path: Path, obj) -> str:
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+def _run_cli(argv: list[str], before: str = "") -> subprocess.CompletedProcess:
+    """``cli.main(argv)`` in a fresh interpreter, after the statement
+    ``before``; prints the exit code, then every loaded module."""
+    return _python(f"""
+        {before}
+        import sys
+        from falsiflow.cli import main
+        code = main({argv!r})
+        print(code, *sorted(sys.modules))
+    """)
+
+
+SEARCH_SPEC = {"model": "search", "params": {
+    "nu": {"support": ["e1", "e2", "e3"], "mass": [300000000, 300000000, 400000000]},
+    "alpha": [["e1", 0.2], ["e2", 0.5], ["e3", 0.9]],
+}}
+
+
+@pytest.mark.parametrize("command", ["test-tn-halflines", "invert-semi", "simulate"])
+def test_commands_without_max_flow_load_no_scipy_sparse(command, tmp_path):
+    search = _write_json(tmp_path / "search.json", SEARCH_SPEC)
+    pilot = _write_json(tmp_path / "pilot.json", {"model": "pilot", "params": {"eta": 0.5}})
+    data = tmp_path / "data.csv"
+    out = str(tmp_path / "out.txt")
+    argv = {
+        "test-tn-halflines": ["test", "--model", search, "--data", str(data),
+                              "--stat", "tn-halflines", "--B", "20"],
+        "invert-semi": ["invert", "--model", pilot, "--data", str(data), "--stat", "semi",
+                        "--B", "20", "--grid", "eta=0.3:0.7:0.2"],
+        "simulate": ["simulate", "--model", search, "--n", "10"],
+    }[command]
+    data.write_text("y\n0.5\n0.0\n0.9\n0.2\n" if command != "invert-semi"
+                    else "y\n(0,-1)\n(1,1)\n(0,1)\n(1,-1)\n(1,1)\n")
+    child = _run_cli(argv + ["--out", out])
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.split()[0] == "0"
+    assert Path(out).read_text()
+    assert _sparse_modules(child.stdout) == []
+
+
+def test_check_loads_csgraph_and_gives_the_same_bytes(tmp_path):
+    # a custom spec whose P is incompatible, so the plan and the witness both show
+    rng = np.random.default_rng(11)
+    latents = [f"u{j}" for j in range(30)]
+    outcomes = [f"y{i}" for i in range(8)]
+    images = {u: sorted(rng.choice(outcomes, size=int(rng.integers(1, 4)), replace=False).tolist())
+              for u in latents}
+    nu = np.full(30, 1_000_000_000 // 30)
+    nu[0] += 1_000_000_000 - nu.sum()
+    p = rng.multinomial(1_000_000_000, rng.dirichlet(np.ones(8)))
+    spec = _write_json(tmp_path / "custom.json", {"model": "custom", "params": {
+        "correspondence": {"latent": latents, "outcomes": outcomes, "G": images},
+        "nu": {"support": latents, "mass": nu.tolist()},
+    }})
+    dist = _write_json(tmp_path / "p.json", {"support": outcomes, "mass": p.tolist()})
+    results = []
+    for before in ("", "import scipy.sparse.csgraph"):
+        out = tmp_path / f"out{len(results)}.json"
+        child = _run_cli(["check", "--model", spec, "--dist", dist, "--out", str(out)], before)
+        assert child.returncode == 0, child.stderr
+        assert "scipy.sparse.csgraph" in child.stdout.split()
+        results.append((child.stdout.split()[0], out.read_bytes()))
+    assert results[0] == results[1]
+    assert json.loads(results[0][1])["plan"]
 
 
 @pytest.mark.parametrize("first", ["falsiflow", "scipy.optimize"])
