@@ -95,6 +95,13 @@ def build_model(spec: dict, origin: str = "<spec>"):
                                  f"not {reprlib.repr(value)}")
         return value
 
+    def parsed(key: str, from_json, value):
+        """``from_json(value)``, with the file and the field named in its errors."""
+        try:
+            return from_json(value)
+        except FalsiflowError as exc:
+            raise type(exc)(f"{origin}: field {key!r} of model {kind!r}: {exc}") from exc
+
     try:
         if kind == "line_network":
             return models.line_network_game(field("masses", _reals, "a list of numbers"))
@@ -104,7 +111,7 @@ def build_model(spec: dict, origin: str = "<spec>"):
                 resolution=field("resolution", _count, "a positive integer", 40),
             )
         if kind == "search":
-            nu = FiniteDistribution.from_json(params["nu"])
+            nu = parsed("nu", FiniteDistribution.from_json, params["nu"])
             alpha = field("alpha", _alpha_table, "a list of [latent label, number] pairs")
             return models.search_game([(lab, val) for lab, val in alpha], nu)
         if kind == "pilot":
@@ -122,12 +129,11 @@ def build_model(spec: dict, origin: str = "<spec>"):
             model, _ = models.example4_instance(field("M", _real, "a number"))
             return model
         if kind == "custom":
-            g = Correspondence.from_json(
-                field("correspondence", lambda v: isinstance(v, dict), "a JSON object")
-            )
+            g = parsed("correspondence", Correspondence.from_json,
+                       field("correspondence", lambda v: isinstance(v, dict), "a JSON object"))
             if "moments" in params:
                 return SemiparametricModel(g, params["moments"])
-            return g, FiniteDistribution.from_json(params["nu"])
+            return g, parsed("nu", FiniteDistribution.from_json, params["nu"])
     except KeyError as exc:
         raise FalsiflowError(f"{origin}: model {kind!r} is missing field {exc.args[0]!r}") from exc
     raise FalsiflowError(f"{origin}: unknown model kind {kind!r}")

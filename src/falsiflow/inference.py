@@ -10,6 +10,12 @@ capacity constraints bind), and for the dual statistic the observed value is
 subtracted.  This keeps the test conservative under the null while retaining
 power against fixed alternatives.
 
+Replicate b draws its resample from PCG64 seeded by
+``SeedSequence(seed).spawn(B)[b]``, so B is at most 2**32.  The child states
+of a block of replicates are derived in bulk with uint32 array arithmetic
+(:func:`_spawned_pcg64_states`), checked against numpy's own child 0, and set
+in turn on one reused generator; the draws are numpy's, bit for bit.
+
 The half-line statistic searches no outcome sets: in outcome order, P_n and
 the capacity of every half-line are prefix sums
 (:func:`~falsiflow.correspondence.max_halfline_deficiency_fp`), and the
@@ -29,7 +35,7 @@ from typing import Sequence
 import numpy as np
 
 from .correspondence import Correspondence, ascending, max_halfline_deficiency_fp
-from .errors import EmptyData, SupportMismatch
+from .errors import EmptyData, FalsiflowError, SupportMismatch
 from .measure import (
     DENOMINATOR,
     FiniteDistribution,
@@ -42,6 +48,18 @@ from .transport import solve_zero_one
 
 #: Resample counts held at once: the bootstrap draws its replicates in blocks.
 REPLICATE_BLOCK = 2**20
+
+# SeedSequence's hash constants (O'Neill's seed_seq as numpy ports it) and the
+# PCG64 multiplier; NEP 19 keeps both bit streams fixed.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
+#: MULT_A**k, and generate_state's hash constants INIT_B * MULT_B**j, mod 2**32.
+_MULT_A_POWERS = np.array([pow(_MULT_A, k, 2**32) for k in range(5)], dtype=np.uint32)
+_STATE_HASHES = np.array([_INIT_B * pow(_MULT_B, j, 2**32) & _MASK32 for j in range(9)],
+                         dtype=np.uint32)
 
 
 @dataclass(frozen=True)
@@ -177,6 +195,35 @@ def _recentered_replicates(kind, star_counts, base_counts, support, model, obser
     return (np.abs(prefix).max(axis=1) / observed.n).tolist()
 
 
+def _spawned_pcg64_states(seeds: np.random.SeedSequence, first: int, count: int) -> list[dict]:
+    """PCG64 ``state`` entries of ``default_rng(child)`` for children
+    ``first .. first + count - 1`` of ``seeds.spawn``, all derived at once.
+
+    A child's entropy is the run entropy, zero-padded to at least 4 words, and
+    then its spawn-key word.  So every child's pool equals ``seeds.pool`` until
+    that last word, which is hashed with the next four hash constants and mixed
+    into the four pool words, one row per child.  ``generate_state(4, uint64)``
+    then hashes each pool into seed words (a, b, c, d), and PCG64 sets
+    inc = (c:d) << 1 | 1 and state = ((a:b) + inc) * MULT + inc, modulo 2**128.
+    """
+    words = max(4, -(-int(seeds.entropy).bit_length() // 32))
+    # the run words took 4 + 12 hashes filling and cross-mixing the pool, and
+    # 4 more for each word past the fourth
+    const = _INIT_A * pow(_MULT_A, 16 + 4 * (words - 4), 2**32) & _MASK32
+    mix = _MULT_A_POWERS * np.uint32(const)
+    pool = (np.arange(first, first + count, dtype=np.uint32)[:, None] ^ mix[:4]) * mix[1:]
+    pool ^= pool >> 16
+    pool = seeds.pool * np.uint32(_MIX_L) - np.uint32(_MIX_R) * pool
+    pool ^= pool >> 16
+    state = (np.concatenate((pool, pool), axis=1) ^ _STATE_HASHES[:8]) * _STATE_HASHES[1:]
+    state ^= state >> 16
+    out = []
+    for a, b, c, d in state.astype("<u4").view("<u8").astype(np.uint64).tolist():
+        inc = ((c << 64 | d) << 1 | 1) & _MASK128
+        out.append({"state": (((a << 64 | b) + inc) * _PCG64_MULT + inc) & _MASK128, "inc": inc})
+    return out
+
+
 def bootstrap_pvalue(
     data: Sequence[Label],
     model,
@@ -195,21 +242,33 @@ def bootstrap_pvalue(
         raise EmptyData("no observations")
     if B < 1:
         raise SupportMismatch("B must be at least 1")
+    if B > 2**32:
+        raise SupportMismatch("B must be at most 2**32, one spawn-key word per replicate")
     observed = _compute(statistic_kind, list(data), model)
 
     n = len(data)
-    p_n = empirical(data)
+    tally = Counter(data)
+    p_n = make_distribution((lab, c / n) for lab, c in tally.items())
     order = sorted(range(len(p_n.support)), key=lambda i: str(p_n.support[i]))
     support = [p_n.support[i] for i in order]
     probs = np.array([p_n.numerators[i] for i in order], dtype=float) / DENOMINATOR
-
-    tally = Counter(data)
     base_counts = np.array([tally[lab] for lab in support], dtype=np.int64)
-    children = np.random.SeedSequence(seed).spawn(B)
+
+    seeds = np.random.SeedSequence(seed)
+    bitgen = np.random.PCG64(np.random.SeedSequence(seeds.entropy, spawn_key=(0,)))
+    state = bitgen.state
+    draw = np.random.Generator(bitgen).multinomial
     rows = max(1, REPLICATE_BLOCK // len(support))
     replicates: list[float] = []
     for start in range(0, B, rows):
-        draws = [np.random.default_rng(c).multinomial(n, probs) for c in children[start:start + rows]]
+        children = _spawned_pcg64_states(seeds, start, min(rows, B - start))
+        if start == 0 and children[0] != state["state"]:
+            raise FalsiflowError("the bulk-derived bootstrap seeds differ from numpy's SeedSequence")
+        draws = []
+        for child in children:
+            state["state"] = child
+            bitgen.state = state
+            draws.append(draw(n, probs))
         replicates += _recentered_replicates(
             statistic_kind, np.array(draws), base_counts, support, model, observed
         )

@@ -21,7 +21,7 @@ from .errors import (
     NotMonotone,
     SupportMismatch,
 )
-from .measure import DENOMINATOR, FiniteDistribution, Label, make_distribution
+from .measure import DENOMINATOR, FiniteDistribution, Label, _round_preserving_sum, make_distribution
 from .semiparametric import SemiparametricModel
 
 #: Dummy outcome standing in for an empty image; always carries P-mass zero.
@@ -71,7 +71,8 @@ def uniform_grid_2d(lo: float, hi: float, cells: int) -> LatentGrid:
     coords = np.column_stack([np.repeat(mids, cells), np.tile(mids, cells)])
     texts = [_fmt(m) for m in mids]
     nodes = tuple(f"({a},{b})" for a in texts for b in texts)
-    weights = make_distribution((n, 1.0 / len(nodes)) for n in nodes)
+    equal = _round_preserving_sum(np.full(len(nodes), 1.0 / len(nodes)))
+    weights = FiniteDistribution(nodes, tuple(equal))
     return LatentGrid(nodes=nodes, coords=coords, weights=weights)
 
 

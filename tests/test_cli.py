@@ -10,8 +10,9 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 import falsiflow
-from falsiflow import semiparametric, transport
-from falsiflow.cli import MAX_GRID_POINTS, main, parse_grid, render_json
+from falsiflow import inference, semiparametric, transport
+from falsiflow.cli import MAX_GRID_POINTS, build_model, main, parse_grid, render_json
+from falsiflow.errors import SupportMismatch
 
 
 ENTRY_SPEC = {"model": "entry_game", "params": {"delta1": -1.0, "delta2": -1.0}}
@@ -367,6 +368,25 @@ def test_distribution_or_labels_of_wrong_type_exit2(where, tmp_path, capsys):
         assert "a distribution must be a JSON object with 'support' and 'mass', not a list" in err
 
 
+@pytest.mark.parametrize("kind, key, params, message", [
+    ("custom", "correspondence",
+     {"correspondence": {"latent": ["u", "v"], "outcomes": ["a"], "G": {"u": ["a"]}},
+      "nu": {"support": ["u", "v"], "mass": [1, 1], "denominator": 2}},
+     "correspondence 'G' has no entry for the latent label 'v'"),
+    ("custom", "nu", {"correspondence": CUSTOM_G, "nu": [1]},
+     "a distribution must be a JSON object with 'support' and 'mass', not a list"),
+    ("search", "nu", {"nu": [1], "alpha": [["u1", 0.5]]},
+     "a distribution must be a JSON object with 'support' and 'mass', not a list"),
+], ids=["custom-G", "custom-nu", "search-nu"])
+def test_spec_distribution_errors_name_file_and_field(kind, key, params, message, tmp_path, capsys):
+    spec = write_json(tmp_path, "spec.json", {"model": kind, "params": params})
+    dist = write_json(tmp_path, "p.json", {"support": ["a"], "mass": [1], "denominator": 1})
+    assert main(["check", "--model", spec, "--dist", dist]) == 2
+    assert capsys.readouterr().err == f"error: {spec}: field {key!r} of model {kind!r}: {message}\n"
+    with pytest.raises(SupportMismatch):
+        build_model({"model": kind, "params": params})
+
+
 def test_custom_spec_numeric_latent_label_exit2(tmp_path):
     # JSON object keys are text, so "G" has no key for the latent label 1
     spec = write_json(tmp_path, "custom.json", {"model": "custom", "params": {
@@ -380,7 +400,8 @@ def test_custom_spec_numeric_latent_label_exit2(tmp_path):
     )
     assert child.returncode == 2
     assert child.stderr == (
-        "error: correspondence 'G' has no entry for the latent label 1; "
+        f"error: {spec}: field 'correspondence' of model 'custom': "
+        "correspondence 'G' has no entry for the latent label 1; "
         "JSON object keys are text, so 'G' cannot key a numeric label\n"
     )
 
@@ -517,6 +538,21 @@ def test_test_command_csv_format(entry_model, tmp_path, capsys):
     assert code == 0
     assert lines[0] == "replicate,value"
     assert len(lines) == 9
+
+
+def test_test_refuses_more_than_2_32_replicates_before_any_draw(
+        entry_model, tmp_path, monkeypatch, capsys):
+    def fail(*args):
+        raise AssertionError("B was checked after the statistic or the draws")
+
+    monkeypatch.setattr(inference, "_compute", fail)
+    monkeypatch.setattr(inference, "_spawned_pcg64_states", fail)
+    data = tmp_path / "data.csv"
+    data.write_text("y\n(0,0)\n(1,0)\n")
+    code = main(["test", "--model", entry_model, "--data", str(data), "--B", "4294967297"])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: B must be at most 2**32, one spawn-key word per replicate\n")
 
 
 def test_test_stat_model_kind_mismatch(entry_model, tmp_path, capsys):

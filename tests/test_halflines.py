@@ -16,7 +16,7 @@ import pytest
 from falsiflow import correspondence, inference, models
 from falsiflow.cli import main
 from falsiflow.correspondence import Correspondence, capacity_fp, max_halfline_deficiency_fp
-from falsiflow.errors import NotMonotone, NotOrdered, SupportMismatch
+from falsiflow.errors import FalsiflowError, NotMonotone, NotOrdered, SupportMismatch
 from falsiflow.inference import bootstrap_pvalue, statistic_tn_halflines, statistic_tv_core
 from falsiflow.measure import DENOMINATOR, FiniteDistribution, align, empirical, make_distribution
 from falsiflow.models import interval_deficiency, search_game
@@ -180,6 +180,41 @@ def test_bootstrap_matches_replicate_loop(kind, block, monkeypatch):
         assert rep.replicates == tuple(replicates)
         assert all(type(v) is float for v in rep.replicates)
         assert rep.pvalue == (1 + sum(v >= observed for v in replicates)) / (B + 1)
+
+
+# seeds of one, two, three and five 32-bit entropy words
+BULK_SEEDS = [0, 1, 2**31 - 1, 2**32 - 1, 2**32, 2**64 + 5, 10**40]
+
+
+@pytest.mark.parametrize("kind, outcomes, n", [("tv-core", 4, 2500), ("tn-halflines", 400, 4000)])
+@pytest.mark.parametrize("block_rows", [None, 64])
+def test_bulk_seeds_draw_numpys_spawned_streams(kind, outcomes, n, block_rows, monkeypatch):
+    if block_rows is not None:
+        monkeypatch.setattr(inference, "REPLICATE_BLOCK", block_rows * outcomes)
+    latents = [f"e{j}" for j in range(outcomes - 1)]
+    nu = make_distribution((u, 1 / len(latents)) for u in latents)
+    g, nu = search_game([(u, (j + 1) / len(latents)) for j, u in enumerate(latents)], nu)
+    rng = np.random.default_rng(outcomes)
+    data = [g.outcome_support[int(i)] for i in rng.integers(outcomes, size=n)]
+    assert len(set(data)) == outcomes
+    for seed in BULK_SEEDS:
+        for B in (1, 2, 3, 200):
+            rep = bootstrap_pvalue(data, (nu, g), kind, B, seed)
+            assert rep.replicates == tuple(replicates_loop(data, kind, B, seed))
+
+
+def test_bulk_seeds_reach_the_last_spawn_key_word():
+    seeds = np.random.SeedSequence(5)
+    keys = (2**32 - 2, 2**32 - 1)
+    assert inference._spawned_pcg64_states(seeds, keys[0], 2) == [
+        np.random.PCG64(np.random.SeedSequence(5, spawn_key=(k,))).state["state"] for k in keys]
+
+
+def test_tampered_seed_hash_fails_the_child_zero_check(monkeypatch):
+    monkeypatch.setattr(inference, "_MULT_A", inference._MULT_A ^ 2)
+    g, nu = random_search_model(np.random.default_rng(1))
+    with pytest.raises(FalsiflowError, match="SeedSequence"):
+        bootstrap_pvalue(list(g.outcome_support), (nu, g), "tv-core", 3, 7)
 
 
 @pytest.mark.parametrize("stat", ["tv-core", "tn-halflines"])

@@ -82,6 +82,12 @@ def test_entry_game_multiplicity_mass_exact():
     assert nu.numerator(lab) == DENOMINATOR // 16
 
 
+@pytest.mark.parametrize("cells", [1, 3, 7, 50])
+def test_uniform_grid_weights_equal_make_distribution(cells):
+    grid = uniform_grid_2d(-2.0, 2.0, cells)
+    assert grid.weights == make_distribution((u, 1.0 / len(grid.nodes)) for u in grid.nodes)
+
+
 def test_entry_game_regions_partition_grid():
     grid = uniform_grid_2d(-2.0, 2.0, 10)
     _, nu = entry_game(-0.5, -1.5, grid=grid)
