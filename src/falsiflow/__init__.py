@@ -10,7 +10,6 @@ from .correspondence import (
     core_deficiency_bruteforce,
     deficiency_table,
     enumerate_selections,
-    preimage,
     selection_minimax_check,
 )
 from .errors import FalsiflowError
@@ -60,7 +59,6 @@ __all__ = [
     "enumerate_selections",
     "make_distribution",
     "maximize_dual",
-    "preimage",
     "primal_lp",
     "selection_minimax_check",
     "solve_zero_one",

@@ -8,6 +8,7 @@ codes are 0 (compatible / success), 1 (incompatible) and 2 (error).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import numbers
@@ -332,7 +333,20 @@ def cmd_invert(args) -> int:
 # Entry point
 # ---------------------------------------------------------------------------
 
+def _seed(text: str) -> int:
+    """A ``--seed`` value: a non-negative integer, as ``SeedSequence`` takes."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, not {value}")
+    return value
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once: ``parse_args`` leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="falsiflow",
         description="Compatibility checks and falsification tests for incompletely specified models",
@@ -355,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_test, data_required=True)
     p_test.add_argument("--stat", choices=["tv-core", "tn-halflines", "semi"], default="tv-core")
     p_test.add_argument("--B", type=int, default=200)
-    p_test.add_argument("--seed", type=int, default=0)
+    p_test.add_argument("--seed", type=_seed, default=0)
     p_test.add_argument("--format", choices=["json", "csv"], default="json")
     p_test.set_defaults(func=cmd_test)
 
@@ -363,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_sim)
     p_sim.add_argument("--n", type=int, required=True)
     p_sim.add_argument("--rule", choices=models.SELECTION_RULES, default="first")
-    p_sim.add_argument("--seed", type=int, default=0)
+    p_sim.add_argument("--seed", type=_seed, default=0)
     p_sim.set_defaults(func=cmd_simulate)
 
     p_inv = sub.add_parser("invert", help="accepted parameter region by test inversion")
@@ -372,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_inv.add_argument("--B", type=int, default=200)
     p_inv.add_argument("--alpha", type=float, default=0.05)
     p_inv.add_argument("--grid", required=True, help="name=start:stop:step[,name2=...]")
-    p_inv.add_argument("--seed", type=int, default=0)
+    p_inv.add_argument("--seed", type=_seed, default=0)
     p_inv.set_defaults(func=cmd_invert)
 
     return parser

@@ -5,6 +5,12 @@ support; the induced capacity of an outcome set A is the latent mass whose
 image touches A.  A distribution of outcomes is compatible with the model
 exactly when no outcome set carries more probability than its capacity; the
 brute-force maximizer of that deficiency is the falsification witness.
+
+The relation is stored in compressed sparse row form: latent j admits the
+outcome indices ``indices[indptr[j]:indptr[j + 1]]``, ascending and without
+repeats.  Memory grows with the number of admissible (latent, outcome) pairs,
+not with the product of the supports.  Outcome *sets*, such as a witness or a
+query A, are int bitsets over outcome indices.
 """
 
 from __future__ import annotations
@@ -13,13 +19,14 @@ import itertools
 import numbers
 from collections import Counter
 from dataclasses import dataclass
-from typing import Hashable, Iterator, Mapping, Sequence
+from functools import cached_property
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .errors import (DuplicateLabel, EmptyImage, NotOrdered, SupportMismatch, SupportTooLarge,
                      TooManySelections)
-from .measure import DENOMINATOR, FiniteDistribution, Label, align, json_labels
+from .measure import DENOMINATOR, JSON_LABEL_TYPES, FiniteDistribution, Label, align, json_labels
 
 #: Guard on exhaustive subset enumeration.
 BRUTEFORCE_MAX_OUTCOMES = 20
@@ -28,56 +35,66 @@ BRUTEFORCE_MAX_OUTCOMES = 20
 MAX_SELECTIONS = 10**6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Correspondence:
     """Bipartite relation between latent and outcome supports.
 
-    ``image`` holds, for each latent label (in ``latent_support`` order), the
-    bitset of admissible outcome indices.  Images must be nonempty.
+    Latent j (in ``latent_support`` order) admits the outcome indices
+    ``indices[indptr[j]:indptr[j + 1]]``, ascending and without repeats;
+    :meth:`from_map` builds them so.  Images must be nonempty.  Both arrays
+    are read-only int32.
     """
 
     latent_support: tuple[Label, ...]
     outcome_support: tuple[Label, ...]
-    image: tuple[int, ...]
+    indptr: np.ndarray
+    indices: np.ndarray
 
     def __post_init__(self):
-        if len(self.image) != len(self.latent_support):
-            raise SupportMismatch("one image bitset per latent label required")
-        full = (1 << len(self.outcome_support)) - 1
-        for u, bits in zip(self.latent_support, self.image):
-            if bits == 0:
-                raise EmptyImage(f"latent point {u!r} has an empty outcome set")
-            if bits & ~full:
-                raise SupportMismatch(f"latent point {u!r} references outcome indices out of range")
+        for name in ("indptr", "indices"):  # own read-only copies
+            arr = np.array(getattr(self, name), dtype=np.int32)
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+        indptr, indices = self.indptr, self.indices
+        if (indptr.shape != (len(self.latent_support) + 1,) or indices.ndim != 1
+                or indptr[0] != 0 or indptr[-1] != len(indices)):
+            raise SupportMismatch("one image per latent label required")
+        empty = np.diff(indptr) <= 0
+        if empty.any():
+            raise EmptyImage(f"latent point {self.latent_support[empty.argmax()]!r} has an empty outcome set")
+        if indices.size and not (0 <= indices.min() and indices.max() < len(self.outcome_support)):
+            bad = ((indices < 0) | (indices >= len(self.outcome_support))).argmax()
+            u = self.latent_support[np.searchsorted(indptr, bad, side="right") - 1]
+            raise SupportMismatch(f"latent point {u!r} references outcome indices out of range")
+
+    def __eq__(self, other):
+        if not isinstance(other, Correspondence):
+            return NotImplemented
+        return (self.latent_support == other.latent_support
+                and self.outcome_support == other.outcome_support
+                and np.array_equal(self.indptr, other.indptr)
+                and np.array_equal(self.indices, other.indices))
+
+    def __hash__(self):
+        return hash((self.latent_support, self.outcome_support, self.indices.tobytes()))
 
     @staticmethod
     def from_map(
         mapping: Mapping[Label, Sequence[Label]],
         outcome_support: Sequence[Label] | None = None,
     ) -> "Correspondence":
-        """Build from {latent label: admissible outcome labels}."""
-        latents = tuple(mapping.keys())
-        if outcome_support is None:
-            seen: dict[Label, None] = {}
-            for ys in mapping.values():
-                for y in ys:
-                    seen.setdefault(y)
-            outcome_support = tuple(seen)
-        outcome_support = tuple(outcome_support)
-        index = {y: i for i, y in enumerate(outcome_support)}
-        image = []
-        for u in latents:
-            bits = 0
-            for y in mapping[u]:
-                if y not in index:
-                    raise SupportMismatch(f"outcome {y!r} of latent {u!r} not in the outcome support")
-                bits |= 1 << index[y]
-            image.append(bits)
-        return Correspondence(latents, outcome_support, tuple(image))
+        """Build from {latent label: admissible outcome labels}, in any order and with repeats."""
+        latents = tuple(mapping)
+        return _from_lists(latents, [mapping[u] for u in latents], outcome_support)
 
-    def outcomes_of(self, u: Label) -> tuple[Label, ...]:
-        bits = self.image[self.latent_support.index(u)]
-        return self.labels_of(bits)
+    @cached_property
+    def image(self) -> tuple[int, ...]:
+        """Each latent's image as a bitset over outcome indices; derived from the arrays."""
+        bits = [0] * len(self.latent_support)
+        rows = np.repeat(np.arange(len(bits)), np.diff(self.indptr))
+        for j, i in zip(rows.tolist(), self.indices.tolist()):
+            bits[j] |= 1 << i
+        return tuple(bits)
 
     def labels_of(self, bits: int) -> tuple[Label, ...]:
         return tuple(y for i, y in enumerate(self.outcome_support) if bits >> i & 1)
@@ -97,54 +114,71 @@ class Correspondence:
         new = [y for y in dict.fromkeys(extra) if y not in known]
         if not new:
             return self
-        return Correspondence(self.latent_support, self.outcome_support + tuple(new), self.image)
+        return Correspondence(self.latent_support, self.outcome_support + tuple(new),
+                              self.indptr, self.indices)
 
     def adjacency_matrix(self) -> np.ndarray:
-        """Boolean matrix, entry [i, j] true when outcome i is admissible for latent j."""
-        n_y = len(self.outcome_support)
-        width = (n_y + 7) // 8
-        # int() because images built from numpy integers have no to_bytes
-        raw = b"".join(int(bits).to_bytes(width, "little") for bits in self.image)
-        rows = np.frombuffer(raw, dtype=np.uint8).reshape(len(self.image), width)
-        return np.unpackbits(rows, axis=1, count=n_y, bitorder="little").T.astype(bool)
-
-    def to_json(self) -> dict:
-        return {
-            "latent": [str(u) for u in self.latent_support],
-            "outcomes": [str(y) for y in self.outcome_support],
-            "G": {
-                str(u): [str(y) for y in self.labels_of(bits)]
-                for u, bits in zip(self.latent_support, self.image)
-            },
-        }
+        """Dense boolean view, entry [i, j] true when outcome i is admissible for latent j."""
+        adj = np.zeros((len(self.outcome_support), len(self.latent_support)), dtype=bool)
+        adj[self.indices, np.repeat(np.arange(adj.shape[1]), np.diff(self.indptr))] = True
+        return adj
 
     @staticmethod
     def from_json(obj: dict) -> "Correspondence":
         for key in ("latent", "outcomes"):
             labels = json_labels(obj[key], f"correspondence {key!r}")
-            repeated = [y for y, count in Counter(labels).items() if count > 1]
-            if repeated:
+            if len(set(labels)) != len(labels):
+                repeated = [y for y, count in Counter(labels).items() if count > 1]
                 raise DuplicateLabel(f"correspondence {key!r} repeats the label {repeated[0]!r}")
         images = obj["G"]
         if not isinstance(images, dict):
             raise SupportMismatch("correspondence 'G' must map each latent label to a list of outcomes")
-        for u in obj["latent"]:
-            if u not in images:
-                why = "" if isinstance(u, str) else (
-                    "; JSON object keys are text, so 'G' cannot key a numeric label")
-                raise SupportMismatch(
-                    f"correspondence 'G' has no entry for the latent label {u!r}{why}")
-        mapping = {u: json_labels(images[u], "correspondence 'G'") for u in obj["latent"]}
-        return Correspondence.from_map(mapping, outcome_support=obj["outcomes"])
+        latents = obj["latent"]
+        try:
+            lists = [images[u] for u in latents]
+        except KeyError:
+            u = next(u for u in latents if u not in images)
+            why = "" if isinstance(u, str) else (
+                "; JSON object keys are text, so 'G' cannot key a numeric label")
+            raise SupportMismatch(
+                f"correspondence 'G' has no entry for the latent label {u!r}{why}") from None
+        if not (all(type(ys) is list for ys in lists)
+                and set(map(type, itertools.chain.from_iterable(lists))) <= JSON_LABEL_TYPES):
+            for ys in lists:  # names the first offending list or label
+                json_labels(ys, "correspondence 'G'")
+        return _from_lists(tuple(latents), lists, obj["outcomes"])
 
 
-def preimage(g: Correspondence, a: int | Sequence[Label]) -> tuple[Label, ...]:
-    """Latent labels whose image intersects the outcome set ``a``.
+def _from_lists(
+    latents: tuple[Label, ...], images: list, outcome_support: Sequence[Label] | None
+) -> Correspondence:
+    """The correspondence in which ``latents[j]`` admits the labels ``images[j]``.
 
-    ``a`` is a bitset over outcome indices or a sequence of outcome labels.
+    Each label is looked up once; each image is sorted and freed of repeats by
+    one sort of the keys latent * n_y + outcome index, which keeps latents in
+    order, and a mask of equal neighbours.
     """
-    bits = a if isinstance(a, int) else g.bitset_of(a)
-    return tuple(u for u, img in zip(g.latent_support, g.image) if img & bits)
+    flat = itertools.chain.from_iterable(images)
+    if outcome_support is None:
+        outcome_support = dict.fromkeys(flat)
+        flat = itertools.chain.from_iterable(images)
+    outcome_support = tuple(outcome_support)
+    index = {y: i for i, y in enumerate(outcome_support)}
+    sizes = np.fromiter(map(len, images), dtype=np.int64, count=len(images))
+    try:
+        keys = np.fromiter(map(index.__getitem__, flat), dtype=np.int64, count=int(sizes.sum()))
+    except KeyError:
+        u, y = next((u, y) for u, ys in zip(latents, images) for y in ys if y not in index)
+        raise SupportMismatch(f"outcome {y!r} of latent {u!r} not in the outcome support") from None
+    n_y = len(outcome_support)
+    keys += np.repeat(np.arange(len(latents), dtype=np.int64) * n_y, sizes)
+    keys.sort()
+    keep = np.ones(len(keys), dtype=bool)
+    keep[1:] = keys[1:] != keys[:-1]
+    rows, indices = np.divmod(keys[keep], n_y) if n_y else (keys, keys)
+    indptr = np.zeros(len(latents) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=len(latents)), out=indptr[1:])
+    return Correspondence(latents, outcome_support, indptr, indices)
 
 
 def capacity(g: Correspondence, nu: FiniteDistribution, a: int | Sequence[Label]) -> float:
@@ -156,7 +190,11 @@ def capacity_fp(g: Correspondence, nu: FiniteDistribution, a: int | Sequence[Lab
     if nu.support != g.latent_support:
         raise SupportMismatch("nu must live on the latent support of the correspondence")
     bits = a if isinstance(a, int) else g.bitset_of(a)
-    return sum(n for n, img in zip(nu.numerators, g.image) if img & bits)
+    n_y = len(g.outcome_support)
+    raw = (bits & ((1 << n_y) - 1)).to_bytes((n_y + 7) // 8, "little")
+    in_a = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), count=n_y, bitorder="little").view(bool)
+    touches = np.logical_or.reduceat(in_a[g.indices], g.indptr[:-1])
+    return int(np.array(nu.numerators, dtype=np.int64)[touches].sum())
 
 
 def ascending(labels: Sequence[Label]) -> list[int]:
@@ -180,19 +218,21 @@ def max_halfline_deficiency_fp(
     Returns the maximum, its class in support order and whether it is upper.
     P and the capacity of every class are prefix sums in exact int64: an image
     touches the k lowest outcomes exactly when its lowest outcome is among
-    them, so nu is tallied by each latent's lowest and highest outcome.
+    them, so nu is tallied by each latent's lowest and highest outcome rank.
     """
     if nu.support != g.latent_support:
         raise SupportMismatch("nu must live on the latent support of the correspondence")
     p = align(p, g.outcome_support)
     n_y = len(g.outcome_support)
     order = np.asarray(order, dtype=np.intp)
-    ranked = g.adjacency_matrix()[order]
+    rank = np.empty(n_y, dtype=np.intp)
+    rank[order] = np.arange(n_y)
+    ranks, starts = rank[g.indices], g.indptr[:-1]
     mass = np.array(nu.numerators, dtype=np.int64)
     lowest = np.zeros(n_y, dtype=np.int64)
-    np.add.at(lowest, ranked.argmax(axis=0), mass)
+    np.add.at(lowest, np.minimum.reduceat(ranks, starts), mass)
     highest = np.zeros(n_y, dtype=np.int64)
-    np.add.at(highest, n_y - 1 - ranked[::-1].argmax(axis=0), mass)
+    np.add.at(highest, np.maximum.reduceat(ranks, starts), mass)
     cap_below = np.concatenate(([0], np.cumsum(lowest)))
     cap_above = np.concatenate((np.cumsum(highest[::-1])[::-1], [0]))
     p_below = np.concatenate(([0], np.cumsum(np.array(p.numerators, dtype=np.int64)[order])))

@@ -31,6 +31,9 @@ SUM_TOLERANCE = 1e-9
 
 Label = Hashable
 
+#: The types a label read from a JSON file may have.
+JSON_LABEL_TYPES = {str, int, float}
+
 
 @dataclass(frozen=True)
 class FiniteDistribution:
@@ -48,7 +51,7 @@ class FiniteDistribution:
             raise SupportMismatch("support and mass lists differ in length")
         if len(set(self.support)) != len(self.support):
             raise DuplicateLabel("support labels must be distinct")
-        if any(n < 0 for n in self.numerators):
+        if min(self.numerators, default=0) < 0:
             raise NegativeMass("fixed-point masses must be nonnegative")
         if sum(self.numerators) != DENOMINATOR:
             raise MassSumOutOfTolerance(
@@ -95,9 +98,10 @@ class FiniteDistribution:
         masses = obj["mass"]
         if not isinstance(masses, list):
             raise BadMass(f"mass {masses!r} must be a list of numbers")
-        for m in masses:
-            if isinstance(m, bool) or not isinstance(m, (int, float)):
-                raise BadMass(f"mass {m!r} is not a number")
+        if not set(map(type, masses)) <= {int, float}:
+            for m in masses:
+                if isinstance(m, bool) or not isinstance(m, (int, float)):
+                    raise BadMass(f"mass {m!r} is not a number")
         support = json_labels(obj["support"], "support")
         if denom == DENOMINATOR:
             return FiniteDistribution(tuple(support), tuple(int(m) for m in masses))
@@ -111,9 +115,10 @@ def json_labels(labels, where: str) -> list:
     ``where`` names the list in the error."""
     if not isinstance(labels, list):
         raise SupportMismatch(f"{where} {labels!r} must be a list of labels")
-    for y in labels:
-        if isinstance(y, bool) or not isinstance(y, (str, int, float)):
-            raise SupportMismatch(f"{where} label {y!r} is not a string or number")
+    if not set(map(type, labels)) <= JSON_LABEL_TYPES:
+        for y in labels:
+            if isinstance(y, bool) or not isinstance(y, (str, int, float)):
+                raise SupportMismatch(f"{where} label {y!r} is not a string or number")
     return labels
 
 

@@ -130,9 +130,9 @@ def entry_game(
 
     The best-response test of :func:`entry_equilibria` runs on all grid nodes
     at once.  Each node gets a 4-bit code whose bit i marks ENTRY_OUTCOMES[i]
-    as an equilibrium; that code is the region's image bitset.  Region masses
-    are exact int64 sums of the node numerators per code, and regions are
-    ordered by their outcome indices.
+    as an equilibrium; the set bits of that code are the region's outcome
+    indices.  Region masses are exact int64 sums of the node numerators per
+    code, and regions are ordered by their outcome indices.
     """
     if not (delta1 < 0 and delta2 < 0):
         raise BadParameters("monopoly profits must exceed duopoly profits (delta_i < 0)")
@@ -158,7 +158,8 @@ def entry_game(
     )
     labels = tuple("{" + ",".join(ENTRY_OUTCOMES[i] for i in idx) + "}" for idx, _ in regions)
     nu = FiniteDistribution(labels, tuple(int(masses[code]) for _, code in regions))
-    g = Correspondence(labels, ENTRY_OUTCOMES, tuple(code for _, code in regions))
+    indptr = np.cumsum([0] + [len(idx) for idx, _ in regions])
+    g = Correspondence(labels, ENTRY_OUTCOMES, indptr, [i for idx, _ in regions for i in idx])
     return g, nu
 
 
@@ -355,10 +356,11 @@ def simulate(
         raise BadRule(f"unknown selection rule {rule!r}")
     if nu.support != g.latent_support:
         raise SupportMismatch("nu must live on the latent support of the correspondence")
-    choices: list[tuple[Label, ...]] = []
-    for bits in g.image:
-        admissible = g.labels_of(bits)
-        choices.append(admissible[:1] if rule == "first" else admissible)
+    outcomes, ends, indices = g.outcome_support, g.indptr.tolist(), g.indices.tolist()
+    choices = [
+        tuple(outcomes[i] for i in indices[a : a + 1 if rule == "first" else b])
+        for a, b in zip(ends, ends[1:])
+    ]
     if n == 0:
         return []
     rng = np.random.default_rng(np.random.SeedSequence(seed))

@@ -73,9 +73,18 @@ class SemiparametricModel:
     def n_moments(self) -> int:
         return self.moments.shape[0]
 
-    def cost_matrix(self) -> np.ndarray:
-        """1 where the outcome is inadmissible for the latent node, else 0."""
-        return 1.0 - self.correspondence.adjacency_matrix().astype(float)
+    def cost_matrix(self, columns: np.ndarray | None = None) -> np.ndarray:
+        """1 where the outcome is inadmissible for the latent node, else 0; one
+        column per latent index in ``columns``, or per latent node."""
+        g = self.correspondence
+        columns = np.arange(len(g.latent_support)) if columns is None else columns
+        starts = g.indptr[columns]
+        sizes = g.indptr[columns + 1] - starts
+        # position of each admissible pair of the chosen columns in g.indices
+        pos = np.repeat(starts - np.cumsum(sizes) + sizes, sizes) + np.arange(sizes.sum())
+        cost = np.ones((len(g.outcome_support), len(columns)))
+        cost[g.indices[pos], np.repeat(np.arange(len(columns)), sizes)] = 0.0
+        return cost
 
     def extend_outcomes(self, extra: Sequence[Label]) -> "SemiparametricModel":
         """The model with outcome labels appended that no latent node admits."""
@@ -86,7 +95,7 @@ class SemiparametricModel:
 
     @cached_property
     def merged_columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Latent columns merged exactly on equal (image bitset, moment column).
+        """Latent columns merged exactly on equal (image, moment column).
 
         Returns the latent index of each class's first occurrence, in
         first-occurrence order, and the cost matrix and moment matrix on those
@@ -95,11 +104,14 @@ class SemiparametricModel:
         latent index attaining a minimum is always a first occurrence, so the
         minimizers keep their tie rule.
         """
-        classes: dict[tuple[int, bytes], int] = {}
-        for j, key in enumerate(zip(self.correspondence.image, map(bytes, self.moments.T.copy()))):
+        g = self.correspondence
+        raw, ends = g.indices.tobytes(), (g.indptr * g.indices.itemsize).tolist()
+        images = (raw[a:b] for a, b in zip(ends, ends[1:]))
+        classes: dict[tuple[bytes, bytes], int] = {}
+        for j, key in enumerate(zip(images, map(bytes, self.moments.T.copy()))):
             classes.setdefault(key, j)
         first = np.fromiter(classes.values(), dtype=np.intp, count=len(classes))
-        return first, self.cost_matrix()[:, first], self.moments[:, first]
+        return first, self.cost_matrix(first), self.moments[:, first]
 
 
 @dataclass(frozen=True)

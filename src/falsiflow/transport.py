@@ -3,7 +3,9 @@
 The parametric compatibility check reduces to a maximum flow on the bipartite
 network latent -> admissible outcomes with integer fixed-point capacities,
 solved by ``scipy.sparse.csgraph.maximum_flow`` (Dinic's algorithm), so the
-verdict is an exact integer comparison.  The min-cut side yields a dual
+verdict is an exact integer comparison.  The network's CSR arrays are written
+straight from the correspondence's own ``indptr`` and ``indices``: one arc
+per admissible pair, so its size is the number of arcs, not n_y * n_u.  The min-cut side yields a dual
 witness set achieving P(A) - capacity(A) = 1 - maxflow.  An outcome of P the
 correspondence does not list has an empty preimage, so its mass counts
 against the model.
@@ -88,14 +90,14 @@ def solve_zero_one(
         raise SupportMismatch("nu must live on the latent support of the correspondence")
     g = g.extend_outcomes(p.support)
     p = align(p, g.outcome_support)
-    n_u, n_y = len(nu), len(p)
+    n_u, n_y, n_arcs = len(nu), len(p), len(g.indices)
     source, sink = 0, 1 + n_u + n_y
-    # latent-major, the order in which the plan is listed
-    latent, outcome = np.nonzero(g.adjacency_matrix().T)
-    tails = np.concatenate([np.zeros(n_u, dtype=np.intp), 1 + latent, 1 + n_u + np.arange(n_y)])
-    heads = np.concatenate([1 + np.arange(n_u), 1 + n_u + outcome, np.full(n_y, sink)])
-    caps = np.concatenate([nu.numerators, np.full(len(latent), DENOMINATOR), p.numerators])
-    net = csr_matrix((caps.astype(np.int32), (tails, heads)), shape=(sink + 1, sink + 1))
+    # CSR rows: the source, each latent (its image, ascending), each outcome, the sink
+    heads = np.concatenate([1 + np.arange(n_u), 1 + n_u + g.indices, np.full(n_y, sink)])
+    indptr = np.concatenate([[0], n_u + g.indptr, n_u + n_arcs + np.arange(1, n_y + 1), [len(heads)]])
+    caps = np.concatenate([nu.numerators, np.full(n_arcs, DENOMINATOR), p.numerators])
+    net = csr_matrix((caps.astype(np.int32), heads.astype(np.int32), indptr.astype(np.int32)),
+                     shape=(sink + 1, sink + 1))
 
     result = maximum_flow(net, source, sink, method="dinic")
     flow = result.flow
@@ -112,12 +114,14 @@ def solve_zero_one(
     if p_witness_fp - witness_capacity_fp != primal_fp:
         raise CertificateMismatch("min-cut witness does not certify the primal value")
 
-    sent = np.asarray(flow[1 + latent, 1 + n_u + outcome]).ravel()
-    used = sent > 0
-    plan = tuple(
-        (nu.support[j], p.support[i], int(m))
-        for j, i, m in zip(latent[used], outcome[used], sent[used])
-    )
+    latent = np.repeat(np.arange(n_u), np.diff(g.indptr))
+    sent = np.asarray(flow[1 + latent, 1 + n_u + g.indices]).ravel()
+    used = np.flatnonzero(sent > 0)
+    plan = tuple(zip(
+        map(nu.support.__getitem__, latent[used].tolist()),
+        map(p.support.__getitem__, g.indices[used].tolist()),
+        sent[used].tolist(),
+    ))
 
     return TransportResult(
         primal_fp=primal_fp,

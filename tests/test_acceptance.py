@@ -38,6 +38,7 @@ from falsiflow.models import (
 )
 from falsiflow.semiparametric import SemiparametricModel, maximize_dual, primal_lp
 from falsiflow.transport import solve_zero_one
+from oracles import from_bitsets
 
 
 def random_fixed_point(rng, labels):
@@ -58,7 +59,7 @@ def random_correspondence(rng, n_y, n_u):
         if bits == 0:
             bits = 1 << int(rng.integers(n_y))
         images.append(bits)
-    return Correspondence(
+    return from_bitsets(
         tuple(f"u{j}" for j in range(n_u)), tuple(f"y{i}" for i in range(n_y)), tuple(images)
     )
 
@@ -152,7 +153,7 @@ def test_criterion_05_no_duality_gap():
         n_u = int(rng.integers(1, 21))
         d_m = int(rng.integers(0, 4))
         images = tuple(int(rng.integers(1, 1 << n_y)) for _ in range(n_u))
-        g = Correspondence(
+        g = from_bitsets(
             tuple(f"u{j}" for j in range(n_u)), tuple(f"y{i}" for i in range(n_y)), images
         )
         raw = rng.uniform(-1.0, 1.0, size=(d_m, n_u))
@@ -282,7 +283,7 @@ def test_criterion_09_selection_minimax():
             size = int(rng.integers(1, min(3, n_y) + 1))
             chosen = rng.choice(n_y, size=size, replace=False)
             images.append(sum(1 << int(i) for i in chosen))
-        g = Correspondence(labels_u, labels_y, tuple(images))
+        g = from_bitsets(labels_u, labels_y, tuple(images))
         nu = FiniteDistribution(labels_u, tuple([DENOMINATOR // k] * k))
         p_numers = [0] * n_y
         for _ in range(k):

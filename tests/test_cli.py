@@ -217,6 +217,20 @@ def test_ignored_flags_are_rejected(command, flag, entry_model, tmp_path):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("command", ["test", "simulate", "invert"])
+def test_negative_seed_names_flag_and_value(command, entry_model, capsys):
+    argv = {
+        "test": ["test", "--model", entry_model, "--data", "d.csv"],
+        "simulate": ["simulate", "--model", entry_model, "--n", "5"],
+        "invert": ["invert", "--model", entry_model, "--data", "d.csv", "--grid", "delta1=-1:-1:1"],
+    }[command]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--seed", "-1"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        f"falsiflow {command}: error: argument --seed: must be a non-negative integer, not -1\n")
+
+
 def test_check_semiparametric_model(tmp_path, capsys):
     model = write_json(tmp_path, "pilot.json", {"model": "pilot", "params": {"eta": 0.5}})
     dist = write_json(

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,19 +13,23 @@ from falsiflow.correspondence import (
     core_deficiency_bruteforce,
     deficiency_table,
     enumerate_selections,
-    preimage,
+    max_halfline_deficiency_fp,
     selection_minimax_check,
 )
 from falsiflow.errors import (
     DuplicateLabel,
     EmptyImage,
+    FalsiflowError,
     NotOrdered,
     SupportMismatch,
     SupportTooLarge,
     TooManySelections,
 )
-from falsiflow.measure import DENOMINATOR, make_distribution
-from falsiflow.models import line_network_game
+from falsiflow.measure import DENOMINATOR, FiniteDistribution, make_distribution
+from falsiflow.models import line_network_game, simulate
+from falsiflow.semiparametric import SemiparametricModel, maximize_dual
+from falsiflow.transport import solve_zero_one
+from oracles import from_bitsets, outcomes_of, preimage, to_json
 
 
 def entry_regions():
@@ -43,7 +48,7 @@ def entry_regions():
 
 def test_empty_image_rejected():
     with pytest.raises(EmptyImage):
-        Correspondence(("u",), ("a",), (0,))
+        from_bitsets(("u",), ("a",), (0,))
 
 
 def test_preimage_empty_set():
@@ -206,7 +211,7 @@ def test_minimax_can_differ_on_forced_splits():
 
 def test_json_round_trip():
     g, _ = entry_regions()
-    h = Correspondence.from_json(g.to_json())
+    h = Correspondence.from_json(to_json(g))
     assert h.latent_support == g.latent_support
     assert h.outcome_support == g.outcome_support
     assert h.image == g.image
@@ -214,10 +219,10 @@ def test_json_round_trip():
 
 def test_label_lookups_agree_with_json_images():
     g, _ = entry_regions()
-    assert g.to_json()["G"] == {u: list(g.outcomes_of(u)) for u in g.latent_support}
+    assert to_json(g)["G"] == {u: list(outcomes_of(g, u)) for u in g.latent_support}
     assert g.extend_outcomes(["(1,1)", "new"]).outcome_support == g.outcome_support + ("new",)
     with pytest.raises(ValueError):
-        g.outcomes_of("nowhere")
+        outcomes_of(g, "nowhere")
 
 
 def test_extend_outcomes_appends_each_label_once():
@@ -248,7 +253,7 @@ def test_witness_certifies_value(data):
     images = data.draw(
         st.lists(st.integers(min_value=1, max_value=(1 << k) - 1), min_size=m, max_size=m)
     )
-    g = Correspondence(tuple(f"u{j}" for j in range(m)), tuple(f"y{i}" for i in range(k)), tuple(images))
+    g = from_bitsets(tuple(f"u{j}" for j in range(m)), tuple(f"y{i}" for i in range(k)), tuple(images))
     nu_w = data.draw(st.lists(st.integers(min_value=0, max_value=50), min_size=m, max_size=m))
     p_w = data.draw(st.lists(st.integers(min_value=0, max_value=50), min_size=k, max_size=k))
     if sum(nu_w) == 0 or sum(p_w) == 0:
@@ -271,4 +276,129 @@ def test_adjacency_matrix_multibyte_bitsets():
     adj = g.adjacency_matrix()
     assert adj.shape == (70, 26) and adj.dtype == bool
     for j, u in enumerate(g.latent_support):
-        assert tuple(g.outcome_support[i] for i in np.flatnonzero(adj[:, j])) == g.outcomes_of(u)
+        assert tuple(g.outcome_support[i] for i in np.flatnonzero(adj[:, j])) == outcomes_of(g, u)
+
+
+@settings(max_examples=50)
+@given(st.data())
+def test_from_map_sorts_each_image_and_drops_repeats(data):
+    k = data.draw(st.integers(min_value=1, max_value=12))
+    m = data.draw(st.integers(min_value=1, max_value=8))
+    outcomes = [f"y{i}" for i in range(k)]
+    lists = data.draw(st.lists(st.lists(st.integers(0, k - 1), min_size=1), min_size=m, max_size=m))
+    g = Correspondence.from_map({f"u{j}": [outcomes[i] for i in ys] for j, ys in enumerate(lists)}, outcomes)
+    assert g.indptr.dtype == g.indices.dtype == np.int32
+    assert not (g.indptr.flags.writeable or g.indices.flags.writeable)
+    for j, ys in enumerate(lists):
+        assert g.indices[g.indptr[j] : g.indptr[j + 1]].tolist() == sorted(set(ys))
+    bitsets = [sum(1 << i for i in set(ys)) for ys in lists]
+    # equality, the derived bitsets and the dense view all read the same relation
+    assert g == from_bitsets(g.latent_support, outcomes, bitsets)
+    assert hash(g) == hash(from_bitsets(g.latent_support, outcomes, bitsets))
+    assert g.image == tuple(bitsets)
+    adj = g.adjacency_matrix()
+    assert adj.shape == (k, m) and adj.dtype == bool
+    assert [sum(1 << i for i in np.flatnonzero(adj[:, j])) for j in range(m)] == bitsets
+    if bitsets != [(1 << k) - 1] * m:
+        assert g != from_bitsets(g.latent_support, outcomes, [(1 << k) - 1] * m)
+
+
+def test_equality_compares_labels_and_arrays():
+    g, _ = entry_regions()
+    assert g == Correspondence(g.latent_support, g.outcome_support, [0, 1, 3, 4], [0, 1, 2, 3])
+    assert g != Correspondence(g.latent_support, g.outcome_support, [0, 1, 2, 4], [0, 1, 2, 3])
+    assert g != g.extend_outcomes(["new"])
+    assert g != Correspondence(("x", "mid", "hi"), g.outcome_support, g.indptr, g.indices)
+    assert g != "not a correspondence"
+
+
+def test_stored_arrays_are_checked():
+    with pytest.raises(SupportMismatch, match="^one image per latent label required$"):
+        Correspondence(("u", "v"), ("a",), [0, 1], [0])
+    with pytest.raises(EmptyImage, match="^latent point 'v' has an empty outcome set$"):
+        Correspondence(("u", "v"), ("a",), [0, 1, 1], [0])
+    with pytest.raises(SupportMismatch, match="^latent point 'v' references outcome indices out of range$"):
+        Correspondence(("u", "v"), ("a", "b"), [0, 1, 2], [0, 2])
+    indices = np.array([0, 1], dtype=np.int32)
+    g = Correspondence(("u", "v"), ("a", "b"), [0, 1, 2], indices)
+    indices[0] = 1  # the caller's array is copied, not shared
+    assert g.indices.tolist() == [0, 1]
+
+
+SPEC = {"latent": ["u1", "u2"], "outcomes": ["a", "b"], "G": {"u1": ["a"], "u2": ["b", "a"]}}
+
+
+@pytest.mark.parametrize("change,error,message", [
+    ({"G": {"u1": ["a"], "u2": ["z"]}}, SupportMismatch,
+     "outcome 'z' of latent 'u2' not in the outcome support"),
+    ({"G": {"u1": ["a"], "u2": ["b", [1]]}}, SupportMismatch,
+     "correspondence 'G' label [1] is not a string or number"),
+    ({"G": {"u1": ["a"], "u2": [True]}}, SupportMismatch,
+     "correspondence 'G' label True is not a string or number"),
+    ({"G": {"u1": "a", "u2": ["b"]}}, SupportMismatch,
+     "correspondence 'G' 'a' must be a list of labels"),
+    ({"G": {"u1": ["a"], "u2": []}}, EmptyImage, "latent point 'u2' has an empty outcome set"),
+    ({"G": {"u1": ["a"]}}, SupportMismatch, "correspondence 'G' has no entry for the latent label 'u2'"),
+    ({"latent": ["u1", 2], "G": {"u1": ["a"], "2": ["b"]}}, SupportMismatch,
+     "correspondence 'G' has no entry for the latent label 2; "
+     "JSON object keys are text, so 'G' cannot key a numeric label"),
+    ({"latent": ["u1", "u2", "u1"]}, DuplicateLabel, "correspondence 'latent' repeats the label 'u1'"),
+    ({"outcomes": ["a", "b", "b"]}, DuplicateLabel, "correspondence 'outcomes' repeats the label 'b'"),
+    ({"G": ["a"]}, SupportMismatch, "correspondence 'G' must map each latent label to a list of outcomes"),
+], ids=["unknown-outcome", "label-type", "bool-label", "image-not-list", "empty-image",
+        "missing-entry", "numeric-latent", "duplicate-latent", "duplicate-outcome", "G-not-object"])
+def test_from_json_errors_keep_class_and_text(change, error, message):
+    with pytest.raises(FalsiflowError) as exc:
+        Correspondence.from_json(dict(SPEC, **change))
+    assert type(exc.value) is error and str(exc.value) == message
+
+
+def test_from_json_sorts_images():
+    g = Correspondence.from_json(SPEC)
+    assert g == Correspondence.from_map({"u1": ["a"], "u2": ["a", "b"]}, ["a", "b"])
+    assert g.indices.tolist() == [0, 0, 1]
+
+
+def test_solvers_never_read_the_dense_view_or_the_bitsets(monkeypatch):
+    def fail(*args):
+        raise AssertionError("a solver read a derived view of the correspondence")
+
+    g, nu = entry_regions()
+    p = make_distribution([("(0,0)", 0.3), ("(0,1)", 0.5), ("(1,0)", 0.0), ("(1,1)", 0.2)])
+    monkeypatch.setattr(Correspondence, "adjacency_matrix", fail)
+    monkeypatch.setattr(Correspondence, "image", property(fail))
+    assert solve_zero_one(p, nu, g).primal_fp == 100000000
+    outcomes = [0.0, 0.5, 0.8]
+    line = Correspondence.from_map({"e1": [0.0, 0.5], "e2": [0.0, 0.8]}, outcomes)
+    nu2 = make_distribution([("e1", 0.5), ("e2", 0.5)])
+    q = make_distribution([(0.0, 0.1), (0.5, 0.1), (0.8, 0.8)])
+    value, members, upper = max_halfline_deficiency_fp(line, nu2, q, [0, 1, 2], [1, 2, 3], [0, 1, 2])
+    assert (value, members, upper) == (300000000, (0.8,), True)
+    # moments that pin the latent distribution to nu give the transport value
+    model = SemiparametricModel(g, np.eye(3)[:2] - np.array(nu.masses[:2])[:, None])
+    assert maximize_dual(model, p).T == pytest.approx(0.1, abs=1e-9)
+    assert simulate(g, nu, "uniform-random", 5, 1)
+
+
+def test_check_at_scale_stays_within_memory():
+    """10**5 latents, 5,000 outcomes, 3 * 10**5 arcs: the dense n_y x n_u
+    matrix alone would be 500 MB of bools."""
+    rng = np.random.default_rng(7)
+    n_u, n_y = 10**5, 5000
+    outcomes = [f"y{i}" for i in range(n_y)]
+    picks = rng.integers(n_y, size=(n_u, 3)).tolist()
+    mapping = {f"u{j}": [outcomes[i] for i in row] for j, row in enumerate(picks)}
+    numers = np.full(n_u, DENOMINATOR // n_u)
+    nu = FiniteDistribution(tuple(mapping), tuple(numers.tolist()))
+    p_numers = np.bincount(rng.integers(n_y, size=n_u), minlength=n_y) * (DENOMINATOR // n_u)
+    p = FiniteDistribution(tuple(outcomes), tuple(p_numers.tolist()))
+    tracemalloc.start()
+    try:
+        g = Correspondence.from_map(mapping, outcomes)
+        result = solve_zero_one(p, nu, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(g.indices) > 2.9 * 10**5
+    assert sum(m for _, _, m in result.plan) == DENOMINATOR - result.primal_fp
+    assert peak < 100 * 2**20

@@ -20,6 +20,7 @@ from falsiflow.errors import FalsiflowError, NotMonotone, NotOrdered, SupportMis
 from falsiflow.inference import bootstrap_pvalue, statistic_tn_halflines, statistic_tv_core
 from falsiflow.measure import DENOMINATOR, FiniteDistribution, align, empirical, make_distribution
 from falsiflow.models import interval_deficiency, search_game
+from oracles import from_bitsets
 
 
 # --- references: the per-class and per-replicate loops ----------------------
@@ -104,7 +105,7 @@ def random_numeric_model(rng, coarse=False):
         images.append(sum(1 << int(i) for i in rng.choice(n_y, size, replace=False)))
     latents = tuple(f"u{j}" for j in range(n_u))
     nu = FiniteDistribution(latents, tuple(random_numerators(rng, n_u, coarse)))
-    return Correspondence(latents, outcomes, tuple(images)), nu
+    return from_bitsets(latents, outcomes, tuple(images)), nu
 
 
 def random_data(rng, g, coarse=False):

@@ -13,6 +13,7 @@ from falsiflow.measure import (
 )
 from falsiflow.models import line_network_game
 from falsiflow.transport import solve_zero_one
+from oracles import from_bitsets, outcomes_of
 
 
 def entry_instance():
@@ -43,7 +44,7 @@ def random_instance(rng, n_y, n_u):
         if bits == 0:
             bits = 1 << rng.integers(n_y)
         images.append(bits)
-    g = Correspondence(
+    g = from_bitsets(
         tuple(f"u{j}" for j in range(n_u)), tuple(f"y{i}" for i in range(n_y)), tuple(images)
     )
 
@@ -94,7 +95,7 @@ def test_plan_marginals_and_adjacency():
     by_u = {u: 0 for u in g.latent_support}
     by_y = {y: 0 for y in g.outcome_support}
     for u, y, m in res.plan:
-        assert y in g.outcomes_of(u)
+        assert y in outcomes_of(g, u)
         by_u[u] += m
         by_y[y] += m
     for u in g.latent_support:
@@ -156,7 +157,7 @@ def test_monotone_in_correspondence():
         j = int(rng.integers(len(g.image)))
         enlarged = list(g.image)
         enlarged[j] = (1 << len(g.outcome_support)) - 1
-        g2 = Correspondence(g.latent_support, g.outcome_support, tuple(enlarged))
+        g2 = from_bitsets(g.latent_support, g.outcome_support, tuple(enlarged))
         assert solve_zero_one(p, nu, g2).primal_fp <= res.primal_fp
 
 
@@ -206,7 +207,7 @@ def test_flow_matches_bruteforce_at_5000_latents(seed):
     rng = np.random.default_rng(seed)
     n_u, n_y = 5000, 16
     first, second = rng.integers(n_y, size=(2, n_u))
-    g = Correspondence(
+    g = from_bitsets(
         tuple(f"u{j}" for j in range(n_u)),
         tuple(f"y{i}" for i in range(n_y)),
         tuple(int(b) for b in (1 << first) | (1 << second)),
