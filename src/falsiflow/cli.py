@@ -21,12 +21,7 @@ import numpy as np
 from . import models
 from .correspondence import Correspondence
 from .errors import FalsiflowError
-from .inference import (
-    bootstrap_pvalue,
-    statistic_semiparametric,
-    statistic_tn_halflines,
-    statistic_tv_core,
-)
+from .inference import bootstrap_pvalue, tally
 from .measure import FiniteDistribution, empirical, json_labels
 from .semiparametric import SemiparametricModel, maximize_dual
 from .transport import solve_zero_one
@@ -83,9 +78,12 @@ def _count(v) -> bool:
 _REQUIRED = object()
 
 
-def build_model(spec: dict, origin: str = "<spec>"):
+def build_model(spec: dict, origin: str = "<spec>", grids: dict | None = None):
+    """The model a spec describes: (g, nu) or a ``SemiparametricModel``.
+    ``grids`` holds entry-game latent grids by resolution and gains those built."""
     kind = _check_spec(spec, origin).get("model")
     params = spec.get("params", {})
+    grids = {} if grids is None else grids
 
     def field(key: str, ok, what: str, default=_REQUIRED):
         """``params[key]``, or ``default`` when given and the key is absent,
@@ -107,10 +105,13 @@ def build_model(spec: dict, origin: str = "<spec>"):
         if kind == "line_network":
             return models.line_network_game(field("masses", _reals, "a list of numbers"))
         if kind == "entry_game":
-            return models.entry_game(
-                field("delta1", _real, "a number"), field("delta2", _real, "a number"),
-                resolution=field("resolution", _count, "a positive integer", 40),
-            )
+            delta1, delta2 = field("delta1", _real, "a number"), field("delta2", _real, "a number")
+            resolution = field("resolution", _count, "a positive integer", 40)
+            # entry_game's own grid, built only where entry_game would build it:
+            # past its check on the deltas
+            if delta1 < 0 and delta2 < 0 and resolution not in grids:
+                grids[resolution] = models.uniform_grid_2d(-2.0, 2.0, resolution)
+            return models.entry_game(delta1, delta2, grids.get(resolution), resolution)
         if kind == "search":
             nu = parsed("nu", FiniteDistribution.from_json, params["nu"])
             alpha = field("alpha", _alpha_table, "a list of [latent label, number] pairs")
@@ -220,25 +221,25 @@ def cmd_check(args) -> int:
     return EXIT_COMPATIBLE if result.compatible else EXIT_INCOMPATIBLE
 
 
-def _run_test(model, data, stat, B, seed):
+def _tested_model(model, stat):
+    """``model`` as ``bootstrap_pvalue`` takes it for ``stat``, and its outcome support."""
     semi = isinstance(model, SemiparametricModel)
     if stat == "semi":
         if not semi:
             raise FalsiflowError("--stat semi requires a semiparametric model spec")
-        outcome_support = model.correspondence.outcome_support
-    else:
-        if semi:
-            raise FalsiflowError(f"--stat {stat} requires a parametric model spec")
-        g, nu = model
-        model = (nu, g)
-        outcome_support = g.outcome_support
-    return bootstrap_pvalue(_canonical_labels(data, outcome_support), model, stat, B, seed)
+        return model, model.correspondence.outcome_support
+    if semi:
+        raise FalsiflowError(f"--stat {stat} requires a parametric model spec")
+    g, nu = model
+    return (nu, g), g.outcome_support
 
 
 def cmd_test(args) -> int:
     model = load_model_spec(args.model)
     data = load_data(args.data)
-    report = _run_test(model, data, args.stat, args.B, args.seed)
+    model, outcome_support = _tested_model(model, args.stat)
+    labels = _canonical_labels(data, outcome_support)
+    report = bootstrap_pvalue(labels, model, args.stat, args.B, args.seed)
     if args.format == "csv":
         write_output(report.to_csv(), args.out)
     else:
@@ -267,7 +268,7 @@ def parse_grid(spec: str) -> list[dict]:
 
     The points are counted, floor((stop - start) / step) + 1 per axis, before
     any is built; a grid of more than :data:`MAX_GRID_POINTS` is refused, and
-    so is an axis whose values, rounded to 10 decimals, repeat.
+    so is an axis named twice or whose values, rounded to 10 decimals, repeat.
     """
     axes = []
     size = 1
@@ -275,6 +276,9 @@ def parse_grid(spec: str) -> list[dict]:
         if not part:
             continue
         name, _, rng = part.partition("=")
+        name = name.strip()
+        if name in (axis[1] for axis in axes):
+            raise FalsiflowError(f"grid axis {name!r} is given more than once")
         pieces = rng.split(":")
         if len(pieces) != 3:
             raise FalsiflowError(f"grid axis {part!r} must be name=start:stop:step")
@@ -289,7 +293,7 @@ def parse_grid(spec: str) -> list[dict]:
         if span >= MAX_GRID_POINTS:
             raise FalsiflowError(f"grid axis {part!r} has more than {MAX_GRID_POINTS} points")
         size *= max(0, math.floor(span) + 1)
-        axes.append((part, name.strip(), start, stop, step, math.floor(span) + 2))
+        axes.append((part, name, start, stop, step, math.floor(span) + 2))
     if size > MAX_GRID_POINTS:
         raise FalsiflowError(f"grid {spec!r} has {size} points, more than {MAX_GRID_POINTS}")
     points: list[dict] = [{}]
@@ -319,10 +323,16 @@ def cmd_invert(args) -> int:
 
     seeds = np.random.SeedSequence(args.seed).spawn(len(points))
     lines = [header]
+    # what the grid leaves alone is prepared once: each outcome support's
+    # tally of the data, and each resolution's entry-game grid
+    samples, grids = {}, {}
     for pt, seed in zip(points, seeds):
         local = dict(spec, params=dict(spec.get("params", {}), **pt))
-        model = build_model(local, args.model)
-        pv = _run_test(model, data, args.stat, args.B, int(seed.generate_state(1)[0])).pvalue
+        model, outcome_support = _tested_model(build_model(local, args.model, grids), args.stat)
+        if outcome_support not in samples:
+            samples[outcome_support] = tally(_canonical_labels(data, outcome_support))
+        pv = bootstrap_pvalue(samples[outcome_support], model, args.stat, args.B,
+                              int(seed.generate_state(1)[0])).pvalue
         accepted = pv >= args.alpha
         lines.append(",".join([format(pt[n], ".10g") for n in names] + [repr(pv), str(accepted).lower()]))
     write_output("\n".join(lines) + "\n", args.out)
@@ -333,15 +343,23 @@ def cmd_invert(args) -> int:
 # Entry point
 # ---------------------------------------------------------------------------
 
-def _seed(text: str) -> int:
-    """A ``--seed`` value: a non-negative integer, as ``SeedSequence`` takes."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be a non-negative integer, not {value}")
-    return value
+def _flag_value(convert, ok, what: str):
+    """An argparse ``type`` that refuses a value ``ok`` rejects, naming it."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid {convert.__name__} value: {text!r}") from None
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {what}, not {value!r}")
+        return value
+    return parse
+
+
+#: ``--seed`` (as ``SeedSequence`` takes it) and ``simulate --n``
+_non_negative = _flag_value(int, lambda v: v >= 0, "a non-negative integer")
+#: ``invert --alpha``, a test level; NaN fails the comparison and is refused
+_level = _flag_value(float, lambda v: 0 <= v <= 1, "a number in [0, 1]")
 
 
 @functools.cache
@@ -369,24 +387,24 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_test, data_required=True)
     p_test.add_argument("--stat", choices=["tv-core", "tn-halflines", "semi"], default="tv-core")
     p_test.add_argument("--B", type=int, default=200)
-    p_test.add_argument("--seed", type=_seed, default=0)
+    p_test.add_argument("--seed", type=_non_negative, default=0)
     p_test.add_argument("--format", choices=["json", "csv"], default="json")
     p_test.set_defaults(func=cmd_test)
 
     p_sim = sub.add_parser("simulate", help="draw outcomes from a parametric model")
     common(p_sim)
-    p_sim.add_argument("--n", type=int, required=True)
+    p_sim.add_argument("--n", type=_non_negative, required=True)
     p_sim.add_argument("--rule", choices=models.SELECTION_RULES, default="first")
-    p_sim.add_argument("--seed", type=_seed, default=0)
+    p_sim.add_argument("--seed", type=_non_negative, default=0)
     p_sim.set_defaults(func=cmd_simulate)
 
     p_inv = sub.add_parser("invert", help="accepted parameter region by test inversion")
     common(p_inv, data_required=True)
     p_inv.add_argument("--stat", choices=["tv-core", "tn-halflines", "semi"], default="tv-core")
     p_inv.add_argument("--B", type=int, default=200)
-    p_inv.add_argument("--alpha", type=float, default=0.05)
+    p_inv.add_argument("--alpha", type=_level, default=0.05)
     p_inv.add_argument("--grid", required=True, help="name=start:stop:step[,name2=...]")
-    p_inv.add_argument("--seed", type=_seed, default=0)
+    p_inv.add_argument("--seed", type=_non_negative, default=0)
     p_inv.set_defaults(func=cmd_invert)
 
     return parser

@@ -16,6 +16,10 @@ of a block of replicates are derived in bulk with uint32 array arithmetic
 (:func:`_spawned_pcg64_states`), checked against numpy's own child 0, and set
 in turn on one reused generator; the draws are numpy's, bit for bit.
 
+A sample is counted once by :func:`tally`; the statistics and the bootstrap
+take its :class:`Sample` in place of the labels, so ``invert`` counts its
+data once for all of its grid points.
+
 The half-line statistic searches no outcome sets: in outcome order, P_n and
 the capacity of every half-line are prefix sums
 (:func:`~falsiflow.correspondence.max_halfline_deficiency_fp`), and the
@@ -30,19 +34,13 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .correspondence import Correspondence, ascending, max_halfline_deficiency_fp
 from .errors import EmptyData, FalsiflowError, SupportMismatch
-from .measure import (
-    DENOMINATOR,
-    FiniteDistribution,
-    Label,
-    empirical,
-    make_distribution,
-)
+from .measure import DENOMINATOR, FiniteDistribution, Label, make_distribution
 from .semiparametric import DualCertificate, SemiparametricModel, maximize_dual, maximize_dual_batch
 from .transport import solve_zero_one
 
@@ -104,27 +102,53 @@ class TestReport:
         return "\n".join(lines) + "\n"
 
 
+class Sample(NamedTuple):
+    """A sample as the statistics and the bootstrap read it (see :func:`tally`)."""
+
+    n: int
+    p_n: FiniteDistribution     # the empirical distribution, labels in first-appearance order
+    support: tuple[Label, ...]  # the same labels sorted by str: the resampling order
+    probs: np.ndarray           # P_n on ``support``, as floats
+    base_counts: np.ndarray     # the sample's counts on ``support``, int64
+
+
+def tally(data: Sequence[Label] | Sample) -> Sample:
+    """Count a sample once for its statistic and its bootstrap; a ``Sample``
+    is returned as it is, so a caller testing several models tallies once."""
+    if isinstance(data, Sample):
+        return data
+    if not data:
+        raise EmptyData("no observations")
+    n = len(data)
+    counts = Counter(data)
+    p_n = make_distribution((lab, c / n) for lab, c in counts.items())
+    order = sorted(range(len(p_n.support)), key=lambda i: str(p_n.support[i]))
+    support = tuple(p_n.support[i] for i in order)
+    probs = np.array([p_n.numerators[i] for i in order], dtype=float) / DENOMINATOR
+    base_counts = np.array([counts[lab] for lab in support], dtype=np.int64)
+    return Sample(n, p_n, support, probs, base_counts)
+
+
 def statistic_tv_core(
-    data: Sequence[Label], nu: FiniteDistribution, g: Correspondence
+    data: Sequence[Label] | Sample, nu: FiniteDistribution, g: Correspondence
 ) -> TestReport:
     """Largest excess of the empirical distribution over the model capacity.
 
     Zero exactly when the empirical distribution is achievable by the model;
     observed labels the model does not list count against it.
     """
-    if not data:
-        raise EmptyData("no observations")
-    result = solve_zero_one(empirical(data), nu, g)
+    sample = tally(data)
+    result = solve_zero_one(sample.p_n, nu, g)
     return TestReport(
         statistic_name="tv-core",
         value=result.primal_value,
-        n=len(data),
+        n=sample.n,
         witness=result.witness,
     )
 
 
 def statistic_tn_halflines(
-    data: Sequence[float], nu: FiniteDistribution, g_on_line: Correspondence
+    data: Sequence[float] | Sample, nu: FiniteDistribution, g_on_line: Correspondence
 ) -> TestReport:
     """Deficiency maximized over the 2n half-line classes at the observations.
 
@@ -133,9 +157,8 @@ def statistic_tn_halflines(
     of :func:`~falsiflow.correspondence.max_halfline_deficiency_fp`; the
     witness is the first maximizing class in ascending y, lower before upper.
     """
-    if not data:
-        raise EmptyData("no observations")
-    p = empirical(list(data))
+    sample = tally(data)
+    p = sample.p_n
     g_ext = g_on_line.extend_outcomes(p.support)
     support = g_ext.outcome_support
     order = ascending(support)
@@ -145,20 +168,20 @@ def statistic_tn_halflines(
     return TestReport(
         statistic_name="tn-halflines",
         value=value_fp / DENOMINATOR,
-        n=len(data),
+        n=sample.n,
         witness=witness,
     )
 
 
-def statistic_semiparametric(data: Sequence[Label], model: SemiparametricModel) -> TestReport:
+def statistic_semiparametric(data: Sequence[Label] | Sample,
+                             model: SemiparametricModel) -> TestReport:
     """Dual moment-restriction statistic on the empirical distribution."""
-    if not data:
-        raise EmptyData("no observations")
-    cert = maximize_dual(model, empirical(data))
+    sample = tally(data)
+    cert = maximize_dual(model, sample.p_n)
     return TestReport(
         statistic_name="semi",
         value=max(cert.T, 0.0),
-        n=len(data),
+        n=sample.n,
         certificate=cert,
     )
 
@@ -225,7 +248,7 @@ def _spawned_pcg64_states(seeds: np.random.SeedSequence, first: int, count: int)
 
 
 def bootstrap_pvalue(
-    data: Sequence[Label],
+    data: Sequence[Label] | Sample,
     model,
     statistic_kind: str,
     B: int,
@@ -237,28 +260,20 @@ def bootstrap_pvalue(
     :class:`SemiparametricModel` for "semi".  Resamples are multinomial over
     the sorted empirical support; with T̃*_b the recentered replicate value,
     p = (1 + #{T̃*_b >= T}) / (B + 1).  A failing replicate aborts the run.
+    ``data`` is a label sequence or its :func:`tally`.
     """
-    if not data:
-        raise EmptyData("no observations")
+    sample = tally(data)
     if B < 1:
         raise SupportMismatch("B must be at least 1")
     if B > 2**32:
         raise SupportMismatch("B must be at most 2**32, one spawn-key word per replicate")
-    observed = _compute(statistic_kind, list(data), model)
-
-    n = len(data)
-    tally = Counter(data)
-    p_n = make_distribution((lab, c / n) for lab, c in tally.items())
-    order = sorted(range(len(p_n.support)), key=lambda i: str(p_n.support[i]))
-    support = [p_n.support[i] for i in order]
-    probs = np.array([p_n.numerators[i] for i in order], dtype=float) / DENOMINATOR
-    base_counts = np.array([tally[lab] for lab in support], dtype=np.int64)
+    observed = _compute(statistic_kind, sample, model)
 
     seeds = np.random.SeedSequence(seed)
     bitgen = np.random.PCG64(np.random.SeedSequence(seeds.entropy, spawn_key=(0,)))
     state = bitgen.state
     draw = np.random.Generator(bitgen).multinomial
-    rows = max(1, REPLICATE_BLOCK // len(support))
+    rows = max(1, REPLICATE_BLOCK // len(sample.support))
     replicates: list[float] = []
     for start in range(0, B, rows):
         children = _spawned_pcg64_states(seeds, start, min(rows, B - start))
@@ -268,9 +283,9 @@ def bootstrap_pvalue(
         for child in children:
             state["state"] = child
             bitgen.state = state
-            draws.append(draw(n, probs))
+            draws.append(draw(sample.n, sample.probs))
         replicates += _recentered_replicates(
-            statistic_kind, np.array(draws), base_counts, support, model, observed
+            statistic_kind, np.array(draws), sample.base_counts, sample.support, model, observed
         )
     exceed = sum(value >= observed.value for value in replicates)
     pvalue = (1 + exceed) / (B + 1)

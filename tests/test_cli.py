@@ -6,6 +6,7 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
@@ -713,6 +714,67 @@ def test_invert_single_point_matches_test(entry_model, tmp_path, capsys):
     pvalue = float(lines[1].split(",")[1])
     accepted = lines[1].split(",")[2] == "true"
     assert accepted == (pvalue >= 0.05)
+
+
+@pytest.mark.parametrize(
+    "spec,stat,counts,grid",
+    [
+        ({"model": "entry_game", "params": {"delta1": -1.0, "delta2": -1.0, "resolution": 12}},
+         "tv-core", {"(0,0)": 37, "(0,1)": 57, "(1,0)": 38, "(1,1)": 18},
+         "delta1=-1.5:-0.5:1,delta2=-1.5:-0.5:1"),
+        ({"model": "pilot", "params": {"eta": 0.5}},
+         "semi", {"(0,-1)": 13, "(0,1)": 27, "(1,-1)": 22, "(1,1)": 18},
+         "eta=0.2:0.8:0.3"),
+    ],
+    ids=["entry-2x2", "pilot-3"],
+)
+def test_invert_rows_match_test_at_each_point(tmp_path, capsys, spec, stat, counts, grid):
+    # invert tallies the data and builds the entry grid once per command; each
+    # row must still be `test` at that point with that point's spawned seed
+    model = write_json(tmp_path, "model.json", spec)
+    data = tmp_path / "data.csv"
+    data.write_text("y\n" + "".join(f"{y}\n" * k for y, k in counts.items()))
+    common = ["--data", str(data), "--stat", stat, "--B", "9"]
+    assert main(["invert", "--model", model, *common, "--seed", "3", "--grid", grid]) == 0
+    header, *rows = capsys.readouterr().out.splitlines()
+    names = header.split(",")[:-2]
+    points = parse_grid(grid)
+    seeds = np.random.SeedSequence(3).spawn(len(points))
+    assert len(rows) == len(points)
+    for row, pt, seed in zip(rows, points, seeds):
+        assert row.split(",")[:-2] == [format(pt[n], ".10g") for n in names]
+        local = write_json(tmp_path, "point.json", dict(spec, params=dict(spec["params"], **pt)))
+        assert main(["test", "--model", local, *common,
+                     "--seed", str(seed.generate_state(1)[0])]) == 0
+        assert row.split(",")[-2] == repr(json.loads(capsys.readouterr().out)["pvalue"])
+    assert len({row.split(",")[-2] for row in rows}) > 1
+
+
+def test_invert_repeated_axis_exit2(entry_model, tmp_path, capsys):
+    data = tmp_path / "data.csv"
+    data.write_text("y\n(0,0)\n")
+    code = main(["invert", "--model", entry_model, "--data", str(data), "--B", "1",
+                 "--grid", "delta1=-1:-0.5:0.5,delta1=-1:-0.5:0.5"])
+    assert code == 2
+    assert capsys.readouterr().err == "error: grid axis 'delta1' is given more than once\n"
+
+
+@pytest.mark.parametrize("alpha", ["nan", "1.5", "-0.1", "inf"])
+def test_invert_alpha_outside_unit_interval_names_flag_and_value(alpha, entry_model, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["invert", "--model", entry_model, "--data", "d.csv", "--grid", "delta1=-1:-1:1",
+              "--alpha", alpha])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        f"falsiflow invert: error: argument --alpha: must be a number in [0, 1], not {alpha}\n")
+
+
+def test_simulate_negative_n_names_flag_and_value(entry_model, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--model", entry_model, "--n", "-5"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        "falsiflow simulate: error: argument --n: must be a non-negative integer, not -5\n")
 
 
 def test_invert_empty_grid_warns(entry_model, tmp_path, capsys):

@@ -1,8 +1,8 @@
 """The benchmark's tracer (bench/tracer.py) patches falsiflow by name and reads
 a few fields of what the patched calls take and return.  These tests run it
-over a pilot and an entry-game ``check`` and one ``test --stat tn-halflines``,
-so a renamed method or a dropped field fails here and not only in a traced
-benchmark run.
+over a pilot and an entry-game ``check``, one ``test --stat tn-halflines`` and
+one entry-game ``invert``, so a renamed method or a dropped field fails here
+and not only in a traced benchmark run.
 """
 
 import importlib.util
@@ -82,3 +82,25 @@ def test_tracer_counts_one_capacity_call_per_parametric_check(tmp_path):
     assert metrics["transport.solve_calls"] == 1 and metrics["transport.arcs"] > 0
     # the witness's capacity is computed once, by the certificate check
     assert metrics["correspondence.capacity_calls"] == 1
+
+
+def test_tracer_counts_one_entry_grid_per_invert(tmp_path):
+    # the points of one invert share the data's tally and the latent grid
+    entry = write(tmp_path / "entry.json", json.dumps(
+        {"model": "entry_game", "params": {"delta1": -1.0, "delta2": -1.0, "resolution": 10}}))
+    data = write(tmp_path / "data.csv", "y\n(0,0)\n(0,1)\n(1,0)\n(1,1)\n(0,1)\n")
+
+    tracer = load_tracer_class()()
+    tracer.install(falsiflow)
+    try:
+        tracer.start_round()
+        assert main(["invert", "--model", entry, "--data", data, "--B", "5",
+                     "--grid", "delta1=-1.5:-1:0.5", "--out", str(tmp_path / "region.csv")]) == 0
+        tracer.end_round()
+    finally:
+        tracer.remove()
+
+    metrics, _ = tracer.metrics()
+    assert metrics["inference.replicates"] == 10
+    assert metrics["models.grid_nodes"] == 100
+    assert metrics["transport.solve_calls"] == 2
