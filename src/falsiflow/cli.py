@@ -11,7 +11,6 @@ import argparse
 import functools
 import json
 import math
-import numbers
 import reprlib
 import sys
 from json.encoder import encode_basestring_ascii as quote
@@ -22,7 +21,7 @@ from . import models
 from .correspondence import Correspondence
 from .errors import FalsiflowError
 from .inference import bootstrap_pvalue, tally
-from .measure import FiniteDistribution, empirical, json_labels
+from .measure import FiniteDistribution, empirical, is_real, json_labels
 from .semiparametric import SemiparametricModel, maximize_dual
 from .transport import solve_zero_one
 
@@ -57,17 +56,13 @@ def _check_spec(spec, origin: str) -> dict:
     return spec
 
 
-def _real(v) -> bool:
-    return isinstance(v, numbers.Real) and not isinstance(v, bool)
-
-
 def _reals(v) -> bool:
-    return isinstance(v, list) and all(map(_real, v))
+    return isinstance(v, list) and all(map(is_real, v))
 
 
 def _alpha_table(v) -> bool:
     return isinstance(v, list) and all(
-        isinstance(row, list) and len(row) == 2 and _real(row[1]) for row in v
+        isinstance(row, list) and len(row) == 2 and is_real(row[1]) for row in v
     )
 
 
@@ -105,7 +100,7 @@ def build_model(spec: dict, origin: str = "<spec>", grids: dict | None = None):
         if kind == "line_network":
             return models.line_network_game(field("masses", _reals, "a list of numbers"))
         if kind == "entry_game":
-            delta1, delta2 = field("delta1", _real, "a number"), field("delta2", _real, "a number")
+            delta1, delta2 = field("delta1", is_real, "a number"), field("delta2", is_real, "a number")
             resolution = field("resolution", _count, "a positive integer", 40)
             # entry_game's own grid, built only where entry_game would build it:
             # past its check on the deltas
@@ -118,7 +113,7 @@ def build_model(spec: dict, origin: str = "<spec>", grids: dict | None = None):
             return models.search_game([(lab, val) for lab, val in alpha], nu)
         if kind == "pilot":
             return models.binary_response_pilot(
-                field("eta", _real, "a number"),
+                field("eta", is_real, "a number"),
                 epsilon_grid=field("epsilon_grid", lambda v: v is None or _reals(v),
                                    "a list of numbers", None),
             )
@@ -128,7 +123,7 @@ def build_model(spec: dict, origin: str = "<spec>", grids: dict | None = None):
                 params["phi"], params["grid"],
             )
         if kind == "example4":
-            model, _ = models.example4_instance(field("M", _real, "a number"))
+            model, _ = models.example4_instance(field("M", is_real, "a number"))
             return model
         if kind == "custom":
             g = parsed("correspondence", Correspondence.from_json,
@@ -193,7 +188,7 @@ def _canonical_labels(labels, outcome_support) -> list:
     "0.50" is the outcome 0.5, and NaN is refused; otherwise labels match by
     text.  Labels with no match are kept, so they count against the model.
     """
-    if all(isinstance(y, numbers.Real) and not isinstance(y, bool) for y in outcome_support):
+    if all(map(is_real, outcome_support)):
         values = [float(lab) for lab in labels]
         if any(v != v for v in values):
             raise FalsiflowError("the model's outcomes are numbers, and a label is NaN")
@@ -313,6 +308,11 @@ def parse_grid(spec: str) -> list[dict]:
 def cmd_invert(args) -> int:
     spec = _check_spec(_read_json(args.model), args.model)
     points = parse_grid(args.grid)
+    params = spec.get("params", {})
+    for name in (part.partition("=")[0].strip() for part in args.grid.split(",") if part):
+        if name not in params:
+            raise FalsiflowError(f"{args.model}: grid axis {name!r} names no field of model "
+                                 f"{spec.get('model')!r}")
     data = load_data(args.data)
     names = sorted({k for pt in points for k in pt})
     header = ",".join(names + ["pvalue", "accepted"])
@@ -327,7 +327,7 @@ def cmd_invert(args) -> int:
     # tally of the data, and each resolution's entry-game grid
     samples, grids = {}, {}
     for pt, seed in zip(points, seeds):
-        local = dict(spec, params=dict(spec.get("params", {}), **pt))
+        local = dict(spec, params=dict(params, **pt))
         model, outcome_support = _tested_model(build_model(local, args.model, grids), args.stat)
         if outcome_support not in samples:
             samples[outcome_support] = tally(_canonical_labels(data, outcome_support))

@@ -16,7 +16,6 @@ query A, are int bitsets over outcome indices.
 from __future__ import annotations
 
 import itertools
-import numbers
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -26,7 +25,8 @@ import numpy as np
 
 from .errors import (DuplicateLabel, EmptyImage, NotOrdered, SupportMismatch, SupportTooLarge,
                      TooManySelections)
-from .measure import DENOMINATOR, JSON_LABEL_TYPES, FiniteDistribution, Label, align, json_labels
+from .measure import (DENOMINATOR, JSON_LABEL_TYPES, FiniteDistribution, Label, align, is_real,
+                      json_labels)
 
 #: Guard on exhaustive subset enumeration.
 BRUTEFORCE_MAX_OUTCOMES = 20
@@ -199,7 +199,7 @@ def capacity_fp(g: Correspondence, nu: FiniteDistribution, a: int | Sequence[Lab
 
 def ascending(labels: Sequence[Label]) -> list[int]:
     """Indices of ``labels`` from lowest to highest; only real numbers other than NaN are ordered."""
-    if not all(isinstance(y, numbers.Real) and not isinstance(y, bool) and y == y for y in labels):
+    if not all(is_real(y) and y == y for y in labels):
         raise NotOrdered("half-line statistics need numeric outcome labels, not text or NaN")
     return sorted(range(len(labels)), key=lambda i: labels[i])
 

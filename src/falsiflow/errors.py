@@ -64,17 +64,13 @@ class LpFailure(FalsiflowError):
     pass
 
 
-class IterationLimit(FalsiflowError):
-    pass
-
-
 class CertificateMismatch(FalsiflowError):
     """An independent certificate does not reproduce a solver's optimal value."""
 
 
 class Infeasible(FalsiflowError):
-    """No latent distribution on the grid satisfies the moment restrictions (empty
-    V): the semiparametric primal LP is infeasible and its dual unbounded."""
+    """An infeasible LP; for the semiparametric primal, no latent distribution on
+    the grid satisfies the moment restrictions (empty V) and the dual is unbounded."""
 
 
 # -- model constructors / simulation ---------------------------------------------

@@ -8,15 +8,13 @@ solved by the dual simplex method of HiGHS through the bindings scipy ships,
 imports, and only here.  It is loaded from its file, because importing it by
 name runs the ``scipy.optimize`` package init, which costs every start-up
 about 0.3 s and of which nothing here is used.  Nothing here imports
-``scipy.sparse`` either (about 0.2 s more): a scipy sparse matrix handed in is
-read through its own methods.  Every optimal return is verified for primal
-feasibility, dual feasibility, complementary slackness and strong duality at
-1e-9, with numpy, before being handed back.
+``scipy.sparse`` either (about 0.2 s more).  :func:`solve` returns only an
+optimum, verified for primal feasibility, dual feasibility, complementary
+slackness and strong duality at 1e-9 with numpy; every other outcome raises.
 """
 
 from __future__ import annotations
 
-import enum
 import importlib.machinery
 import importlib.util
 import sys
@@ -26,7 +24,7 @@ from pathlib import Path
 import numpy as np
 import scipy
 
-from .errors import DimensionMismatch, IterationLimit, LpFailure
+from .errors import DimensionMismatch, Infeasible, LpFailure
 
 
 def _load_highs():
@@ -65,12 +63,6 @@ _OPTIONS.simplex_strategy = 1
 _OPTIONS.output_flag = _OPTIONS.log_to_console = False
 
 
-class Status(enum.Enum):
-    OPTIMAL = "optimal"
-    INFEASIBLE = "infeasible"
-    UNBOUNDED = "unbounded"
-
-
 @dataclass(frozen=True, eq=False)
 class CscMatrix:
     """A sparse matrix in compressed sparse column form, without explicit
@@ -100,35 +92,9 @@ class CscMatrix:
         return np.bincount(self._columns(), self.data * y[self.indices], minlength=self.shape[1])
 
 
-def _as_csc(a) -> CscMatrix:
-    """``a`` as a :class:`CscMatrix`: a dense array-like, or a scipy sparse
-    matrix, which is read through its own ``tocsc`` on a copy and so left as
-    it was.  Duplicate entries are summed and zeros dropped."""
-    if hasattr(a, "tocsc"):
-        m = a.tocsc(copy=True)
-        m.sum_duplicates()  # also sorts the row indices
-        m.eliminate_zeros()
-        data, indices, indptr, shape = m.data, m.indices, m.indptr, m.shape
-    else:
-        dense = np.asarray(a, dtype=float)
-        if dense.ndim != 2:
-            raise DimensionMismatch(f"constraint matrix has {dense.ndim} dimensions, expected 2")
-        col, indices = np.nonzero(dense.T)  # column by column, rows ascending
-        data, shape = dense[indices, col], dense.shape
-        indptr = np.concatenate([[0], np.cumsum(np.bincount(col, minlength=shape[1]))])
-    return CscMatrix(
-        np.asarray(data, dtype=float), np.asarray(indices, dtype=np.int32),
-        np.asarray(indptr, dtype=np.int32), tuple(shape),
-    )
-
-
 @dataclass(frozen=True)
 class LinearProgram:
-    """min c'x  s.t.  a x = b,  x >= 0.
-
-    ``a`` may be a :class:`CscMatrix`, which is taken as it is, or anything
-    :func:`_as_csc` reads.
-    """
+    """min c'x  s.t.  a x = b,  x >= 0."""
 
     c: np.ndarray
     a: CscMatrix
@@ -137,9 +103,8 @@ class LinearProgram:
     def __post_init__(self):
         c = np.atleast_1d(np.asarray(self.c, dtype=float))
         b = np.atleast_1d(np.asarray(self.b, dtype=float))
-        a = self.a if isinstance(self.a, CscMatrix) else _as_csc(self.a)
+        a = self.a
         object.__setattr__(self, "c", c)
-        object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         if a.shape != (b.size, c.size):
             raise DimensionMismatch(f"constraint matrix is {a.shape}, expected {(b.size, c.size)}")
@@ -153,15 +118,15 @@ class LinearProgram:
 
 @dataclass(frozen=True)
 class Solution:
-    status: Status
-    x: np.ndarray | None
-    objective: float | None
-    duals: np.ndarray | None  # one multiplier per constraint row
-    iterations: int = 0       # solver iterations (HiGHS ``nit``)
+    x: np.ndarray
+    objective: float
+    duals: np.ndarray  # one multiplier per constraint row
+    iterations: int    # dual simplex iterations (``nit``)
 
 
 def solve(program: LinearProgram) -> Solution:
-    """Solve the program; optimal returns are residual-verified at 1e-9."""
+    """The optimum of ``program``, verified at 1e-9; every other outcome
+    raises :class:`Infeasible` or :class:`LpFailure`."""
     model, matrix = highs.HighsLp(), program.a
     model.num_row_, model.num_col_ = matrix.shape
     model.a_matrix_.num_row_, model.a_matrix_.num_col_ = matrix.shape
@@ -179,13 +144,9 @@ def solve(program: LinearProgram) -> Solution:
         raise LpFailure("HiGHS refused the program")
     solver.run()
     status = solver.getModelStatus()
-    if status in (highs.HighsModelStatus.kInfeasible, highs.HighsModelStatus.kModelError):
-        return Solution(Status.INFEASIBLE, None, None, None)
-    if status == highs.HighsModelStatus.kUnbounded:
-        return Solution(Status.UNBOUNDED, None, None, None)
     message = solver.modelStatusToString(status)
-    if status in (highs.HighsModelStatus.kIterationLimit, highs.HighsModelStatus.kTimeLimit):
-        raise IterationLimit(f"solver hit its iteration limit: {message}")
+    if status in (highs.HighsModelStatus.kInfeasible, highs.HighsModelStatus.kModelError):
+        raise Infeasible(f"solver found the program infeasible: {message}")
     if status != highs.HighsModelStatus.kOptimal:
         raise LpFailure(f"solver failure: {message}")
     solution, info = solver.getSolution(), solver.getInfo()
@@ -194,8 +155,7 @@ def solve(program: LinearProgram) -> Solution:
     if not (np.isfinite(x).all() and np.isfinite(duals).all() and np.isfinite(objective)):
         raise LpFailure("solver returned a non-finite solution")
     _verify(program, x, duals)
-    nit = info.simplex_iteration_count or info.ipm_iteration_count
-    return Solution(Status.OPTIMAL, x, float(objective), duals, int(nit))
+    return Solution(x, float(objective), duals, int(info.simplex_iteration_count))
 
 
 def _verify(program: LinearProgram, x: np.ndarray, duals: np.ndarray):

@@ -8,6 +8,7 @@ Masses are stored as 64-bit integer numerators over the fixed denominator
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Sequence
 
@@ -33,6 +34,11 @@ Label = Hashable
 
 #: The types a label read from a JSON file may have.
 JSON_LABEL_TYPES = {str, int, float}
+
+
+def is_real(v) -> bool:
+    """Whether ``v`` is a real number; a bool, which Python counts as one, is not."""
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
 
 
 @dataclass(frozen=True)

@@ -37,7 +37,7 @@ import numpy as np
 
 from . import lp
 from .correspondence import Correspondence
-from .errors import CertificateMismatch, Infeasible, LpFailure, SupportMismatch
+from .errors import CertificateMismatch, Infeasible, SupportMismatch
 from .measure import FiniteDistribution, Label, align
 
 #: Dual values at or below this threshold are read as "compatible".
@@ -244,15 +244,13 @@ def _solve_primal(
     )
     b = np.hstack([masses, np.zeros((k, d))]).ravel()
     program = lp.LinearProgram(c=np.tile(cost.ravel(), k), a=a, b=b)
-    sol = lp.solve(program)
-    if sol.status is lp.Status.INFEASIBLE:
+    try:
+        return lp.solve(program), scales
+    except Infeasible:
         raise Infeasible(
             "no latent distribution on the grid satisfies the moment restrictions; "
             "the dual is unbounded"
-        )
-    if sol.status is lp.Status.UNBOUNDED:
-        raise LpFailure("semiparametric primal LP returned unbounded")
-    return sol, scales
+        ) from None
 
 
 def primal_lp(

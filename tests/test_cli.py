@@ -571,11 +571,18 @@ def test_test_refuses_more_than_2_32_replicates_before_any_draw(
 
 
 def test_test_stat_model_kind_mismatch(entry_model, tmp_path, capsys):
+    # both directions, from test and from invert
+    pilot_model = write_json(tmp_path, "pilot.json", {"model": "pilot", "params": {"eta": 0.5}})
     data = tmp_path / "data.csv"
     data.write_text("y\n(0,0)\n")
-    code = main(["test", "--model", entry_model, "--data", str(data), "--stat", "semi"])
-    assert code == 2
-    assert "semi" in capsys.readouterr().err
+    for model, stat, grid, wanted in (
+        (entry_model, "semi", "delta1=-1:-1:1", "a semiparametric"),
+        (pilot_model, "tv-core", "eta=0.5:0.5:1", "a parametric"),
+    ):
+        for argv in (["test"], ["invert", "--grid", grid]):
+            code = main(argv + ["--model", model, "--data", str(data), "--stat", stat])
+            assert code == 2
+            assert capsys.readouterr().err == f"error: --stat {stat} requires {wanted} model spec\n"
 
 
 def test_halflines_on_unordered_outcomes_errors(entry_model, tmp_path, capsys):
@@ -598,7 +605,12 @@ def test_halflines_nan_data_exit2(tmp_path, capsys, command):
     if command == "invert":
         argv += ["--grid", "eta=0:0:1"]
     assert main(argv) == 2
-    assert "NaN" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    if command == "invert":
+        # no field of a search spec is a number, so no grid axis can name one
+        assert err == f"error: {model}: grid axis 'eta' names no field of model 'search'\n"
+    else:
+        assert "NaN" in err
 
 
 def test_search_nan_alpha_exit2(tmp_path, capsys):
@@ -759,6 +771,19 @@ def test_invert_repeated_axis_exit2(entry_model, tmp_path, capsys):
     assert capsys.readouterr().err == "error: grid axis 'delta1' is given more than once\n"
 
 
+@pytest.mark.parametrize("axis", ["foo=1:2:1", "=1:2:1", "foo=2:1:1"],
+                         ids=["foo", "empty-name", "no-points"])
+def test_invert_grid_axis_names_no_field_exit2(axis, entry_model, capsys):
+    # refused before the data file, which does not exist, is read, and on a
+    # grid left with no points too
+    code = main(["invert", "--model", entry_model, "--data", "/nonexistent.csv", "--B", "1",
+                 "--grid", "delta1=-1:-1:1," + axis])
+    assert code == 2
+    name = axis.partition("=")[0]
+    assert capsys.readouterr().err == (
+        f"error: {entry_model}: grid axis {name!r} names no field of model 'entry_game'\n")
+
+
 @pytest.mark.parametrize("alpha", ["nan", "1.5", "-0.1", "inf"])
 def test_invert_alpha_outside_unit_interval_names_flag_and_value(alpha, entry_model, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -789,7 +814,7 @@ def test_invert_empty_grid_warns(entry_model, tmp_path, capsys):
     assert captured.out.strip() == "pvalue,accepted"
 
 
-def test_invert_deterministic_and_threaded(entry_model, tmp_path):
+def test_invert_deterministic(entry_model, tmp_path):
     data = tmp_path / "data.csv"
     main(["simulate", "--model", entry_model, "--n", "60", "--seed", "5", "--out", str(data)])
     results = []

@@ -12,7 +12,7 @@ from scipy.optimize import linprog
 
 import falsiflow
 from falsiflow import lp, semiparametric
-from falsiflow.errors import DimensionMismatch, LpFailure
+from falsiflow.errors import DimensionMismatch, Infeasible, LpFailure
 from falsiflow.measure import align, make_distribution
 from falsiflow.models import (
     binary_response_pilot,
@@ -27,55 +27,52 @@ def _scipy(a: lp.CscMatrix) -> sparse.csc_array:
     return sparse.csc_array((a.data, a.indices, a.indptr), shape=a.shape)
 
 
+def _csc(a) -> lp.CscMatrix:
+    """A dense or scipy sparse matrix as the record a program takes, in
+    scipy's own CSC conversion."""
+    m = sparse.csc_array(a, dtype=float)
+    return lp.CscMatrix(m.data, m.indices.astype(np.int32), m.indptr.astype(np.int32), m.shape)
+
+
 def test_one_variable():
-    prog = lp.LinearProgram(c=[1.0], a=[[1.0]], b=[1.0])
+    prog = lp.LinearProgram(c=[1.0], a=_csc([[1.0]]), b=[1.0])
     sol = lp.solve(prog)
-    assert sol.status is lp.Status.OPTIMAL
     assert sol.x[0] == pytest.approx(1.0)
     assert sol.objective == pytest.approx(1.0)
 
 
 def test_infeasible():
-    prog = lp.LinearProgram(c=[1.0], a=[[1.0], [1.0]], b=[1.0, 0.0])
-    assert lp.solve(prog).status is lp.Status.INFEASIBLE
+    prog = lp.LinearProgram(c=[1.0], a=_csc([[1.0], [1.0]]), b=[1.0, 0.0])
+    with pytest.raises(Infeasible):
+        lp.solve(prog)
 
 
 def test_unbounded():
     # min -x1 with x1 = x2 and both free to grow
-    prog = lp.LinearProgram(c=[-1.0, 0.0], a=[[1.0, -1.0]], b=[0.0])
-    assert lp.solve(prog).status is lp.Status.UNBOUNDED
+    prog = lp.LinearProgram(c=[-1.0, 0.0], a=_csc([[1.0, -1.0]]), b=[0.0])
+    with pytest.raises(LpFailure, match="^solver failure: Unbounded$"):
+        lp.solve(prog)
 
 
 def test_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
-        lp.LinearProgram(c=[1.0, 2.0], a=[[1.0]], b=[1.0])
+        lp.LinearProgram(c=[1.0, 2.0], a=_csc([[1.0]]), b=[1.0])
 
 
 def test_nonfinite_rejected():
     with pytest.raises(DimensionMismatch):
-        lp.LinearProgram(c=[np.inf], a=[[1.0]], b=[1.0])
+        lp.LinearProgram(c=[np.inf], a=_csc([[1.0]]), b=[1.0])
     with pytest.raises(DimensionMismatch):
-        lp.LinearProgram(c=[1.0], a=sparse.csc_array([[np.nan]]), b=[1.0])
+        lp.LinearProgram(c=[1.0], a=_csc([[np.nan]]), b=[1.0])
 
 
 def test_size_guard():
     # the guard counts stored nonzeros, not the entries of a dense matrix
-    lp.LinearProgram(c=np.zeros(101), a=np.zeros((101, 101)), b=np.zeros(101))
+    lp.LinearProgram(c=np.zeros(101), a=_csc(np.zeros((101, 101))), b=np.zeros(101))
     n = lp.MAX_NONZEROS
-    lp.LinearProgram(c=np.zeros(n), a=sparse.eye_array(n, format="csc"), b=np.zeros(n))
+    lp.LinearProgram(c=np.zeros(n), a=_csc(sparse.eye_array(n)), b=np.zeros(n))
     with pytest.raises(DimensionMismatch):
-        lp.LinearProgram(
-            c=np.zeros(n + 1), a=sparse.eye_array(n + 1, format="csc"), b=np.zeros(n + 1)
-        )
-
-
-def test_sparse_input_drops_explicit_zeros():
-    a = sparse.csc_array((np.array([1.0, 0.0, 2.0]), np.array([0, 1, 1]), np.array([0, 2, 3])))
-    prog = lp.LinearProgram(c=[1.0, 1.0], a=a, b=[1.0, 2.0])
-    assert _scipy(prog.a).nnz == 2
-    assert a.nnz == 3  # the caller's matrix is left as it was
-    assert np.array_equal(_scipy(prog.a).toarray(), [[1.0, 0.0], [0.0, 2.0]])
-    assert lp.solve(prog).objective == pytest.approx(2.0)
+        lp.LinearProgram(c=np.zeros(n + 1), a=_csc(sparse.eye_array(n + 1)), b=np.zeros(n + 1))
 
 
 def _canonical(a) -> sparse.csc_array:
@@ -95,34 +92,6 @@ def _assert_same_csc(record: lp.CscMatrix, ref: sparse.csc_array):
     assert np.array_equal(record.indptr, ref.indptr)
     assert record.data.dtype == np.float64
     assert record.indices.dtype == record.indptr.dtype == np.int32
-
-
-def test_csc_record_from_dense_matches_scipy():
-    rng = np.random.default_rng(3)
-    for m, n in ((1, 1), (3, 5), (7, 2), (0, 3), (4, 0), (6, 6)):
-        dense = rng.normal(size=(m, n)) * (rng.random(size=(m, n)) < 0.5)
-        _assert_same_csc(lp.LinearProgram(c=np.zeros(n), a=dense, b=np.zeros(m)).a, _canonical(dense))
-        if m:  # an empty list of rows has one dimension
-            _assert_same_csc(lp.LinearProgram(c=np.zeros(n), a=dense.tolist(), b=np.zeros(m)).a,
-                             _canonical(dense))
-
-
-def test_csc_record_from_scipy_matches_and_leaves_the_callers_matrix():
-    # column 0 holds unsorted rows and an explicit zero, column 2 a duplicate
-    data = np.array([2.0, 0.0, 1.0, 3.0, 4.0, 5.0])
-    indices = np.array([2, 0, 1, 1, 0, 1])
-    indptr = np.array([0, 3, 3, 6])
-    for kind in (sparse.csc_array, sparse.csc_matrix):
-        a = kind((data.copy(), indices.copy(), indptr.copy()), shape=(3, 3))
-        assert not a.has_sorted_indices
-        ref = _canonical(a)
-        assert np.array_equal(ref.toarray(), [[0.0, 0.0, 4.0], [1.0, 0.0, 8.0], [2.0, 0.0, 0.0]])
-        for given in (a, a.tocsr(), a.tocoo()):
-            _assert_same_csc(lp.LinearProgram(c=np.zeros(3), a=given, b=np.zeros(3)).a, ref)
-        assert np.array_equal(a.data, data)
-        assert np.array_equal(a.indices, indices)
-        assert np.array_equal(a.indptr, indptr)
-        assert not a.has_sorted_indices
 
 
 def test_csc_record_from_solve_primal_matches_scipy(monkeypatch):
@@ -151,7 +120,7 @@ def test_products_match_scipy():
         m = int(rng.integers(1, 8))
         n = int(rng.integers(1, 8))
         a = rng.normal(size=(m, n)) * (rng.random(size=(m, n)) < 0.7)
-        record = lp.LinearProgram(c=np.zeros(n), a=sparse.csc_array(a), b=np.zeros(m)).a
+        record = _csc(a)
         x, y = rng.normal(size=n), rng.normal(size=m)
         for ours, ref, terms in (
             (record.matvec(x), _scipy(record) @ x, np.abs(a) @ np.abs(x)),
@@ -187,8 +156,7 @@ def test_transportation_lp_known_value():
         row[j::3] = 1.0
         rows.append(row)
         rhs.append(nu[j])
-    sol = lp.solve(lp.LinearProgram(c=cost.ravel(), a=np.array(rows), b=np.array(rhs)))
-    assert sol.status is lp.Status.OPTIMAL
+    sol = lp.solve(lp.LinearProgram(c=cost.ravel(), a=_csc(rows), b=np.array(rhs)))
     assert sol.objective == pytest.approx(0.1, abs=1e-9)
 
 
@@ -196,11 +164,10 @@ def test_duals_satisfy_strong_duality():
     # x1 + x2 >= 1 and x1 + 2 x2 >= 1.5, written with surplus variables
     prog = lp.LinearProgram(
         c=[2.0, 3.0, 0.0, 0.0],
-        a=[[1.0, 1.0, -1.0, 0.0], [1.0, 2.0, 0.0, -1.0]],
+        a=_csc([[1.0, 1.0, -1.0, 0.0], [1.0, 2.0, 0.0, -1.0]]),
         b=[1.0, 1.5],
     )
     sol = lp.solve(prog)
-    assert sol.status is lp.Status.OPTIMAL
     assert sol.objective == pytest.approx(2.5, abs=1e-9)
     assert sol.duals @ prog.b == pytest.approx(sol.objective, abs=1e-8)
 
@@ -208,16 +175,15 @@ def test_duals_satisfy_strong_duality():
 def test_lower_bounds():
     # x1 - x2 = -1: without the bound x >= 0 the objective x1 + x2 is unbounded
     # below; with it the optimum sits on x1 = 0
-    prog = lp.LinearProgram(c=[1.0, 1.0], a=[[1.0, -1.0]], b=[-1.0])
+    prog = lp.LinearProgram(c=[1.0, 1.0], a=_csc([[1.0, -1.0]]), b=[-1.0])
     sol = lp.solve(prog)
-    assert sol.status is lp.Status.OPTIMAL
     assert sol.objective == pytest.approx(1.0, abs=1e-9)
     assert sol.x == pytest.approx([0.0, 1.0], abs=1e-9)
 
 
 def test_verify_rejects_each_violation():
     # min x1 + 2 x2 s.t. x1 + x2 = 1: x = (1, 0), y = 1, reduced costs (0, 1)
-    prog = lp.LinearProgram(c=[1.0, 2.0], a=[[1.0, 1.0]], b=[1.0])
+    prog = lp.LinearProgram(c=[1.0, 2.0], a=_csc([[1.0, 1.0]]), b=[1.0])
     x, y = np.array([1.0, 0.0]), np.array([1.0])
     lp._verify(prog, x, y)
     with pytest.raises(LpFailure, match="primal residual"):
@@ -228,20 +194,20 @@ def test_verify_rejects_each_violation():
         lp._verify(prog, x, np.array([0.5]))
     # min 0 s.t. x1 + x2 = 1: x = (2, -1) with y = 0 meets every equation,
     # reduced cost, gap and slackness check, but not x >= 0
-    prog = lp.LinearProgram(c=[0.0, 0.0], a=[[1.0, 1.0]], b=[1.0])
+    prog = lp.LinearProgram(c=[0.0, 0.0], a=_csc([[1.0, 1.0]]), b=[1.0])
     with pytest.raises(LpFailure, match="x >= 0"):
         lp._verify(prog, np.array([2.0, -1.0]), np.array([0.0]))
     # x1 + x2 = 1 and x1 - x2 = 1 at x = (1, 0): the multipliers (-999, 1000)
     # are dual feasible with no gap, but weigh a 1e-9 residual by 1000
-    prog = lp.LinearProgram(c=[1.0, 2.0], a=[[1.0, 1.0], [1.0, -1.0]], b=[1.0, 1.0])
+    prog = lp.LinearProgram(c=[1.0, 2.0], a=_csc([[1.0, 1.0], [1.0, -1.0]]), b=[1.0, 1.0])
     lp._verify(prog, np.array([1.0, 0.0]), np.array([-999.0, 1000.0]))
     with pytest.raises(LpFailure, match="complementary slackness"):
         lp._verify(prog, np.array([1.0 - 0.5e-9, 0.5e-9]), np.array([-999.0, 1000.0]))
 
 
 def test_fuzz_terminates_and_verifies():
-    # every Optimal return passes the internal residual checks at 1e-9 and
-    # matches linprog; Infeasible/Unbounded are legitimate outcomes of the draw
+    # every optimum passes the internal residual checks at 1e-9 and matches
+    # linprog; infeasible and unbounded programs are legitimate draws
     rng = np.random.default_rng(2024)
     statuses = set()
     for _ in range(300):
@@ -250,30 +216,31 @@ def test_fuzz_terminates_and_verifies():
         a = rng.normal(size=(m, n)) * (rng.random(size=(m, n)) < 0.7)
         # half the draws are feasible by construction
         b = a @ rng.random(n) if rng.random() < 0.5 else rng.normal(size=m)
-        prog = lp.LinearProgram(c=rng.normal(size=n), a=sparse.csc_array(a), b=b)
-        sol = _solve_matching_linprog(prog)
-        statuses.add(sol.status)
-        if sol.status is lp.Status.OPTIMAL:
-            assert sol.objective is not None
+        prog = lp.LinearProgram(c=rng.normal(size=n), a=_csc(a), b=b)
+        status, sol = _solve_matching_linprog(prog)
+        statuses.add(status)
+        if status == 0:
             assert np.abs(_scipy(prog.a) @ sol.x - prog.b).max() <= 1e-8
-    assert statuses == set(lp.Status)
+    assert statuses == {0, 2, 3}
 
 
 def _solve_matching_linprog(program):
     # scipy's linprog front end to the same HiGHS build is the independent
-    # reference: the same status and, when optimal, bit-equal x, duals,
-    # objective and iteration count
+    # reference: an optimum (status 0) with bit-equal x, duals, objective and
+    # iteration count, Infeasible for status 2 and LpFailure for status 3;
+    # returns linprog's status and the optimum, or None
     ref = linprog(program.c, A_eq=_scipy(program.a), b_eq=program.b, bounds=(0, None), method="highs")
-    statuses = {0: lp.Status.OPTIMAL, 2: lp.Status.INFEASIBLE, 3: lp.Status.UNBOUNDED}
-    assert ref.status in statuses, ref.message
+    assert ref.status in (0, 2, 3), ref.message
+    if ref.status != 0:
+        with pytest.raises(Infeasible if ref.status == 2 else LpFailure):
+            lp.solve(program)
+        return ref.status, None
     sol = lp.solve(program)
-    assert sol.status is statuses[ref.status]
-    if sol.status is lp.Status.OPTIMAL:
-        assert np.array_equal(sol.x, ref.x)
-        assert np.array_equal(sol.duals, ref.eqlin.marginals)
-        assert sol.objective == ref.fun
-        assert sol.iterations == ref.nit
-    return sol
+    assert np.array_equal(sol.x, ref.x)
+    assert np.array_equal(sol.duals, ref.eqlin.marginals)
+    assert sol.objective == ref.fun
+    assert sol.iterations == ref.nit
+    return ref.status, sol
 
 
 def test_matches_linprog_on_semiparametric_programs(monkeypatch):
@@ -305,13 +272,13 @@ def test_matches_linprog_on_semiparametric_programs(monkeypatch):
     assert len(programs) == 19
     assert max(p.b.size for p in programs) == 25 * 6
     for program in programs:
-        assert _solve_matching_linprog(program).status is lp.Status.OPTIMAL
+        assert _solve_matching_linprog(program)[0] == 0
 
 
 def test_reproducible():
     prog = lp.LinearProgram(
         c=[1.0, 2.0, 0.5, 0.0],
-        a=[[1.0, 1.0, 1.0, 0.0], [2.0, 0.0, 1.0, -1.0]],
+        a=_csc([[1.0, 1.0, 1.0, 0.0], [2.0, 0.0, 1.0, -1.0]]),
         b=[1.0, 0.7],
     )
     a = lp.solve(prog)
@@ -440,12 +407,15 @@ def test_scipy_optimize_shares_the_bindings(first):
         {imports[1]}
         import sys
         import numpy as np
+        from scipy import sparse
         import {CORE} as core
         assert core is lp.highs is sys.modules["{CORE}"]
         c, a, b = [1.0, 2.0, 0.5, 0.0], [[1.0, 1.0, 1.0, 0.0], [2.0, 0.0, 1.0, -1.0]], [1.0, 0.7]
         ref = linprog(c, A_eq=a, b_eq=b, bounds=(0, None), method="highs")
-        sol = lp.solve(lp.LinearProgram(c=c, a=a, b=b))
-        assert ref.status == 0 and sol.status is lp.Status.OPTIMAL
+        m = sparse.csc_array(a, dtype=float)
+        record = lp.CscMatrix(m.data, m.indices.astype(np.int32), m.indptr.astype(np.int32), m.shape)
+        sol = lp.solve(lp.LinearProgram(c=c, a=record, b=b))
+        assert ref.status == 0
         assert np.array_equal(ref.x, sol.x) and ref.fun == sol.objective, (ref.x, sol.x)
     """)
     assert child.returncode == 0, child.stderr
