@@ -126,10 +126,8 @@ class Correspondence:
     @staticmethod
     def from_json(obj: dict) -> "Correspondence":
         for key in ("latent", "outcomes"):
-            labels = json_labels(obj[key], f"correspondence {key!r}")
-            if len(set(labels)) != len(labels):
-                repeated = [y for y, count in Counter(labels).items() if count > 1]
-                raise DuplicateLabel(f"correspondence {key!r} repeats the label {repeated[0]!r}")
+            what = f"correspondence {key!r}"
+            refuse_repeats(json_labels(obj[key], what), what)
         images = obj["G"]
         if not isinstance(images, dict):
             raise SupportMismatch("correspondence 'G' must map each latent label to a list of outcomes")
@@ -147,6 +145,13 @@ class Correspondence:
             for ys in lists:  # names the first offending list or label
                 json_labels(ys, "correspondence 'G'")
         return _from_lists(tuple(latents), lists, obj["outcomes"])
+
+
+def refuse_repeats(labels: Sequence[Label], what: str):
+    """Raise :class:`DuplicateLabel` naming the first label that ``labels`` repeats."""
+    if len(set(labels)) != len(labels):
+        repeated = next(y for y, count in Counter(labels).items() if count > 1)
+        raise DuplicateLabel(f"{what} repeats the label {repeated!r}")
 
 
 def _from_lists(

@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .correspondence import Correspondence, ascending, max_halfline_deficiency_fp
+from .correspondence import Correspondence, ascending, max_halfline_deficiency_fp, refuse_repeats
 from .errors import (
     BadParameters,
     BadRule,
@@ -237,17 +237,15 @@ def binary_response_pilot(
         if not ((eps > low) & (eps <= high)).any():
             raise GridTooCoarse(f"epsilon grid has no node with {what}")
 
-    latents, mapping, m_plus, m_minus = [], {}, [], []
-    for x in (-1, 1):
-        for e in eps:
-            lab = tuple_label(x, e)
-            latents.append(lab)
-            z = 1 if e <= -x else 0
-            mapping[lab] = [tuple_label(z, x)]
-            m_plus.append(((1 if e <= 0 else 0) - eta) * (1 + x))
-            m_minus.append(((1 if e <= 0 else 0) - eta) * (1 - x))
-    g = Correspondence.from_map(mapping, outcome_support=PILOT_OUTCOMES)
-    return SemiparametricModel(correspondence=g, moments=np.array([m_plus, m_minus]))
+    texts = [_fmt(e) for e in eps]
+    refuse_repeats(texts, "epsilon grid")
+    latents = tuple(f"({x},{t})" for x in (-1, 1) for t in texts)
+    x, e = np.repeat([-1, 1], eps.size), np.tile(eps, 2)
+    # Z = 1{x + eps <= 0}; outcome (z, x) sits at index 2z + 1{x = 1} of PILOT_OUTCOMES
+    indices = 2 * (e <= -x) + (x == 1)
+    g = Correspondence(latents, PILOT_OUTCOMES, np.arange(len(latents) + 1), indices)
+    below = (e <= 0) - eta
+    return SemiparametricModel(correspondence=g, moments=np.array([below * (1 + x), below * (1 - x)]))
 
 
 def pilot_distribution(p_given_x1: float, p_given_xm1: float) -> FiniteDistribution:
@@ -280,21 +278,18 @@ def moment_inequality_model(
     if grid.shape[1] != phi.shape[1]:
         raise BadParameters("latent grid dimension must match the number of phi components")
 
-    support = tuple(outcomes) + (SLACK_OUTCOME,)
-    mapping: dict[Label, list[Label]] = {}
-    nodes = []
-    covered = np.zeros(len(outcomes), dtype=bool)
-    for row in grid:
-        lab = tuple_label(*row) if row.size > 1 else _fmt(row[0])
-        nodes.append(lab)
-        dominated = (row[None, :] >= phi).all(axis=1)
-        covered |= dominated
-        admissible = [outcomes[k] for k in np.flatnonzero(dominated)]
-        mapping[lab] = admissible if admissible else [SLACK_OUTCOME]
+    refuse_repeats(outcomes, "outcome list")
+    dominated = (grid[:, None, :] >= phi[None]).all(axis=2)  # [node, outcome]
+    covered = dominated.any(axis=0)
     if not covered.all():
         missing = [outcomes[k] for k in np.flatnonzero(~covered)]
         raise GridTooCoarse(f"no grid node dominates the phi values of outcomes {missing}")
-    g = Correspondence.from_map(mapping, outcome_support=support)
+    nodes = [tuple_label(*row) if row.size > 1 else _fmt(row[0]) for row in grid]
+    refuse_repeats(nodes, "latent grid")
+    # a node dominating no outcome admits the slack outcome, the last one
+    admits = np.column_stack([dominated, ~dominated.any(axis=1)])
+    indptr = np.concatenate([[0], np.cumsum(admits.sum(axis=1))])
+    g = Correspondence(tuple(nodes), tuple(outcomes) + (SLACK_OUTCOME,), indptr, np.nonzero(admits)[1])
     return SemiparametricModel(correspondence=g, moments=grid.T.copy())
 
 

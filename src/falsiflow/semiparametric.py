@@ -9,14 +9,16 @@ concave program
 
 the dual of the transport LP min sum pi(y,u) 1{y not admissible for u} over
 couplings pi with outcome marginal P and E_pi[m(U)] = 0.  That primal LP is
-solved once on HiGHS; the duals of its moment rows give the multiplier, and
-the closed-form objective above at that multiplier must reproduce the LP
-optimum, which certifies both.  T(P) = 0 certifies compatibility, a positive
-value falsifies the model.  An outcome of P the model does not list has an
-empty preimage, so its mass counts against the model.  :func:`dual_objective`
-is the closed form at any multiplier.  Moments that no latent distribution on
-the grid meets make every solve raise :class:`~falsiflow.errors.Infeasible`
-(infeasible primal).
+solved once on HiGHS; :mod:`falsiflow.lp` checks only that its coupling is
+feasible, and the duals of its moment rows give the multiplier.  Optimality
+is certified here: the closed form above re-derives each inner minimum from
+the multiplier alone, so it is a dual value, at most the optimum, which is
+at most the coupling's cost; the two must agree.  T(P) = 0 certifies
+compatibility, a positive value falsifies the model.  An outcome of P the
+model does not list has an empty preimage, so its mass counts against the
+model.  :func:`dual_objective` is the closed form at any multiplier.
+Moments that no latent distribution on the grid meets make every solve
+raise :class:`~falsiflow.errors.Infeasible` (infeasible primal).
 
 Only latent columns with distinct (image, moment column) pairs matter to the
 LP and to the closed form, so both run on the model's exactly merged columns
@@ -178,11 +180,11 @@ def maximize_dual_batch(
     over the model's merged latent columns, split into chunks of at most
     :data:`lp.MAX_NONZEROS` nonzeros.  Each block's multiplier is read from
     the duals of its own moment rows.  The closed-form dual objective at that
-    multiplier must equal the block's LP optimum to :data:`lp.TOLERANCE`,
-    else :class:`CertificateMismatch` is raised; T is that closed-form value,
-    and ``iterations`` counts the HiGHS iterations of the LP that held the
-    block.  Moments no latent distribution on the grid meets (infeasible
-    primal, unbounded dual) raise :class:`Infeasible`.
+    multiplier must equal the cost of the block's coupling (:func:`_certify`);
+    T is that closed-form value, and ``iterations`` counts the HiGHS
+    iterations of the LP that held the block.  Moments no latent distribution
+    on the grid meets (infeasible primal, unbounded dual) raise
+    :class:`Infeasible`.
     """
     model = model.extend_outcomes([y for p in ps for y in p.support])
     g = model.correspondence
@@ -193,16 +195,10 @@ def maximize_dual_batch(
     certificates = []
     for block in (masses[start:start + chunk] for start in range(0, len(ps), chunk)):
         sol, scales = _solve_primal(cost, moments, block)
-        objectives = sol.x.reshape(len(block), -1) @ cost.ravel()
+        objectives = (sol.x.reshape(len(block), -1) @ cost.ravel()).tolist()
         for weights, duals, objective in zip(block, sol.duals.reshape(len(block), -1), objectives):
             lam = duals[n_y:] / scales + 0.0  # + 0.0 turns -0.0 into 0.0
-            values, argmin = _evaluate(model, lam)
-            value = float(weights @ values)
-            if abs(value - objective) > lp.TOLERANCE * (1.0 + abs(objective)):
-                raise CertificateMismatch(
-                    f"dual objective {value!r} at the LP multiplier does not certify "
-                    f"the primal optimum {objective!r}"
-                )
+            value, argmin = _certify(model, weights, lam, objective)
             certificates.append(
                 DualCertificate(
                     T=value,
@@ -214,6 +210,21 @@ def maximize_dual_batch(
                 )
             )
     return certificates
+
+
+def _certify(
+    model: SemiparametricModel, weights: np.ndarray, lam: np.ndarray, objective: float
+) -> tuple[float, np.ndarray]:
+    """The closed form at ``lam`` and its argmin latent indices; raises :class:`CertificateMismatch`
+    unless it equals ``objective``, a feasible coupling's cost, to :data:`lp.TOLERANCE`."""
+    values, argmin = _evaluate(model, lam)
+    value = float(weights @ values)
+    if abs(value - objective) > lp.TOLERANCE * (1.0 + abs(objective)):
+        raise CertificateMismatch(
+            f"dual objective {value!r} at the LP multiplier does not certify "
+            f"the primal optimum {objective!r}"
+        )
+    return value, argmin
 
 
 def _solve_primal(
@@ -259,12 +270,15 @@ def primal_lp(
     """Minimal violation mass over couplings whose latent marginal satisfies
     the moment restrictions.
 
-    Returns the optimum and an optimal joint-mass matrix pi[outcome, latent].
-    Raises :class:`Infeasible` when no latent distribution on the grid meets
-    the moments.
+    Returns the certified optimum and an optimal joint-mass matrix
+    pi[outcome, latent].  Raises :class:`Infeasible` when no latent
+    distribution on the grid meets the moments.
     """
     if p.support != model.correspondence.outcome_support:
         raise SupportMismatch("p must live on the model's outcome support")
-    sol, _ = _solve_primal(model.cost_matrix(), model.moments, np.array([p.masses]))
-    return sol.objective, sol.x.reshape(len(p), -1)
+    cost = model.cost_matrix()
+    sol, scales = _solve_primal(cost, model.moments, np.array([p.masses]))
+    objective = float(sol.x @ cost.ravel())
+    _certify(model, np.asarray(p.masses), sol.duals[len(p):] / scales, objective)
+    return objective, sol.x.reshape(len(p), -1)
 

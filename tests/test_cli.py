@@ -13,7 +13,9 @@ from hypothesis import example, given, strategies as st
 import falsiflow
 from falsiflow import inference, semiparametric, transport
 from falsiflow.cli import MAX_GRID_POINTS, build_model, main, parse_grid, render_json
+from falsiflow.correspondence import Correspondence
 from falsiflow.errors import SupportMismatch
+from falsiflow.measure import FiniteDistribution
 
 
 ENTRY_SPEC = {"model": "entry_game", "params": {"delta1": -1.0, "delta2": -1.0}}
@@ -259,6 +261,28 @@ def test_check_empty_moment_set_exit2(tmp_path, capsys):
         "error: no latent distribution on the grid satisfies the moment restrictions; "
         "the dual is unbounded\n"
     )
+
+
+def test_check_point_identified_custom_model_matches_max_flow(tmp_path, capsys):
+    # moments 1{u = u_j} - nu_j pin the latent distribution to nu, so T is the
+    # zero-one transport value; HiGHS once stopped here at a primal residual
+    # of 2.9e-9 and the command ended in exit 2
+    latents = [f"u{j}" for j in range(5)]
+    nu = [53571428, 303571428, 250000000, 35714285, 357142859]
+    g = {"latent": latents, "outcomes": ["y0", "y1", "y2"],
+         "G": dict(zip(latents, [["y2"], ["y0"], ["y2"], ["y0", "y1"], ["y1"]]))}
+    moments = [[float(k == j) - nu[j] / 1e9 for k in range(5)] for j in range(4)]
+    spec = write_json(tmp_path, "custom.json",
+                      {"model": "custom", "params": {"correspondence": g, "moments": moments}})
+    p = {"support": ["y2", "y0", "y1"], "mass": [285714286, 357142857, 357142857]}
+    dist = write_json(tmp_path, "p.json", p)
+    assert main(["check", "--model", spec, "--dist", dist]) == 1
+    t = json.loads(capsys.readouterr().out)["T"]
+    flow = transport.solve_zero_one(
+        FiniteDistribution.from_json(p), FiniteDistribution(tuple(latents), tuple(nu)),
+        Correspondence.from_json(g))
+    assert flow.primal_value == 0.017857144
+    assert abs(t - flow.primal_value) <= 1e-9
 
 
 def test_check_search_model_reads_numeric_labels(tmp_path, capsys):

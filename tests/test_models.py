@@ -5,6 +5,7 @@ from falsiflow.correspondence import Correspondence, capacity_fp, core_deficienc
 from falsiflow.errors import (
     BadParameters,
     BadRule,
+    DuplicateLabel,
     GridTooCoarse,
     NotMonotone,
     SupportMismatch,
@@ -258,6 +259,27 @@ def test_pilot_grid_too_coarse():
         binary_response_pilot(0.5, epsilon_grid=[0.5, 1.5])
 
 
+def test_pilot_repeated_node_refused():
+    # nodes are told apart by their labels, eps formatted to 12 significant digits
+    for grid in ([-1.5, -0.5, -0.5, 0.5, 1.5], [-1.5, -0.5, -0.5 + 1e-14, 0.5, 1.5]):
+        with pytest.raises(DuplicateLabel, match=r"^epsilon grid repeats the label '-0\.5'$"):
+            binary_response_pilot(0.5, epsilon_grid=grid)
+
+
+def test_pilot_matches_its_per_node_definition():
+    # Z = 1{x + eps <= 0} and m(u) = (1{eps <= 0} - eta) * (1 + x, 1 - x), node by node
+    for eta, grid in ((0.3, None), (0.5, [-1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5]),
+                      (0.7, np.linspace(-3, 3, 26))):
+        model = binary_response_pilot(eta, epsilon_grid=grid)
+        grid = np.linspace(-2.0, 2.0, 41) if grid is None else grid
+        nodes = [(x, round(float(e), 12)) for x in (-1, 1) for e in grid]
+        mapping = {f"({x},{e:.12g})": [f"({int(e <= -x)},{x})"] for x, e in nodes}
+        g = Correspondence.from_map(mapping, outcome_support=model.correspondence.outcome_support)
+        assert model.correspondence == g
+        moments = [[((e <= 0) - eta) * (1 + s * x) for x, e in nodes] for s in (1, -1)]
+        assert model.moments.tobytes() == np.array(moments).tobytes()
+
+
 def test_pilot_eta_range():
     with pytest.raises(BadParameters):
         binary_response_pilot(0.0)
@@ -297,6 +319,30 @@ def test_moment_inequality_verdicts():
 def test_moment_inequality_coarse_grid():
     with pytest.raises(GridTooCoarse):
         moment_inequality_model(["a"], [[2.0]], [[-1.0], [0.0]])
+
+
+def test_moment_inequality_matches_its_per_node_definition():
+    # node u admits {y : u >= phi(y)}, or the slack outcome when that is empty
+    rng = np.random.default_rng(3)
+    for d in (1, 2, 3):
+        phi = rng.uniform(-1.0, 1.0, size=(4, d)).round(2)
+        grid = np.vstack([rng.uniform(-1.5, 1.5, size=(30, d)).round(3), np.ones((1, d))])
+        outcomes = ["a", "b", "c", "d"]
+        model = moment_inequality_model(outcomes, phi, grid)
+        labels = ["(" + ",".join(f"{v:.12g}" for v in row) + ")" if d > 1 else f"{row[0]:.12g}"
+                  for row in grid]
+        mapping = {lab: [y for y, f in zip(outcomes, phi) if (row >= f).all()] or [SLACK_OUTCOME]
+                   for lab, row in zip(labels, grid)}
+        g = Correspondence.from_map(mapping, outcome_support=outcomes + [SLACK_OUTCOME])
+        assert model.correspondence == g
+        assert model.moments.tobytes() == grid.T.tobytes()
+
+
+def test_moment_inequality_repeated_labels_refused():
+    with pytest.raises(DuplicateLabel, match=r"^latent grid repeats the label '0'$"):
+        moment_inequality_model(["a"], [[0.0]], [[-1.0], [0.0], [0.0], [1.0]])
+    with pytest.raises(DuplicateLabel, match=r"^outcome list repeats the label 'a'$"):
+        moment_inequality_model(["a", "a"], [[0.0], [0.5]], [[-1.0], [1.0]])
 
 
 def test_example4_values():

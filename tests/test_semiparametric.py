@@ -286,6 +286,46 @@ def test_batch_rejects_one_perturbed_block(monkeypatch):
     assert len(calls) == 3
 
 
+def test_batch_rejects_one_blocks_perturbed_moment_duals(monkeypatch):
+    # the closed form re-derives each inner minimum from the multiplier alone,
+    # so a wrong multiplier gives a dual value below the coupling's cost
+    model = binary_response_pilot(0.3)
+    n_y = len(model.correspondence.outcome_support)
+    ps = [aligned(model, pilot_distribution(p1, pm1)) for p1, pm1 in PILOT_POINTS]
+    real = semiparametric._solve_primal
+
+    def third_block_moved(cost, moments, masses):
+        sol, scales = real(cost, moments, masses)
+        duals = sol.duals.reshape(len(masses), -1).copy()
+        duals[2, n_y] += 0.5
+        return replace(sol, duals=duals.ravel()), scales
+
+    monkeypatch.setattr(semiparametric, "_solve_primal", third_block_moved)
+    with pytest.raises(CertificateMismatch, match="does not certify the primal optimum"):
+        maximize_dual_batch(model, ps)
+    monkeypatch.undo()
+    assert len(maximize_dual_batch(model, ps)) == len(ps)
+
+
+def test_feasible_suboptimal_coupling_is_rejected(monkeypatch):
+    # a point-identified model (moments pin mu = nu), where the product
+    # coupling P x nu is feasible and costs 0.5 against the optimum 0
+    g = Correspondence.from_map({"u": ["a"], "v": ["b"]})
+    model = SemiparametricModel(g, [[0.5, -0.5]])
+    p = make_distribution([("a", 0.5), ("b", 0.5)])
+    assert maximize_dual(model, p).T == 0.0 and primal_lp(model, p)[0] == 0.0
+    real = semiparametric._solve_primal
+
+    def product_coupling(cost, moments, masses):
+        sol, scales = real(cost, moments, masses)
+        return replace(sol, x=np.outer(masses, [0.5, 0.5]).ravel()), scales
+
+    monkeypatch.setattr(semiparametric, "_solve_primal", product_coupling)
+    for solve in (maximize_dual, primal_lp):
+        with pytest.raises(CertificateMismatch, match="primal optimum 0.5"):
+            solve(model, p)
+
+
 def test_batch_of_none_and_unseen_outcome():
     model = binary_response_pilot(0.3)
     assert maximize_dual_batch(model, []) == []
