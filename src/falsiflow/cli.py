@@ -360,6 +360,8 @@ def _flag_value(convert, ok, what: str):
 _non_negative = _flag_value(int, lambda v: v >= 0, "a non-negative integer")
 #: ``invert --alpha``, a test level; NaN fails the comparison and is refused
 _level = _flag_value(float, lambda v: 0 <= v <= 1, "a number in [0, 1]")
+#: ``--B``: one bootstrap seed per replicate, and one spawn-key word per seed
+_replicates = _flag_value(int, lambda v: 1 <= v <= 2**32, "an integer from 1 to 2**32")
 
 
 @functools.cache
@@ -386,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_test = sub.add_parser("test", help="statistic plus bootstrap p-value on data")
     common(p_test, data_required=True)
     p_test.add_argument("--stat", choices=["tv-core", "tn-halflines", "semi"], default="tv-core")
-    p_test.add_argument("--B", type=int, default=200)
+    p_test.add_argument("--B", type=_replicates, default=200)
     p_test.add_argument("--seed", type=_non_negative, default=0)
     p_test.add_argument("--format", choices=["json", "csv"], default="json")
     p_test.set_defaults(func=cmd_test)
@@ -401,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_inv = sub.add_parser("invert", help="accepted parameter region by test inversion")
     common(p_inv, data_required=True)
     p_inv.add_argument("--stat", choices=["tv-core", "tn-halflines", "semi"], default="tv-core")
-    p_inv.add_argument("--B", type=int, default=200)
+    p_inv.add_argument("--B", type=_replicates, default=200)
     p_inv.add_argument("--alpha", type=_level, default=0.05)
     p_inv.add_argument("--grid", required=True, help="name=start:stop:step[,name2=...]")
     p_inv.add_argument("--seed", type=_non_negative, default=0)

@@ -25,8 +25,10 @@ the capacity of every half-line are prefix sums
 (:func:`~falsiflow.correspondence.max_halfline_deficiency_fp`), and the
 set-supremum replicates of a block of resamples come from one count matrix.
 The dual-statistic replicates of a block are built from the same count
-matrix and certified together by one batched LP
-(:func:`~falsiflow.semiparametric.maximize_dual_batch`).
+matrix and solved together with the observed P_n by
+:func:`~falsiflow.semiparametric.maximize_dual_batch`, which takes an LP only
+for a distribution no earlier LP's optimal basis covers; P_n comes first, so
+its certificate is that of :func:`~falsiflow.semiparametric.maximize_dual`.
 """
 
 from __future__ import annotations
@@ -177,27 +179,24 @@ def statistic_semiparametric(data: Sequence[Label] | Sample,
                              model: SemiparametricModel) -> TestReport:
     """Dual moment-restriction statistic on the empirical distribution."""
     sample = tally(data)
-    cert = maximize_dual(model, sample.p_n)
-    return TestReport(
-        statistic_name="semi",
-        value=max(cert.T, 0.0),
-        n=sample.n,
-        certificate=cert,
-    )
+    return _semi_report(sample, maximize_dual(model, sample.p_n))
+
+
+def _semi_report(sample: Sample, cert: DualCertificate) -> TestReport:
+    return TestReport(statistic_name="semi", value=max(cert.T, 0.0), n=sample.n, certificate=cert)
 
 
 def _compute(kind, data, model):
-    """The statistic ``kind`` on ``data``; ``model`` as in :func:`bootstrap_pvalue`."""
-    if kind == "semi":
-        return statistic_semiparametric(data, model)
+    """The parametric statistic ``kind`` on ``data``; ``model`` as in :func:`bootstrap_pvalue`."""
     if kind not in ("tv-core", "tn-halflines"):
         raise SupportMismatch(f"unknown statistic kind {kind!r}")
     nu, g = model
     return (statistic_tv_core if kind == "tv-core" else statistic_tn_halflines)(data, nu, g)
 
 
-def _recentered_replicates(kind, star_counts, base_counts, support, model, observed):
-    """Recentered bootstrap replicate values, one per row of resample counts.
+def _recentered_replicates(kind, star_counts, sample: Sample, model, observed):
+    """The statistic's report, ``observed`` or else computed here, and the
+    recentered bootstrap replicate values, one per row of resample counts.
 
     For "tv-core" a replicate is sup over all subsets of [P*(A) - P_n(A)],
     i.e. the one-sided total variation of the resample against the data; for
@@ -206,16 +205,20 @@ def _recentered_replicates(kind, star_counts, base_counts, support, model, obser
     are exact integers over n, computed for all rows at once.  For "semi" the
     replicate is the dual statistic on the resample minus the observed value;
     each resample's distribution is built from its count row, and all of them
-    are certified by one batched LP (:func:`maximize_dual_batch`).
+    are certified by one :func:`maximize_dual_batch` call, behind P_n when
+    ``observed`` is None.
     """
     if kind == "semi":
-        resamples = [make_distribution(zip(support, row / observed.n)) for row in star_counts]
-        return [max(c.T, 0.0) - observed.value for c in maximize_dual_batch(model, resamples)]
-    excess = star_counts - base_counts
+        resamples = [make_distribution(zip(sample.support, row / sample.n)) for row in star_counts]
+        certs = maximize_dual_batch(model, [sample.p_n] * (observed is None) + resamples)
+        if observed is None:
+            observed = _semi_report(sample, certs.pop(0))
+        return observed, [max(c.T, 0.0) - observed.value for c in certs]
+    excess = star_counts - sample.base_counts
     if kind == "tv-core":
-        return (np.maximum(excess, 0).sum(axis=1) / observed.n).tolist()
-    prefix = np.cumsum(excess[:, ascending(support)], axis=1)
-    return (np.abs(prefix).max(axis=1) / observed.n).tolist()
+        return observed, (np.maximum(excess, 0).sum(axis=1) / sample.n).tolist()
+    prefix = np.cumsum(excess[:, ascending(sample.support)], axis=1)
+    return observed, (np.abs(prefix).max(axis=1) / sample.n).tolist()
 
 
 def _spawned_pcg64_states(seeds: np.random.SeedSequence, first: int, count: int) -> list[dict]:
@@ -260,14 +263,15 @@ def bootstrap_pvalue(
     :class:`SemiparametricModel` for "semi".  Resamples are multinomial over
     the sorted empirical support; with T̃*_b the recentered replicate value,
     p = (1 + #{T̃*_b >= T}) / (B + 1).  A failing replicate aborts the run.
-    ``data`` is a label sequence or its :func:`tally`.
+    ``data`` is a label sequence or its :func:`tally`.  For "semi" the
+    statistic is solved with the first block of resamples, its LP first.
     """
     sample = tally(data)
     if B < 1:
         raise SupportMismatch("B must be at least 1")
     if B > 2**32:
         raise SupportMismatch("B must be at most 2**32, one spawn-key word per replicate")
-    observed = _compute(statistic_kind, sample, model)
+    observed = None if statistic_kind == "semi" else _compute(statistic_kind, sample, model)
 
     seeds = np.random.SeedSequence(seed)
     bitgen = np.random.PCG64(np.random.SeedSequence(seeds.entropy, spawn_key=(0,)))
@@ -284,9 +288,8 @@ def bootstrap_pvalue(
             state["state"] = child
             bitgen.state = state
             draws.append(draw(sample.n, sample.probs))
-        replicates += _recentered_replicates(
-            statistic_kind, np.array(draws), sample.base_counts, sample.support, model, observed
-        )
+        observed, values = _recentered_replicates(statistic_kind, np.array(draws), sample, model, observed)
+        replicates += values
     exceed = sum(value >= observed.value for value in replicates)
     pvalue = (1 + exceed) / (B + 1)
     return replace(observed, pvalue=pvalue, B=B, seed=seed, replicates=tuple(replicates))

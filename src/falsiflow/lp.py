@@ -11,7 +11,9 @@ about 0.3 s and of which nothing here is used.  Nothing here imports
 ``scipy.sparse`` either (about 0.2 s more).  :func:`solve` returns only an
 optimum, whose x it checks for primal feasibility at :data:`TOLERANCE`;
 every other outcome raises.  Its one caller, :mod:`falsiflow.semiparametric`,
-certifies optimality.
+certifies optimality.  Whether a basis is optimal does not depend on b
+(Bertsimas & Tsitsiklis, *Introduction to Linear Optimization*, 1997, §5.1),
+so :func:`basic_solutions` tests the optimal basis of :func:`solve` on other b.
 """
 
 from __future__ import annotations
@@ -52,7 +54,8 @@ highs = _load_highs()
 TOLERANCE = 1e-9
 
 #: Guard on the stored nonzeros of A.  Each costs about 12 bytes here and
-#: again in each copy HiGHS makes, so a program stays near 100 MB.
+#: again in each copy HiGHS makes, so a program stays near 100 MB.  A dense
+#: basis matrix (:func:`basic_solutions`) is held to as many entries.
 MAX_NONZEROS = 10**6
 
 
@@ -119,6 +122,7 @@ class Solution:
     objective: float
     duals: np.ndarray  # one multiplier per constraint row
     iterations: int    # dual simplex iterations (``nit``)
+    basis: np.ndarray  # the optimal basis's column indices, one per row; empty if a row is basic
 
 
 def solve(program: LinearProgram) -> Solution:
@@ -152,7 +156,49 @@ def solve(program: LinearProgram) -> Solution:
     if not (np.isfinite(x).all() and np.isfinite(duals).all() and np.isfinite(objective)):
         raise LpFailure("solver returned a non-finite solution")
     _verify(program, x)
-    return Solution(x, float(objective), duals, int(info.simplex_iteration_count))
+    return Solution(x, float(objective), duals, int(info.simplex_iteration_count),
+                    _basic_columns(solver, program.b.size))
+
+
+def _basic_columns(solver, rows: int) -> np.ndarray:
+    """The column indices of HiGHS's final basis, one per row; empty unless
+    that basis is valid and no row (a logical variable) is basic."""
+    basis = solver.getBasis()
+    # getBasicVariables lists one index per row (row i as -1 - i), where the
+    # column statuses of getBasis cost one Python object per column; but it
+    # crashes the process on some bases with a basic row, such as that of an
+    # A without entries, so the row statuses are read first
+    if not basis.valid or highs.HighsBasisStatus.kBasic in basis.row_status:
+        return np.empty(0, dtype=np.intp)
+    status, basic = solver.getBasicVariables()
+    if status != highs.HighsStatus.kOk or basic.size != rows or (basic < 0).any():
+        return np.empty(0, dtype=np.intp)
+    return basic.astype(np.intp)
+
+
+def basic_solutions(a: CscMatrix, basis: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """x_B = B^-1 b for each row b of ``rhs``, where B holds the ``basis``
+    columns of ``a``, and which of them are feasible: x_B >= -TOLERANCE / 10
+    (HiGHS's bound) and B x_B = b at the bound of :func:`_verify`.  The point
+    that is x_B on the basis and 0 elsewhere then passes :func:`_verify`, and
+    under an optimal basis it is optimal.  None is feasible when ``basis`` is
+    empty, B is singular, or B, held densely, has over :data:`MAX_NONZEROS` entries.
+    """
+    rows = a.shape[0]
+    x, none = np.empty((len(rhs), basis.size)), np.zeros(len(rhs), dtype=bool)
+    if basis.size != rows or rows * rows > MAX_NONZEROS:
+        return x, none
+    matrix = np.zeros((rows, rows))
+    for k, j in enumerate(basis):
+        entries = slice(a.indptr[j], a.indptr[j + 1])
+        matrix[a.indices[entries], k] = a.data[entries]
+    try:
+        x = np.linalg.solve(matrix, rhs.T).T
+    except np.linalg.LinAlgError:
+        return x, none
+    scale = 1.0 + np.maximum(np.abs(rhs).max(axis=1, initial=0.0), np.abs(x).max(axis=1, initial=0.0))
+    resid = np.abs(x @ matrix.T - rhs).max(axis=1, initial=0.0)
+    return x, (x >= -TOLERANCE / 10).all(axis=1) & (resid <= TOLERANCE * scale)
 
 
 def _verify(program: LinearProgram, x: np.ndarray):

@@ -23,10 +23,12 @@ raise :class:`~falsiflow.errors.Infeasible` (infeasible primal).
 Only latent columns with distinct (image, moment column) pairs matter to the
 LP and to the closed form, so both run on the model's exactly merged columns
 (:attr:`SemiparametricModel.merged_columns`); :func:`primal_lp` keeps every
-column and stays the unmerged oracle.  :func:`maximize_dual_batch` solves the
-primal LPs of k outcome distributions of one model as one block-diagonal LP;
-each block reads its own multiplier and passes its own closed-form
-certificate.
+column and stays the unmerged oracle.  The primal LPs of k outcome
+distributions of one model differ only in their right-hand side, so
+:func:`maximize_dual_batch` covers them with few optimal bases: an LP's basis
+serves every distribution whose basic solution under it is feasible, and its
+multiplier is then their optimal multiplier.  Each distribution passes its
+own closed-form certificate.
 """
 
 from __future__ import annotations
@@ -121,7 +123,7 @@ class DualCertificate:
     T: float
     lambda_star: np.ndarray
     minimizer_map: dict[Label, Label]    # outcome -> latent node attaining the inner min
-    iterations: int                      # HiGHS iterations of the LP
+    iterations: int                      # HiGHS iterations of the LP whose basis gave lambda_star
 
     @property
     def compatible(self) -> bool:
@@ -175,88 +177,89 @@ def maximize_dual_batch(
 
     Labels of ``ps`` the model does not list are appended to its outcomes with
     an empty preimage, and each distribution is aligned onto them.  The k
-    primal LPs share their matrix and cost and differ only in the outcome
-    marginals, so they are solved on HiGHS as one block-diagonal LP
-    over the model's merged latent columns, split into chunks of at most
-    :data:`lp.MAX_NONZEROS` nonzeros.  Each block's multiplier is read from
-    the duals of its own moment rows.  The closed-form dual objective at that
-    multiplier must equal the cost of the block's coupling (:func:`_certify`);
-    T is that closed-form value, and ``iterations`` counts the HiGHS
-    iterations of the LP that held the block.  Moments no latent distribution
-    on the grid meets (infeasible primal, unbounded dual) raise
-    :class:`Infeasible`.
+    primal LPs over the model's merged latent columns share their matrix and
+    cost and differ only in the outcome marginals.  So the first pending
+    distribution is solved by its own LP on HiGHS, and every other pending
+    one whose basic solution under that LP's optimal basis is feasible
+    (:func:`lp.basic_solutions`) takes that coupling, optimal for it, and the
+    LP's multiplier, read from the duals of the moment rows; this repeats
+    until none is pending.  The closed-form dual objective at the multiplier
+    must equal the cost of each distribution's coupling (:func:`_certify`); T
+    is that closed-form value, and ``iterations`` counts the HiGHS iterations
+    of the LP whose basis it took.  Moments no latent distribution on the
+    grid meets (infeasible primal, unbounded dual) raise :class:`Infeasible`.
     """
     model = model.extend_outcomes([y for p in ps for y in p.support])
     g = model.correspondence
     n_y = len(g.outcome_support)
-    masses = np.array([align(p, g.outcome_support).masses for p in ps]).reshape(len(ps), n_y)
     _, cost, moments = model.merged_columns
-    chunk = max(1, lp.MAX_NONZEROS // (cost.size + n_y * np.count_nonzero(moments)))
-    certificates = []
-    for block in (masses[start:start + chunk] for start in range(0, len(ps), chunk)):
-        sol, scales = _solve_primal(cost, moments, block)
-        objectives = (sol.x.reshape(len(block), -1) @ cost.ravel()).tolist()
-        for weights, duals, objective in zip(block, sol.duals.reshape(len(block), -1), objectives):
-            lam = duals[n_y:] / scales + 0.0  # + 0.0 turns -0.0 into 0.0
-            value, argmin = _certify(model, weights, lam, objective)
-            certificates.append(
-                DualCertificate(
-                    T=value,
-                    lambda_star=lam,
-                    minimizer_map={
-                        y: g.latent_support[int(j)] for y, j in zip(g.outcome_support, argmin)
-                    },
-                    iterations=sol.iterations,
-                )
+    masses = np.array([align(p, g.outcome_support).masses for p in ps]).reshape(len(ps), n_y)
+    rhs = np.hstack([masses, np.zeros((len(ps), moments.shape[0]))])
+    a, scales = _primal_matrix(n_y, moments)
+    c = cost.ravel()
+    certificates: list[DualCertificate | None] = [None] * len(ps)
+    pending = np.arange(len(ps))
+    while pending.size:
+        first, rest = pending[0], pending[1:]
+        sol = _solve_primal(lp.LinearProgram(c=c, a=a, b=rhs[first]))
+        lam = sol.duals[n_y:] / scales + 0.0  # + 0.0 turns -0.0 into 0.0
+        values, argmin = _evaluate(model, lam)
+        minimizers = {y: g.latent_support[int(j)] for y, j in zip(g.outcome_support, argmin)}
+        x_basic, covered = lp.basic_solutions(a, sol.basis, rhs[rest])
+        objectives = [float(sol.x @ c), *(x_basic[covered] @ c[sol.basis]).tolist()]
+        for i, objective in zip([first, *rest[covered]], objectives):
+            certificates[i] = DualCertificate(
+                T=_certify(values, masses[i], objective),
+                lambda_star=lam.copy(),
+                minimizer_map=dict(minimizers),
+                iterations=sol.iterations,
             )
+        pending = rest[~covered]
     return certificates
 
 
-def _certify(
-    model: SemiparametricModel, weights: np.ndarray, lam: np.ndarray, objective: float
-) -> tuple[float, np.ndarray]:
-    """The closed form at ``lam`` and its argmin latent indices; raises :class:`CertificateMismatch`
+def _certify(values: np.ndarray, weights: np.ndarray, objective: float) -> float:
+    """The closed form ``weights @ values`` at a multiplier whose inner minima
+    are ``values`` (:func:`_evaluate`); raises :class:`CertificateMismatch`
     unless it equals ``objective``, a feasible coupling's cost, to :data:`lp.TOLERANCE`."""
-    values, argmin = _evaluate(model, lam)
     value = float(weights @ values)
     if abs(value - objective) > lp.TOLERANCE * (1.0 + abs(objective)):
         raise CertificateMismatch(
             f"dual objective {value!r} at the LP multiplier does not certify "
             f"the primal optimum {objective!r}"
         )
-    return value, argmin
+    return value
 
 
-def _solve_primal(
-    cost: np.ndarray, moments: np.ndarray, masses: np.ndarray
-) -> tuple[lp.Solution, np.ndarray]:
-    """Solve the primal LP over couplings pi[outcome, column], one block per row of ``masses``.
+def _primal_matrix(n_y: int, moments: np.ndarray) -> tuple[lp.CscMatrix, np.ndarray]:
+    """The constraint matrix of the primal LP over couplings pi[outcome, column], and its moment-row scales.
 
-    A block's variables are its pi flattened row-major; its rows are one
+    The variables are pi flattened row-major; the rows are one
     outcome-marginal row per outcome, then one moment row per moment, scaled
-    to unit sup-norm.  Returns the optimal solution and the row scales;
-    raises :class:`Infeasible` when no latent distribution on the grid meets
-    the moments.
+    to unit sup-norm.  The right-hand side is the outcome masses followed by
+    one 0 per moment, and the cost is the cost matrix flattened row-major.
     """
-    k, n_y = masses.shape
     d, n_c = moments.shape
     scales = np.abs(moments).max(axis=1, initial=0.0)
     scales[scales == 0] = 1.0
-    # a block's variable (i, j) has 1 on marginal row i and the scaled moment
-    # column j on the moment rows; built column by column, as CSC stores it
+    # variable (i, j) has 1 on marginal row i and the scaled moment column j
+    # on the moment rows; built column by column, as CSC stores it
     template = np.vstack([np.ones((1, n_c)), moments / scales[:, None]])
     col, row = np.nonzero(template.T)
-    groups = np.arange(k * n_y)[:, None]  # (block, outcome) pairs, block-major
-    rows = np.where(row == 0, groups % n_y, n_y - 1 + row) + groups // n_y * (n_y + d)
-    indptr = np.concatenate([[0], np.cumsum(np.tile(np.bincount(col, minlength=n_c), k * n_y))])
+    rows = np.where(row == 0, np.arange(n_y)[:, None], n_y - 1 + row)
+    indptr = np.concatenate([[0], np.cumsum(np.tile(np.bincount(col, minlength=n_c), n_y))])
     a = lp.CscMatrix(
-        np.tile(template[row, col], k * n_y), rows.ravel().astype(np.int32),
-        indptr.astype(np.int32), (k * (n_y + d), k * n_y * n_c),
+        np.tile(template[row, col], n_y), rows.ravel().astype(np.int32),
+        indptr.astype(np.int32), (n_y + d, n_y * n_c),
     )
-    b = np.hstack([masses, np.zeros((k, d))]).ravel()
-    program = lp.LinearProgram(c=np.tile(cost.ravel(), k), a=a, b=b)
+    return a, scales
+
+
+def _solve_primal(program: lp.LinearProgram) -> lp.Solution:
+    """The primal LP's optimum; raises :class:`Infeasible` when no latent
+    distribution on the grid meets the moments."""
     try:
-        return lp.solve(program), scales
+        return lp.solve(program)
     except Infeasible:
         raise Infeasible(
             "no latent distribution on the grid satisfies the moment restrictions; "
@@ -276,9 +279,11 @@ def primal_lp(
     """
     if p.support != model.correspondence.outcome_support:
         raise SupportMismatch("p must live on the model's outcome support")
-    cost = model.cost_matrix()
-    sol, scales = _solve_primal(cost, model.moments, np.array([p.masses]))
-    objective = float(sol.x @ cost.ravel())
-    _certify(model, np.asarray(p.masses), sol.duals[len(p):] / scales, objective)
+    weights = np.asarray(p.masses)
+    a, scales = _primal_matrix(len(p), model.moments)
+    c = model.cost_matrix().ravel()
+    sol = _solve_primal(lp.LinearProgram(c=c, a=a, b=np.concatenate([weights, np.zeros(model.n_moments)])))
+    objective = float(sol.x @ c)
+    _certify(_evaluate(model, sol.duals[len(p):] / scales)[0], weights, objective)
     return objective, sol.x.reshape(len(p), -1)
 

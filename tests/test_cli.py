@@ -491,16 +491,15 @@ def test_test_semi_perturbed_replicate_block_exit2(tmp_path, monkeypatch, capsys
     argv = ["test", "--model", model, "--data", str(data), "--stat", "semi", "--B", "5"]
     assert main(argv) == 0
     capsys.readouterr()
-    real = semiparametric._evaluate
+    real = semiparametric._certify
     calls = []
 
-    def second_replicate_shifted(*args):
-        values, argmin = real(*args)
+    def second_replicate_shifted(values, weights, objective):
         calls.append(None)
         # call 1 certifies the observed statistic, calls 2-6 the replicates
-        return (values + 1e-6 if len(calls) == 3 else values), argmin
+        return real(values + 1e-6 if len(calls) == 3 else values, weights, objective)
 
-    monkeypatch.setattr(semiparametric, "_evaluate", second_replicate_shifted)
+    monkeypatch.setattr(semiparametric, "_certify", second_replicate_shifted)
     code = main(argv)
     err = capsys.readouterr().err
     assert code == 2
@@ -588,10 +587,23 @@ def test_test_refuses_more_than_2_32_replicates_before_any_draw(
     monkeypatch.setattr(inference, "_spawned_pcg64_states", fail)
     data = tmp_path / "data.csv"
     data.write_text("y\n(0,0)\n(1,0)\n")
-    code = main(["test", "--model", entry_model, "--data", str(data), "--B", "4294967297"])
-    assert code == 2
-    assert capsys.readouterr().err == (
-        "error: B must be at most 2**32, one spawn-key word per replicate\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["test", "--model", entry_model, "--data", str(data), "--B", "4294967297"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        "falsiflow test: error: argument --B: must be an integer from 1 to 2**32, not 4294967297\n")
+
+
+@pytest.mark.parametrize("command", ["test", "invert"])
+@pytest.mark.parametrize("value", ["0", "-2", "4294967297"])
+def test_replicate_count_outside_1_to_2_32_names_flag_and_value(command, value, entry_model, capsys):
+    # an empty grid once let invert --B 0 exit 0 before any bootstrap checked B
+    argv = ["--model", entry_model, "--data", "d.csv", "--B", value]
+    with pytest.raises(SystemExit) as exc:
+        main([command, *argv] + (["--grid", ""] if command == "invert" else []))
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        f"falsiflow {command}: error: argument --B: must be an integer from 1 to 2**32, not {value}\n")
 
 
 def test_test_stat_model_kind_mismatch(entry_model, tmp_path, capsys):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from falsiflow.correspondence import Correspondence, core_deficiency_bruteforce
-from falsiflow.errors import EmptyData, NotOrdered
+from falsiflow.errors import EmptyData, NotOrdered, SupportMismatch
 from falsiflow.inference import (
     bootstrap_pvalue,
     statistic_semiparametric,
@@ -20,6 +20,7 @@ from falsiflow.models import (
     search_game,
     simulate,
 )
+from falsiflow.semiparametric import maximize_dual
 
 
 def entry_instance():
@@ -221,6 +222,30 @@ def test_bootstrap_semi_batch_matches_one_at_a_time_with_unknown_label():
     assert rep.value == observed > 0
     assert np.abs(np.array(rep.replicates) - reference).max() <= 1e-12
     assert rep.pvalue == (1 + sum(v >= observed for v in reference)) / 51
+
+
+@pytest.mark.parametrize("eta", [0.15, 0.5, 0.85])
+def test_bootstrap_semi_certificate_is_the_standalone_one(eta):
+    # the observed P_n is solved first in the batch with its resamples, by
+    # the same LP maximize_dual solves
+    model = binary_response_pilot(eta)
+    data = ["(0,-1)"] * 65 + ["(0,1)"] * 35 + ["(1,-1)"] * 33 + ["(1,1)"] * 67
+    rep = bootstrap_pvalue(data, model, "semi", B=2, seed=901)
+    ref = maximize_dual(model, empirical(data))
+    cert = rep.certificate
+    assert cert.T == ref.T and rep.value == max(ref.T, 0.0)
+    assert cert.lambda_star.tobytes() == ref.lambda_star.tobytes()
+    assert list(cert.minimizer_map.items()) == list(ref.minimizer_map.items())
+    assert cert.iterations == ref.iterations
+    assert rep.to_json() == statistic_semiparametric(data, model).to_json() | {
+        "pvalue": rep.pvalue, "B": 2, "seed": 901}
+
+
+@pytest.mark.parametrize("B", [0, 2**32 + 1])
+def test_bootstrap_refuses_a_replicate_count_outside_1_to_2_32(B):
+    g, nu = entry_instance()
+    with pytest.raises(SupportMismatch, match="^B must be at (least 1|most 2\\*\\*32)"):
+        bootstrap_pvalue(["(0,0)"], (nu, g), "tv-core", B=B, seed=0)
 
 
 def test_csv_report_one_row_per_replicate():

@@ -99,16 +99,16 @@ def test_csc_record_from_solve_primal_matches_scipy(monkeypatch):
     solve = lp.solve
     monkeypatch.setattr(lp, "solve", lambda program: programs.append(program) or solve(program))
     model = binary_response_pilot(0.3)
-    _, cost, moments = model.merged_columns
+    sup = model.correspondence.outcome_support
     rng = np.random.default_rng(5)
-    for k in (1, 3):
-        semiparametric._solve_primal(cost, moments, rng.dirichlet(np.ones(cost.shape[0]), size=k))
+    semiparametric.maximize_dual_batch(
+        model, [make_distribution(zip(sup, rng.dirichlet(np.ones(len(sup))))) for _ in range(3)])
     phi, grid = [[-0.25], [0.75]], [[-1.0], [-0.25], [0.0], [0.75], [1.0]]
     model = moment_inequality_model(["0", "1"], phi, grid)
-    cost = model.cost_matrix()
-    semiparametric._solve_primal(cost, model.moments, rng.dirichlet(np.ones(cost.shape[0]), size=2))
+    semiparametric.primal_lp(model, align(make_distribution([("0", 0.4), ("1", 0.6)]),
+                                          model.correspondence.outcome_support))
     monkeypatch.undo()
-    assert len(programs) == 3
+    assert len(programs) >= 2
     for program in programs:
         _assert_same_csc(program.a, _canonical(_scipy(program.a).toarray()))
 
@@ -234,13 +234,19 @@ def _solve_matching_linprog(program):
     assert np.array_equal(sol.duals, ref.eqlin.marginals)
     assert sol.objective == ref.fun
     assert sol.iterations == ref.nit
+    if sol.basis.size:
+        # the basis reproduces x: 0 off it, and B^-1 b on it
+        assert np.count_nonzero(np.delete(sol.x, sol.basis)) == 0
+        x_basic, [feasible] = lp.basic_solutions(program.a, sol.basis, program.b[None])
+        assert feasible
+        assert np.abs(x_basic[0] - sol.x[sol.basis]).max() <= 1e-9 * (1 + np.abs(sol.x).max())
     return ref.status, sol
 
 
 def test_matches_linprog_on_semiparametric_programs(monkeypatch):
-    # the programs semiparametric._solve_primal builds: the pilot at several
-    # eta, alone and batched 25 to a program, two moment-inequality models
-    # and example 4
+    # every program the semiparametric solver hands HiGHS: the pilot at
+    # several eta, alone and as a batch of 25 the basis cover solves, two
+    # moment-inequality models and example 4
     programs = []
     solve = lp.solve
     monkeypatch.setattr(lp, "solve", lambda program: programs.append(program) or solve(program))
@@ -263,10 +269,49 @@ def test_matches_linprog_on_semiparametric_programs(monkeypatch):
     for m in (2, 10, 1000):
         semiparametric.maximize_dual(*example4_instance(m))
     monkeypatch.undo()
-    assert len(programs) == 19
-    assert max(p.b.size for p in programs) == 25 * 6
+    # each eta's batch takes at least one program, and a program has one block
+    assert len(programs) >= 19
+    assert max(p.b.size for p in programs) == 6
     for program in programs:
         assert _solve_matching_linprog(program)[0] == 0
+
+
+def test_basic_solutions_are_feasible_only_within_tolerance():
+    # x1 + x2 = b on the basis {x1}: x_B = b, feasible down to -TOLERANCE / 10
+    a = _csc([[1.0, 1.0]])
+    rhs = np.array([[1.0], [-0.5e-10], [-2e-10], [-1.0]])
+    x_basic, feasible = lp.basic_solutions(a, np.array([0]), rhs)
+    assert np.array_equal(x_basic, rhs)
+    assert feasible.tolist() == [True, True, False, False]
+    # no basis, or a singular one, covers nothing
+    for basis in (np.empty(0, dtype=np.intp), np.array([0, 0])):
+        two = _csc([[1.0, 1.0], [1.0, 1.0]])
+        assert not lp.basic_solutions(two, basis, np.ones((2, 2)))[1].any()
+    # nor does one whose dense B would pass the guard on entries
+    n = 1001
+    assert n * n > lp.MAX_NONZEROS
+    assert not lp.basic_solutions(_csc(sparse.eye_array(n)), np.arange(n), np.ones((1, n)))[1].any()
+
+
+def test_basic_solutions_check_the_residual():
+    # an ill-conditioned B whose solve misses b by more than the bound of _verify
+    a = _csc([[1.0, 1.0], [1.0, 1.0 + 1e-15]])
+    x_basic, [feasible] = lp.basic_solutions(a, np.array([0, 1]), np.array([[1.0, 2.0]]))
+    assert not feasible
+
+
+def test_basis_is_empty_when_a_row_is_basic():
+    # the second row repeats the first, so one logical variable stays basic
+    sol = lp.solve(lp.LinearProgram(c=[1.0, 2.0], a=_csc([[1.0, 1.0], [2.0, 2.0]]), b=[1.0, 2.0]))
+    assert sol.x.tolist() == [1.0, 0.0]
+    assert sol.basis.size == 0
+    # an A without entries: its one row is basic
+    sol = lp.solve(lp.LinearProgram(c=[2.0], a=_csc([[0.0]]), b=[0.0]))
+    assert sol.x.tolist() == [0.0] and sol.basis.size == 0
+    sol = lp.solve(lp.LinearProgram(c=[2.0, 3.0, 0.0, 0.0],
+                                    a=_csc([[1.0, 1.0, -1.0, 0.0], [1.0, 2.0, 0.0, -1.0]]),
+                                    b=[1.0, 1.5]))
+    assert sorted(sol.basis.tolist()) == [0, 1]
 
 
 def test_reproducible():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from falsiflow import semiparametric
+from falsiflow import lp, semiparametric
 from falsiflow.correspondence import Correspondence
 from falsiflow.errors import CertificateMismatch, Infeasible, SupportMismatch
 from falsiflow.measure import align, make_distribution
@@ -268,19 +268,105 @@ def test_batch_matches_one_at_a_time_on_moment_inequalities_and_example4():
             assert abs(cert.T - maximize_dual(model, p).T) <= 1e-12
 
 
-def test_batch_rejects_one_perturbed_block(monkeypatch):
+def lp_solves(monkeypatch):
+    """Record every program ``lp.solve`` is given from here on."""
+    programs = []
+    solve = lp.solve
+    monkeypatch.setattr(lp, "solve", lambda program: programs.append(program) or solve(program))
+    return programs
+
+
+def invert_point(eta, seed):
+    """The pilot at ``eta`` and the distributions of one ``semi-invert`` grid
+    point: P_n of n = 2000 near (0.35, 0.65), then its B = 2 resamples."""
+    rng = np.random.default_rng(seed)
+    model = binary_response_pilot(eta)
+    support = model.correspondence.outcome_support
+    n = 2000
+    p_n = make_distribution(zip(support, rng.multinomial(
+        n, aligned(model, pilot_distribution(*rng.uniform([0.33, 0.63], [0.37, 0.67]))).masses) / n))
+    return model, [p_n, *resamples(support, p_n.masses, n, 2, rng)]
+
+
+@pytest.mark.parametrize("eta", [0.15, 0.5, 0.85])
+def test_cover_takes_one_lp_for_an_invert_point(eta, monkeypatch):
+    model, ps = invert_point(eta, 901)
+    programs = lp_solves(monkeypatch)
+    certs = maximize_dual_batch(model, ps)
+    assert len(programs) == 1
+    monkeypatch.undo()
+    for cert, p in zip(certs, ps, strict=True):
+        assert cert.T == maximize_dual(model, p).T
+
+
+def test_cover_takes_one_lp_per_basis_across_the_region(monkeypatch):
+    # P_n on both sides of the compatibility region need different bases;
+    # every covered coupling passes lp._verify for its own right-hand side
     model = binary_response_pilot(0.3)
-    ps = [aligned(model, pilot_distribution(p1, pm1)) for p1, pm1 in PILOT_POINTS]
+    rng = np.random.default_rng(34)
+    ps = [aligned(model, pilot_distribution(p1, pm1))
+          for p1, pm1 in [*PILOT_POINTS, *rng.uniform(0.05, 0.95, size=(20, 2))]]
+    programs = lp_solves(monkeypatch)
+    covers = []
+    basic_solutions = lp.basic_solutions
+
+    def spy(a, basis, rhs):
+        x_basic, covered = basic_solutions(a, basis, rhs)
+        covers.append((a, basis, rhs[covered], x_basic[covered]))
+        return x_basic, covered
+
+    monkeypatch.setattr(lp, "basic_solutions", spy)
+    certs = maximize_dual_batch(model, ps)
+    monkeypatch.undo()
+    assert 1 < len(programs) < len(ps)
+    assert sum(len(b) for _, _, b, _ in covers) == len(ps) - len(programs)
+    for a, basis, rhs, x_basic in covers:
+        for b, xb in zip(rhs, x_basic):
+            x = np.zeros(a.shape[1])
+            x[basis] = xb
+            lp._verify(lp.LinearProgram(c=np.zeros(a.shape[1]), a=a, b=b), x)
+    assert {c.compatible for c in certs} == {True, False}
+    for cert, p in zip(certs, ps, strict=True):
+        ref = maximize_dual(model, p)
+        assert cert.T == ref.T
+        assert cert.minimizer_map == ref.minimizer_map
+
+
+@pytest.mark.parametrize("basis", ["empty", "singular"])
+def test_cover_without_a_usable_basis_takes_one_lp_each(basis, monkeypatch):
+    model, ps = invert_point(0.5, 7)
+    solve = lp.solve
+
+    def unusable(program):
+        sol = solve(program)
+        if basis == "empty":
+            return replace(sol, basis=np.empty(0, dtype=np.intp))
+        return replace(sol, basis=np.concatenate([sol.basis[:1], sol.basis[:-1]]))
+
+    monkeypatch.setattr(lp, "solve", unusable)
+    programs = lp_solves(monkeypatch)
+    certs = maximize_dual_batch(model, ps)
+    assert len(programs) == len(ps)
+    monkeypatch.undo()
+    for cert, p in zip(certs, ps, strict=True):
+        assert_same_certificate(cert, maximize_dual(model, p))
+
+
+def test_batch_rejects_one_perturbed_block(monkeypatch):
+    # one LP's basis covers all three; the closed form of the third, a
+    # covered one, is moved
+    model, ps = invert_point(0.3, 3)
+    programs = lp_solves(monkeypatch)
     assert len(maximize_dual_batch(model, ps)) == len(ps)
-    real = semiparametric._evaluate
+    assert len(programs) == 1
+    real = semiparametric._certify
     calls = []
 
-    def third_block_shifted(*args):
-        values, argmin = real(*args)
+    def third_shifted(values, weights, objective):
         calls.append(None)
-        return (values + 1e-6 if len(calls) == 3 else values), argmin
+        return real(values + 1e-6 if len(calls) == 3 else values, weights, objective)
 
-    monkeypatch.setattr(semiparametric, "_evaluate", third_block_shifted)
+    monkeypatch.setattr(semiparametric, "_certify", third_shifted)
     with pytest.raises(CertificateMismatch):
         maximize_dual_batch(model, ps)
     assert len(calls) == 3
@@ -288,21 +374,27 @@ def test_batch_rejects_one_perturbed_block(monkeypatch):
 
 def test_batch_rejects_one_blocks_perturbed_moment_duals(monkeypatch):
     # the closed form re-derives each inner minimum from the multiplier alone,
-    # so a wrong multiplier gives a dual value below the coupling's cost
+    # so a wrong multiplier gives a dual value below the coupling's cost; the
+    # second of several LPs has its multiplier moved
     model = binary_response_pilot(0.3)
     n_y = len(model.correspondence.outcome_support)
     ps = [aligned(model, pilot_distribution(p1, pm1)) for p1, pm1 in PILOT_POINTS]
     real = semiparametric._solve_primal
+    calls = []
 
-    def third_block_moved(cost, moments, masses):
-        sol, scales = real(cost, moments, masses)
-        duals = sol.duals.reshape(len(masses), -1).copy()
-        duals[2, n_y] += 0.5
-        return replace(sol, duals=duals.ravel()), scales
+    def second_moved(program):
+        sol = real(program)
+        calls.append(None)
+        if len(calls) != 2:
+            return sol
+        duals = sol.duals.copy()
+        duals[n_y] += 0.5
+        return replace(sol, duals=duals)
 
-    monkeypatch.setattr(semiparametric, "_solve_primal", third_block_moved)
+    monkeypatch.setattr(semiparametric, "_solve_primal", second_moved)
     with pytest.raises(CertificateMismatch, match="does not certify the primal optimum"):
         maximize_dual_batch(model, ps)
+    assert len(calls) == 2
     monkeypatch.undo()
     assert len(maximize_dual_batch(model, ps)) == len(ps)
 
@@ -316,14 +408,23 @@ def test_feasible_suboptimal_coupling_is_rejected(monkeypatch):
     assert maximize_dual(model, p).T == 0.0 and primal_lp(model, p)[0] == 0.0
     real = semiparametric._solve_primal
 
-    def product_coupling(cost, moments, masses):
-        sol, scales = real(cost, moments, masses)
-        return replace(sol, x=np.outer(masses, [0.5, 0.5]).ravel()), scales
+    def product_coupling(program):
+        sol = real(program)
+        return replace(sol, x=np.outer(program.b[:2], [0.5, 0.5]).ravel())
 
     monkeypatch.setattr(semiparametric, "_solve_primal", product_coupling)
     for solve in (maximize_dual, primal_lp):
         with pytest.raises(CertificateMismatch, match="primal optimum 0.5"):
             solve(model, p)
+
+    # a covered distribution takes the basis {pi(a,u), pi(a,v), pi(b,u)},
+    # whose basic solution (0, 0.5, 0.5) is feasible and costs 1
+    def suboptimal_basis(program):
+        return replace(real(program), basis=np.array([0, 1, 2]))
+
+    monkeypatch.setattr(semiparametric, "_solve_primal", suboptimal_basis)
+    with pytest.raises(CertificateMismatch, match="primal optimum 1.0"):
+        maximize_dual_batch(model, [p, p])
 
 
 def test_batch_of_none_and_unseen_outcome():
