@@ -1,17 +1,7 @@
 """Exact compatibility checks and falsification tests for models that map
 latent states to sets of observable outcomes."""
 
-from .correspondence import (
-    Correspondence,
-    DeficiencyReport,
-    MinimaxReport,
-    capacity,
-    capacity_fp,
-    core_deficiency_bruteforce,
-    deficiency_table,
-    enumerate_selections,
-    selection_minimax_check,
-)
+from .correspondence import Correspondence, capacity, capacity_fp
 from .errors import FalsiflowError
 from .inference import (
     TestReport,
@@ -26,7 +16,6 @@ from .measure import (
     align,
     empirical,
     make_distribution,
-    total_variation,
 )
 from .semiparametric import (
     DualCertificate,
@@ -41,11 +30,9 @@ __version__ = "0.1.0"
 __all__ = [
     "Correspondence",
     "DENOMINATOR",
-    "DeficiencyReport",
     "DualCertificate",
     "FalsiflowError",
     "FiniteDistribution",
-    "MinimaxReport",
     "SemiparametricModel",
     "TestReport",
     "TransportResult",
@@ -53,17 +40,12 @@ __all__ = [
     "bootstrap_pvalue",
     "capacity",
     "capacity_fp",
-    "core_deficiency_bruteforce",
-    "deficiency_table",
     "empirical",
-    "enumerate_selections",
     "make_distribution",
     "maximize_dual",
     "primal_lp",
-    "selection_minimax_check",
     "solve_zero_one",
     "statistic_semiparametric",
     "statistic_tn_halflines",
     "statistic_tv_core",
-    "total_variation",
 ]

@@ -60,6 +60,14 @@ def _reals(v) -> bool:
     return isinstance(v, list) and all(map(is_real, v))
 
 
+def _matrix(v) -> bool:
+    """A list of numbers, or a list of lists of numbers, as numpy reads a matrix."""
+    return _reals(v) or (isinstance(v, list) and all(map(_reals, v)))
+
+
+_MATRIX = "a list of numbers or of number lists"
+
+
 def _alpha_table(v) -> bool:
     return isinstance(v, list) and all(
         isinstance(row, list) and len(row) == 2 and is_real(row[1]) for row in v
@@ -120,7 +128,7 @@ def build_model(spec: dict, origin: str = "<spec>", grids: dict | None = None):
         if kind == "moment_inequality":
             return models.moment_inequality_model(
                 json_labels(params["outcomes"], "moment_inequality 'outcomes'"),
-                params["phi"], params["grid"],
+                field("phi", _matrix, _MATRIX), field("grid", _matrix, _MATRIX),
             )
         if kind == "example4":
             model, _ = models.example4_instance(field("M", is_real, "a number"))
@@ -129,7 +137,7 @@ def build_model(spec: dict, origin: str = "<spec>", grids: dict | None = None):
             g = parsed("correspondence", Correspondence.from_json,
                        field("correspondence", lambda v: isinstance(v, dict), "a JSON object"))
             if "moments" in params:
-                return SemiparametricModel(g, params["moments"])
+                return SemiparametricModel(g, field("moments", _matrix, _MATRIX))
             return g, parsed("nu", FiniteDistribution.from_json, params["nu"])
     except KeyError as exc:
         raise FalsiflowError(f"{origin}: model {kind!r} is missing field {exc.args[0]!r}") from exc
@@ -417,7 +425,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (FalsiflowError, FileNotFoundError, KeyError, ValueError) as exc:
+    except (FalsiflowError, OSError, KeyError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_ERROR
 

@@ -1,16 +1,15 @@
-"""Set-valued model correspondences, capacity functionals and Core utilities.
+"""Set-valued model correspondences and their capacity functional.
 
 A :class:`Correspondence` links a finite latent support to a finite outcome
 support; the induced capacity of an outcome set A is the latent mass whose
 image touches A.  A distribution of outcomes is compatible with the model
-exactly when no outcome set carries more probability than its capacity; the
-brute-force maximizer of that deficiency is the falsification witness.
+exactly when no outcome set carries more probability than its capacity.
 
 The relation is stored in compressed sparse row form: latent j admits the
 outcome indices ``indices[indptr[j]:indptr[j + 1]]``, ascending and without
 repeats.  Memory grows with the number of admissible (latent, outcome) pairs,
 not with the product of the supports.  Outcome *sets*, such as a witness or a
-query A, are int bitsets over outcome indices.
+query A, are sequences of outcome labels.
 """
 
 from __future__ import annotations
@@ -19,21 +18,13 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import (DuplicateLabel, EmptyImage, NotOrdered, SupportMismatch, SupportTooLarge,
-                     TooManySelections)
+from .errors import DuplicateLabel, EmptyImage, NotOrdered, SupportMismatch
 from .measure import (DENOMINATOR, JSON_LABEL_TYPES, FiniteDistribution, Label, align, is_real,
                       json_labels)
-
-#: Guard on exhaustive subset enumeration.
-BRUTEFORCE_MAX_OUTCOMES = 20
-
-#: Guard on selection enumeration (product of image sizes).
-MAX_SELECTIONS = 10**6
-
 
 @dataclass(frozen=True, eq=False)
 class Correspondence:
@@ -186,18 +177,20 @@ def _from_lists(
     return Correspondence(latents, outcome_support, indptr, indices)
 
 
-def capacity(g: Correspondence, nu: FiniteDistribution, a: int | Sequence[Label]) -> float:
-    """The Choquet capacity of outcome set ``a``: latent mass whose image touches it."""
+def capacity(g: Correspondence, nu: FiniteDistribution, a: Sequence[Label]) -> float:
+    """The Choquet capacity of the outcome labels ``a``: latent mass whose image touches them."""
     return capacity_fp(g, nu, a) / DENOMINATOR
 
 
-def capacity_fp(g: Correspondence, nu: FiniteDistribution, a: int | Sequence[Label]) -> int:
+def capacity_fp(g: Correspondence, nu: FiniteDistribution, a: Sequence[Label]) -> int:
     if nu.support != g.latent_support:
         raise SupportMismatch("nu must live on the latent support of the correspondence")
-    bits = a if isinstance(a, int) else g.bitset_of(a)
-    n_y = len(g.outcome_support)
-    raw = (bits & ((1 << n_y) - 1)).to_bytes((n_y + 7) // 8, "little")
-    in_a = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), count=n_y, bitorder="little").view(bool)
+    members = set(a)
+    if not members.issubset(g.outcome_support):
+        unknown = next(y for y in a if y not in g.outcome_support)
+        raise SupportMismatch(f"unknown outcome label {unknown!r}")
+    in_a = np.fromiter(map(members.__contains__, g.outcome_support), dtype=bool,
+                       count=len(g.outcome_support))
     touches = np.logical_or.reduceat(in_a[g.indices], g.indptr[:-1])
     return int(np.array(nu.numerators, dtype=np.int64)[touches].sum())
 
@@ -249,151 +242,3 @@ def max_halfline_deficiency_fp(
     cut = (upper_cuts if is_upper else lower_cuts)[row]
     members = np.sort(order[cut:] if is_upper else order[:cut])
     return int(values[row, is_upper]), tuple(g.outcome_support[i] for i in members), bool(is_upper)
-
-
-@dataclass(frozen=True)
-class DeficiencyReport:
-    """Exhaustive maximum of P(A) - capacity(A) with a canonical witness."""
-
-    value: float          # clamped at 0
-    raw: float            # unclamped maximum
-    value_fp: int
-    raw_fp: int
-    witness_bits: int
-    witness: tuple[Label, ...]
-
-
-def _subset_sum_transform(point_masses: np.ndarray, k: int) -> np.ndarray:
-    """In-place zeta transform: out[A] = sum of point_masses over subsets of A."""
-    arr = point_masses.copy()
-    for bit in range(k):
-        step = 1 << bit
-        view = arr.reshape(-1, 2 * step)
-        view[:, step:] += view[:, :step]
-    return arr
-
-
-def deficiency_table(
-    g: Correspondence, nu: FiniteDistribution, p: FiniteDistribution
-) -> np.ndarray:
-    """Fixed-point deficiency P(A) - capacity(A) for every outcome subset A.
-
-    Index ``A`` is the outcome-index bitset.  Exact int64 arithmetic.
-    """
-    k = len(g.outcome_support)
-    if k > BRUTEFORCE_MAX_OUTCOMES:
-        raise SupportTooLarge(f"{k} outcomes exceeds the brute-force guard ({BRUTEFORCE_MAX_OUTCOMES})")
-    if p.support != g.outcome_support:
-        raise SupportMismatch("p must live on the outcome support of the correspondence")
-    if nu.support != g.latent_support:
-        raise SupportMismatch("nu must live on the latent support of the correspondence")
-
-    size = 1 << k
-    p_point = np.zeros(size, dtype=np.int64)
-    for i, n in enumerate(p.numerators):
-        p_point[1 << i] = n
-    p_of = _subset_sum_transform(p_point, k)
-
-    # capacity(A) = 1 - mass of latents whose whole image avoids A
-    inside = np.zeros(size, dtype=np.int64)
-    for n, img in zip(nu.numerators, g.image):
-        inside[img] += n
-    h = _subset_sum_transform(inside, k)          # h[B] = nu{u : image(u) subset of B}
-    flip = (size - 1) ^ np.arange(size)
-    cap = DENOMINATOR - h[flip]
-    return p_of - cap
-
-
-def _canonical_argmax(table: np.ndarray) -> int:
-    """Maximizer bitset with smallest cardinality, ties by lexicographic index order."""
-    best = int(table.max())
-    candidates = np.flatnonzero(table == best)
-    popcounts = np.array([int(a).bit_count() for a in candidates])
-    candidates = candidates[popcounts == popcounts.min()]
-
-    def lex_key(mask: int) -> tuple:
-        return tuple(i for i in range(64) if mask >> i & 1)
-
-    return int(min((int(a) for a in candidates), key=lex_key))
-
-
-def core_deficiency_bruteforce(
-    g: Correspondence, nu: FiniteDistribution, p: FiniteDistribution
-) -> DeficiencyReport:
-    """Exhaustively maximize P(A) - capacity(A) over all outcome subsets.
-
-    The maximum is nonnegative (the empty set attains 0); a strictly positive
-    value falsifies the model and the witness is the canonical maximizer.
-    """
-    table = deficiency_table(g, nu, p)
-    raw = int(table.max())
-    bits = _canonical_argmax(table)
-    value = max(raw, 0)
-    return DeficiencyReport(
-        value=value / DENOMINATOR,
-        raw=raw / DENOMINATOR,
-        value_fp=value,
-        raw_fp=raw,
-        witness_bits=bits,
-        witness=g.labels_of(bits),
-    )
-
-
-def enumerate_selections(g: Correspondence) -> Iterator[dict[Label, Label]]:
-    """Yield every single-valued map u -> y with y admissible for u.
-
-    Lexicographic over the per-latent outcome index choices.
-    """
-    choices = []
-    count = 1
-    for bits in g.image:
-        opts = [i for i in range(len(g.outcome_support)) if bits >> i & 1]
-        count *= len(opts)
-        if count > MAX_SELECTIONS:
-            raise TooManySelections(f"more than {MAX_SELECTIONS} selections")
-        choices.append(opts)
-    for combo in itertools.product(*choices):
-        yield {u: g.outcome_support[i] for u, i in zip(g.latent_support, combo)}
-
-
-@dataclass(frozen=True)
-class MinimaxReport:
-    """Diagnostic comparison of the selection minimax with the capacity deficiency."""
-
-    lhs: float
-    rhs: float
-    lhs_fp: int
-    rhs_fp: int
-    equal: bool
-    best_selection: dict[Label, Label]
-
-
-def selection_minimax_check(
-    g: Correspondence, nu: FiniteDistribution, p: FiniteDistribution
-) -> MinimaxReport:
-    """Compare min over selections of the worst-set excess with the capacity bound.
-
-    lhs = min_s max_A [P(A) - (nu s^{-1})(A)]; rhs is the brute-force deficiency.
-    Reported, not asserted: the equality is known to hold only under conditions
-    on the instance.
-    """
-    rhs = core_deficiency_bruteforce(g, nu, p)
-    best_fp = None
-    best_sel: dict[Label, Label] = {}
-    index = {y: i for i, y in enumerate(g.outcome_support)}
-    for sel in enumerate_selections(g):
-        push = [0] * len(g.outcome_support)
-        for n, u in zip(nu.numerators, g.latent_support):
-            push[index[sel[u]]] += n
-        tv = sum(max(pn - qn, 0) for pn, qn in zip(p.numerators, push))
-        if best_fp is None or tv < best_fp:
-            best_fp, best_sel = tv, sel
-    assert best_fp is not None
-    return MinimaxReport(
-        lhs=best_fp / DENOMINATOR,
-        rhs=rhs.value,
-        lhs_fp=best_fp,
-        rhs_fp=rhs.value_fp,
-        equal=best_fp == rhs.value_fp,
-        best_selection=best_sel,
-    )

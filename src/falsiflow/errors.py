@@ -21,7 +21,7 @@ class BadDenominator(FalsiflowError):
 
 
 class BadMass(FalsiflowError):
-    """A mass in a distribution file that is not a number."""
+    """A mass in a distribution file that is not a finite number."""
 
 
 class DuplicateLabel(FalsiflowError):
@@ -35,14 +35,6 @@ class EmptyData(FalsiflowError):
 # -- correspondence / transport ------------------------------------------------
 
 class SupportMismatch(FalsiflowError):
-    pass
-
-
-class SupportTooLarge(FalsiflowError):
-    pass
-
-
-class TooManySelections(FalsiflowError):
     pass
 
 

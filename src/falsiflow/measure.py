@@ -110,7 +110,12 @@ class FiniteDistribution:
                     raise BadMass(f"mass {m!r} is not a number")
         support = json_labels(obj["support"], "support")
         if denom == DENOMINATOR:
-            return FiniteDistribution(tuple(support), tuple(int(m) for m in masses))
+            try:
+                numerators = tuple(int(m) for m in masses)
+            except (OverflowError, ValueError):  # int() of inf or NaN
+                bad = next(m for m in masses if not math.isfinite(m))
+                raise BadMass(f"mass {bad!r} is not a finite number") from None
+            return FiniteDistribution(tuple(support), numerators)
         if len(support) != len(masses):
             raise SupportMismatch("support and mass lists differ in length")
         return make_distribution(zip(support, (m / denom for m in masses)))
@@ -188,22 +193,6 @@ def empirical(observations: Sequence[Label]) -> FiniteDistribution:
         counts[y] = counts.get(y, 0) + 1
     n = len(observations)
     return make_distribution((lab, c / n) for lab, c in counts.items())
-
-
-def total_variation(p: FiniteDistribution, q: FiniteDistribution) -> float:
-    """Total variation distance: the largest excess of p over q on any subset.
-
-    Equals sum_y max(p(y) - q(y), 0) on finite supports.
-    """
-    return total_variation_fp(p, q) / DENOMINATOR
-
-
-def total_variation_fp(p: FiniteDistribution, q: FiniteDistribution) -> int:
-    """Exact fixed-point total variation (integer numerator)."""
-    p_mass = dict(zip(p.support, p.numerators))
-    q_mass = dict(zip(q.support, q.numerators))
-    labels = list(p.support) + [lab for lab in q.support if lab not in p_mass]
-    return sum(max(p_mass.get(lab, 0) - q_mass.get(lab, 0), 0) for lab in labels)
 
 
 def align(p: FiniteDistribution, support: Sequence[Label]) -> FiniteDistribution:

@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .correspondence import Correspondence, ascending, max_halfline_deficiency_fp, refuse_repeats
+from .correspondence import Correspondence, refuse_repeats
 from .errors import (
     BadParameters,
     BadRule,
@@ -189,28 +189,6 @@ def search_game(
     return g, nu
 
 
-def interval_deficiency(
-    g: Correspondence, nu: FiniteDistribution, p: FiniteDistribution
-) -> tuple[int, tuple[Label, ...], str]:
-    """Largest deficiency over interval outcome classes [min, y] and [y, max].
-
-    Outcome labels must be totally ordered (numeric, no NaN), else
-    :class:`~falsiflow.errors.NotOrdered` is raised.  Returns the fixed-point
-    maximum (at least 0, attained by the empty class), the maximizing class and
-    its kind ("lower", "upper" or "empty").  The classes are scanned by the
-    prefix sums of :func:`~falsiflow.correspondence.max_halfline_deficiency_fp`;
-    ties go to the earliest class in ascending y, lower before upper.
-    """
-    order = ascending(g.outcome_support)
-    # cut k: the lower class holds ranks 0..k, the upper class ranks k..max
-    value, labels, is_upper = max_halfline_deficiency_fp(
-        g, nu, p, order, np.arange(1, len(order) + 1), np.arange(len(order))
-    )
-    if value <= 0:
-        return 0, (), "empty"
-    return value, labels, "upper" if is_upper else "lower"
-
-
 # ---------------------------------------------------------------------------
 # Semiparametric instances
 # ---------------------------------------------------------------------------
@@ -367,10 +345,3 @@ def simulate(
         opts = choices[j]
         out.append(opts[0] if len(opts) == 1 else opts[rng.integers(len(opts))])
     return out
-
-
-def sample_distribution(p: FiniteDistribution, n: int, seed: int) -> list[Label]:
-    """Draw n i.i.d. outcomes directly from a finite distribution."""
-    identity = Correspondence.from_map({y: [y] for y in p.support}, outcome_support=p.support)
-    nu = FiniteDistribution(p.support, p.numerators)
-    return simulate(identity, nu, "first", n, seed)

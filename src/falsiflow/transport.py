@@ -35,7 +35,6 @@ class TransportResult:
     primal_fp: int
     plan: tuple[tuple[Label, Label, int], ...]  # (latent, outcome, fixed-point mass)
     witness: tuple[Label, ...]
-    witness_bits: int
     witness_capacity_fp: int
 
     @property
@@ -108,8 +107,8 @@ def solve_zero_one(
         cut[1 + n_u : sink] = True
         cut[breadth_first_order(net - flow > 0, source, return_predecessors=False)] = False
     cut = cut[1 + n_u : sink]
-    witness_bits = int.from_bytes(np.packbits(cut, bitorder="little").tobytes(), "little")
-    witness_capacity_fp = capacity_fp(g, nu, witness_bits)
+    witness = tuple(map(g.outcome_support.__getitem__, np.flatnonzero(cut).tolist()))
+    witness_capacity_fp = capacity_fp(g, nu, witness)
     p_witness_fp = int(np.asarray(p.numerators, dtype=np.int64)[cut].sum())
     if p_witness_fp - witness_capacity_fp != primal_fp:
         raise CertificateMismatch("min-cut witness does not certify the primal value")
@@ -126,7 +125,6 @@ def solve_zero_one(
     return TransportResult(
         primal_fp=primal_fp,
         plan=plan,
-        witness=g.labels_of(witness_bits),
-        witness_bits=witness_bits,
+        witness=witness,
         witness_capacity_fp=witness_capacity_fp,
     )

@@ -1,13 +1,49 @@
-"""Helpers the tests read a correspondence with, beside its own methods.
+"""Test oracles: independent formulations the package's solvers are checked
+against, and helpers that read a correspondence beside its own methods.
 
-They read the relation through its derived bitsets (``Correspondence.image``)
-or its index slices, so that they check the stored arrays from another side.
+The package answers compatibility with one exact solver, the max flow of
+``transport.solve_zero_one`` and its min-cut witness.  The paper states the
+same fact two more ways, and this module keeps them for the tests:
+
+- the capacity inequalities P(A) <= capacity(A) over every outcome set A, by
+  a subset-sum table over all 2^k sets (``deficiency_table``,
+  ``core_deficiency_bruteforce``), and over the interval classes of ordered
+  outcomes (``interval_deficiency``);
+- the selections of the correspondence (``enumerate_selections``,
+  ``selection_minimax_check``).
+
+It also keeps the total variation distance, which the identity
+correspondence reduces the transport value to, and a direct sampler of a
+finite distribution.  Outcome sets are int bitsets over outcome indices here;
+``g.labels_of(bits)`` gives the labels that ``capacity`` takes.  The helpers
+read the relation through its derived bitsets (``Correspondence.image``) or
+its index slices, so that they check the stored arrays from another side.
 """
 
-from typing import Sequence
+import itertools
+from dataclasses import dataclass
+from typing import Iterator, Sequence
 
-from falsiflow.correspondence import Correspondence
-from falsiflow.measure import Label
+import numpy as np
+
+from falsiflow.correspondence import Correspondence, ascending, max_halfline_deficiency_fp
+from falsiflow.errors import FalsiflowError, SupportMismatch
+from falsiflow.measure import DENOMINATOR, FiniteDistribution, Label
+from falsiflow.models import simulate
+
+#: Guard on exhaustive subset enumeration.
+BRUTEFORCE_MAX_OUTCOMES = 20
+
+#: Guard on selection enumeration (product of image sizes).
+MAX_SELECTIONS = 10**6
+
+
+class SupportTooLarge(FalsiflowError):
+    pass
+
+
+class TooManySelections(FalsiflowError):
+    pass
 
 
 def from_bitsets(latents: Sequence[Label], outcomes: Sequence[Label], images: Sequence[int]) -> Correspondence:
@@ -44,3 +80,196 @@ def to_json(g: Correspondence) -> dict:
         "outcomes": [str(y) for y in g.outcome_support],
         "G": {str(u): [str(y) for y in outcomes_of(g, u)] for u in g.latent_support},
     }
+
+
+def total_variation(p: FiniteDistribution, q: FiniteDistribution) -> float:
+    """Total variation distance: the largest excess of p over q on any subset.
+
+    Equals sum_y max(p(y) - q(y), 0) on finite supports.
+    """
+    return total_variation_fp(p, q) / DENOMINATOR
+
+
+def total_variation_fp(p: FiniteDistribution, q: FiniteDistribution) -> int:
+    """Exact fixed-point total variation (integer numerator)."""
+    p_mass = dict(zip(p.support, p.numerators))
+    q_mass = dict(zip(q.support, q.numerators))
+    labels = list(p.support) + [lab for lab in q.support if lab not in p_mass]
+    return sum(max(p_mass.get(lab, 0) - q_mass.get(lab, 0), 0) for lab in labels)
+
+
+def interval_deficiency(
+    g: Correspondence, nu: FiniteDistribution, p: FiniteDistribution
+) -> tuple[int, tuple[Label, ...], str]:
+    """Largest deficiency over interval outcome classes [min, y] and [y, max].
+
+    Outcome labels must be totally ordered (numeric, no NaN), else
+    :class:`~falsiflow.errors.NotOrdered` is raised.  Returns the fixed-point
+    maximum (at least 0, attained by the empty class), the maximizing class and
+    its kind ("lower", "upper" or "empty").  The classes are scanned by the
+    prefix sums of :func:`~falsiflow.correspondence.max_halfline_deficiency_fp`;
+    ties go to the earliest class in ascending y, lower before upper.
+    """
+    order = ascending(g.outcome_support)
+    # cut k: the lower class holds ranks 0..k, the upper class ranks k..max
+    value, labels, is_upper = max_halfline_deficiency_fp(
+        g, nu, p, order, np.arange(1, len(order) + 1), np.arange(len(order))
+    )
+    if value <= 0:
+        return 0, (), "empty"
+    return value, labels, "upper" if is_upper else "lower"
+
+
+def sample_distribution(p: FiniteDistribution, n: int, seed: int) -> list[Label]:
+    """Draw n i.i.d. outcomes directly from a finite distribution."""
+    identity = Correspondence.from_map({y: [y] for y in p.support}, outcome_support=p.support)
+    nu = FiniteDistribution(p.support, p.numerators)
+    return simulate(identity, nu, "first", n, seed)
+
+
+@dataclass(frozen=True)
+class DeficiencyReport:
+    """Exhaustive maximum of P(A) - capacity(A) with a canonical witness."""
+
+    value: float          # clamped at 0
+    raw: float            # unclamped maximum
+    value_fp: int
+    raw_fp: int
+    witness_bits: int
+    witness: tuple[Label, ...]
+
+
+def _subset_sum_transform(point_masses: np.ndarray, k: int) -> np.ndarray:
+    """In-place zeta transform: out[A] = sum of point_masses over subsets of A."""
+    arr = point_masses.copy()
+    for bit in range(k):
+        step = 1 << bit
+        view = arr.reshape(-1, 2 * step)
+        view[:, step:] += view[:, :step]
+    return arr
+
+
+def deficiency_table(
+    g: Correspondence, nu: FiniteDistribution, p: FiniteDistribution
+) -> np.ndarray:
+    """Fixed-point deficiency P(A) - capacity(A) for every outcome subset A.
+
+    Index ``A`` is the outcome-index bitset.  Exact int64 arithmetic.
+    """
+    k = len(g.outcome_support)
+    if k > BRUTEFORCE_MAX_OUTCOMES:
+        raise SupportTooLarge(f"{k} outcomes exceeds the brute-force guard ({BRUTEFORCE_MAX_OUTCOMES})")
+    if p.support != g.outcome_support:
+        raise SupportMismatch("p must live on the outcome support of the correspondence")
+    if nu.support != g.latent_support:
+        raise SupportMismatch("nu must live on the latent support of the correspondence")
+
+    size = 1 << k
+    p_point = np.zeros(size, dtype=np.int64)
+    for i, n in enumerate(p.numerators):
+        p_point[1 << i] = n
+    p_of = _subset_sum_transform(p_point, k)
+
+    # capacity(A) = 1 - mass of latents whose whole image avoids A
+    inside = np.zeros(size, dtype=np.int64)
+    for n, img in zip(nu.numerators, g.image):
+        inside[img] += n
+    h = _subset_sum_transform(inside, k)          # h[B] = nu{u : image(u) subset of B}
+    flip = (size - 1) ^ np.arange(size)
+    cap = DENOMINATOR - h[flip]
+    return p_of - cap
+
+
+def _canonical_argmax(table: np.ndarray) -> int:
+    """Maximizer bitset with smallest cardinality, ties by lexicographic index order."""
+    best = int(table.max())
+    candidates = np.flatnonzero(table == best)
+    popcounts = np.array([int(a).bit_count() for a in candidates])
+    candidates = candidates[popcounts == popcounts.min()]
+
+    def lex_key(mask: int) -> tuple:
+        return tuple(i for i in range(64) if mask >> i & 1)
+
+    return int(min((int(a) for a in candidates), key=lex_key))
+
+
+def core_deficiency_bruteforce(
+    g: Correspondence, nu: FiniteDistribution, p: FiniteDistribution
+) -> DeficiencyReport:
+    """Exhaustively maximize P(A) - capacity(A) over all outcome subsets.
+
+    The maximum is nonnegative (the empty set attains 0); a strictly positive
+    value falsifies the model and the witness is the canonical maximizer.
+    """
+    table = deficiency_table(g, nu, p)
+    raw = int(table.max())
+    bits = _canonical_argmax(table)
+    value = max(raw, 0)
+    return DeficiencyReport(
+        value=value / DENOMINATOR,
+        raw=raw / DENOMINATOR,
+        value_fp=value,
+        raw_fp=raw,
+        witness_bits=bits,
+        witness=g.labels_of(bits),
+    )
+
+
+def enumerate_selections(g: Correspondence) -> Iterator[dict[Label, Label]]:
+    """Yield every single-valued map u -> y with y admissible for u.
+
+    Lexicographic over the per-latent outcome index choices.
+    """
+    choices = []
+    count = 1
+    for bits in g.image:
+        opts = [i for i in range(len(g.outcome_support)) if bits >> i & 1]
+        count *= len(opts)
+        if count > MAX_SELECTIONS:
+            raise TooManySelections(f"more than {MAX_SELECTIONS} selections")
+        choices.append(opts)
+    for combo in itertools.product(*choices):
+        yield {u: g.outcome_support[i] for u, i in zip(g.latent_support, combo)}
+
+
+@dataclass(frozen=True)
+class MinimaxReport:
+    """Diagnostic comparison of the selection minimax with the capacity deficiency."""
+
+    lhs: float
+    rhs: float
+    lhs_fp: int
+    rhs_fp: int
+    equal: bool
+    best_selection: dict[Label, Label]
+
+
+def selection_minimax_check(
+    g: Correspondence, nu: FiniteDistribution, p: FiniteDistribution
+) -> MinimaxReport:
+    """Compare min over selections of the worst-set excess with the capacity bound.
+
+    lhs = min_s max_A [P(A) - (nu s^{-1})(A)]; rhs is the brute-force deficiency.
+    Reported, not asserted: the equality is known to hold only under conditions
+    on the instance.
+    """
+    rhs = core_deficiency_bruteforce(g, nu, p)
+    best_fp = None
+    best_sel: dict[Label, Label] = {}
+    index = {y: i for i, y in enumerate(g.outcome_support)}
+    for sel in enumerate_selections(g):
+        push = [0] * len(g.outcome_support)
+        for n, u in zip(nu.numerators, g.latent_support):
+            push[index[sel[u]]] += n
+        tv = sum(max(pn - qn, 0) for pn, qn in zip(p.numerators, push))
+        if best_fp is None or tv < best_fp:
+            best_fp, best_sel = tv, sel
+    assert best_fp is not None
+    return MinimaxReport(
+        lhs=best_fp / DENOMINATOR,
+        rhs=rhs.value,
+        lhs_fp=best_fp,
+        rhs_fp=rhs.value_fp,
+        equal=best_fp == rhs.value_fp,
+        best_selection=best_sel,
+    )

@@ -12,33 +12,32 @@ import pytest
 from scipy.optimize import linprog
 
 from falsiflow.cli import main
-from falsiflow.correspondence import (
-    Correspondence,
-    capacity_fp,
-    core_deficiency_bruteforce,
-    selection_minimax_check,
-)
+from falsiflow.correspondence import Correspondence, capacity_fp
 from falsiflow.inference import bootstrap_pvalue
 from falsiflow.measure import (
     DENOMINATOR,
     FiniteDistribution,
     align,
     make_distribution,
-    total_variation_fp,
 )
 from falsiflow.models import (
     binary_response_pilot,
     entry_game,
     example4_instance,
-    interval_deficiency,
     line_network_game,
     pilot_distribution,
-    sample_distribution,
     search_game,
 )
 from falsiflow.semiparametric import SemiparametricModel, maximize_dual, primal_lp
 from falsiflow.transport import solve_zero_one
-from oracles import from_bitsets
+from oracles import (
+    core_deficiency_bruteforce,
+    from_bitsets,
+    interval_deficiency,
+    sample_distribution,
+    selection_minimax_check,
+    total_variation_fp,
+)
 
 
 def random_fixed_point(rng, labels):
@@ -124,7 +123,7 @@ def test_criterion_04_entry_game_16_inequalities():
         verdict = solve_zero_one(p, nu, g).compatible
         holds = all(
             sum(n for i, n in enumerate(p.numerators) if bits >> i & 1)
-            <= capacity_fp(g, nu, bits)
+            <= capacity_fp(g, nu, g.labels_of(bits))
             for bits in range(16)
         )
         assert verdict == holds

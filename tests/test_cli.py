@@ -167,6 +167,37 @@ def test_check_missing_file_exit2(entry_model, capsys):
     assert main(["check", "--model", entry_model, "--dist", "/nonexistent.json"]) == 2
 
 
+UNREADABLE = {
+    "out-directory": "Is a directory",
+    "model-directory": "Is a directory",
+    "moments-object": "custom.json: field 'moments' of model 'custom' must be a list of numbers",
+    "phi-object": "mi.json: field 'phi' of model 'moment_inequality' must be a list of numbers",
+    "infinite-mass": "mass inf is not a finite number",
+}
+
+
+@pytest.mark.parametrize("case", UNREADABLE)
+def test_check_unreadable_input_exit2(case, entry_model, tmp_path, capsys):
+    model, dist = entry_model, write_json(tmp_path, "p.json", COMPATIBLE_P)
+    argv = ["--out", str(tmp_path)] if case == "out-directory" else []
+    if case == "model-directory":
+        model = str(tmp_path)
+    elif case == "moments-object":
+        model = write_json(tmp_path, "custom.json", {"model": "custom", "params": {
+            "correspondence": {"latent": ["u"], "outcomes": ["a"], "G": {"u": ["a"]}},
+            "moments": {"k": 1}}})
+    elif case == "phi-object":
+        model = write_json(tmp_path, "mi.json", {"model": "moment_inequality", "params": {
+            "outcomes": ["a"], "phi": {"x": 1}, "grid": [[1.0]]}})
+    elif case == "infinite-mass":
+        dist = tmp_path / "inf.json"
+        dist.write_text('{"support": ["(0,0)", "(0,1)"], "mass": [Infinity, 0]}')
+    assert main(["check", "--model", model, "--dist", str(dist)] + argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and UNREADABLE[case] in err
+    assert "Traceback" not in err
+
+
 def test_invert_malformed_model_json_exit2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

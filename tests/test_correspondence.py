@@ -10,11 +10,7 @@ from falsiflow.correspondence import (
     ascending,
     capacity,
     capacity_fp,
-    core_deficiency_bruteforce,
-    deficiency_table,
-    enumerate_selections,
     max_halfline_deficiency_fp,
-    selection_minimax_check,
 )
 from falsiflow.errors import (
     DuplicateLabel,
@@ -22,14 +18,23 @@ from falsiflow.errors import (
     FalsiflowError,
     NotOrdered,
     SupportMismatch,
-    SupportTooLarge,
-    TooManySelections,
 )
 from falsiflow.measure import DENOMINATOR, FiniteDistribution, make_distribution
 from falsiflow.models import line_network_game, simulate
 from falsiflow.semiparametric import SemiparametricModel, maximize_dual
 from falsiflow.transport import solve_zero_one
-from oracles import from_bitsets, outcomes_of, preimage, to_json
+from oracles import (
+    SupportTooLarge,
+    TooManySelections,
+    core_deficiency_bruteforce,
+    deficiency_table,
+    enumerate_selections,
+    from_bitsets,
+    outcomes_of,
+    preimage,
+    selection_minimax_check,
+    to_json,
+)
 
 
 def entry_regions():
@@ -90,7 +95,7 @@ def test_capacity_monotone():
     for a in range(1 << k):
         for b in range(1 << k):
             if a & b == a:  # a subset of b
-                assert capacity_fp(g, nu, a) <= capacity_fp(g, nu, b)
+                assert capacity_fp(g, nu, g.labels_of(a)) <= capacity_fp(g, nu, g.labels_of(b))
 
 
 def test_bruteforce_compatible():
@@ -134,7 +139,7 @@ def test_deficiency_table_matches_direct_enumeration():
     table = deficiency_table(g, nu, p)
     for bits in range(1 << 4):
         direct = sum(n for i, n in enumerate(p.numerators) if bits >> i & 1)
-        direct -= capacity_fp(g, nu, bits)
+        direct -= capacity_fp(g, nu, g.labels_of(bits))
         assert table[bits] == direct
 
 
@@ -262,7 +267,7 @@ def test_witness_certifies_value(data):
     p = make_distribution((f"y{i}", w / sum(p_w)) for i, w in enumerate(p_w))
     rep = core_deficiency_bruteforce(g, nu, p)
     claimed = sum(n for i, n in enumerate(p.numerators) if rep.witness_bits >> i & 1)
-    claimed -= capacity_fp(g, nu, rep.witness_bits)
+    claimed -= capacity_fp(g, nu, rep.witness)
     assert claimed == rep.raw_fp
     assert rep.value_fp == max(rep.raw_fp, 0)
 

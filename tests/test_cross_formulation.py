@@ -59,8 +59,8 @@ def test_max_flow_equals_lp_on_the_point_identified_model(instance):
     t = maximize_dual(point_identified(g, nu), p).T
     assert abs(t - flow.primal_value) <= 1e-9
     # the flow's witness A attains the LP value: P(A) - capacity(A) = T
-    p_of_a = sum(p.masses[i] for i in range(len(p)) if flow.witness_bits >> i & 1)
-    assert abs(p_of_a - capacity(g, nu, flow.witness_bits) - t) <= 1e-9
+    p_of_a = sum(p.mass(y) for y in flow.witness)
+    assert abs(p_of_a - capacity(g, nu, flow.witness) - t) <= 1e-9
 
 
 @settings(max_examples=60, deadline=None)

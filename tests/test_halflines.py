@@ -19,8 +19,8 @@ from falsiflow.correspondence import Correspondence, capacity_fp, max_halfline_d
 from falsiflow.errors import FalsiflowError, NotMonotone, NotOrdered, SupportMismatch
 from falsiflow.inference import bootstrap_pvalue, statistic_tn_halflines, statistic_tv_core
 from falsiflow.measure import DENOMINATOR, FiniteDistribution, align, empirical, make_distribution
-from falsiflow.models import interval_deficiency, search_game
-from oracles import from_bitsets
+from falsiflow.models import search_game
+from oracles import from_bitsets, interval_deficiency
 
 
 # --- references: the per-class and per-replicate loops ----------------------
@@ -38,7 +38,7 @@ def halflines_loop(data, nu, g):
         for bits in (low, high):
             value = sum(
                 n for i, n in enumerate(p_n.numerators) if bits >> i & 1
-            ) - capacity_fp(g_ext, nu, bits)
+            ) - capacity_fp(g_ext, nu, g_ext.labels_of(bits))
             seen.append(value)
             if best_fp is None or value > best_fp:
                 best_fp, best_bits = value, bits
@@ -54,7 +54,7 @@ def interval_loop(g, nu, p):
         for bits, name in ((lower, "lower"), (upper, "upper")):
             value = sum(
                 n for i, n in enumerate(p.numerators) if bits >> i & 1
-            ) - capacity_fp(g, nu, bits)
+            ) - capacity_fp(g, nu, g.labels_of(bits))
             if value > best:
                 best, best_bits, kind = value, bits, name
     return best, g.labels_of(best_bits), kind
@@ -271,7 +271,7 @@ def test_every_single_cut_matches_capacity_fp():
             for ranks in (order[:k], order[k:]):
                 bits = sum(1 << i for i in ranks)
                 mass = sum(n for i, n in enumerate(p.numerators) if bits >> i & 1)
-                classes.append((mass - capacity_fp(g, nu, bits), g.labels_of(bits)))
+                classes.append((mass - capacity_fp(g, nu, g.labels_of(bits)), g.labels_of(bits)))
             value, labels, is_upper = max_halfline_deficiency_fp(g, nu, p, order, [k], [k])
             assert (value, labels) == classes[is_upper]
             assert value == max(classes[0][0], classes[1][0])

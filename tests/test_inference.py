@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from falsiflow.correspondence import Correspondence, core_deficiency_bruteforce
+from falsiflow.correspondence import Correspondence
 from falsiflow.errors import EmptyData, NotOrdered, SupportMismatch
 from falsiflow.inference import (
     bootstrap_pvalue,
@@ -16,11 +16,11 @@ from falsiflow.models import (
     binary_response_pilot,
     entry_game,
     line_network_game,
-    sample_distribution,
     search_game,
     simulate,
 )
 from falsiflow.semiparametric import maximize_dual
+from oracles import core_deficiency_bruteforce, sample_distribution
 
 
 def entry_instance():

@@ -22,9 +22,8 @@ from falsiflow.measure import (
     align,
     empirical,
     make_distribution,
-    total_variation,
-    total_variation_fp,
 )
+from oracles import total_variation, total_variation_fp
 
 
 def test_uniform_two_point():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from falsiflow.correspondence import Correspondence, capacity_fp, core_deficiency_bruteforce
+from falsiflow.correspondence import Correspondence, capacity_fp
 from falsiflow.errors import (
     BadParameters,
     BadRule,
@@ -19,18 +19,16 @@ from falsiflow.models import (
     entry_equilibria,
     entry_game,
     example4_instance,
-    interval_deficiency,
     line_network_game,
     moment_inequality_model,
     pilot_distribution,
-    sample_distribution,
     search_game,
     simulate,
     uniform_grid_2d,
 )
 from falsiflow.semiparametric import maximize_dual, primal_lp
 from falsiflow.transport import solve_zero_one
-from oracles import outcomes_of
+from oracles import core_deficiency_bruteforce, interval_deficiency, outcomes_of, sample_distribution
 
 
 # --- line network -----------------------------------------------------------
@@ -106,7 +104,7 @@ def test_entry_game_16_inequalities_decide_compatibility():
     p = make_distribution([("(0,0)", 0.25), ("(0,1)", 0.375), ("(1,0)", 0.3125), ("(1,1)", 0.0625)])
     verdict = solve_zero_one(p, nu, g)
     all_hold = all(
-        sum(n for i, n in enumerate(p.numerators) if bits >> i & 1) <= capacity_fp(g, nu, bits)
+        sum(n for i, n in enumerate(p.numerators) if bits >> i & 1) <= capacity_fp(g, nu, g.labels_of(bits))
         for bits in range(16)
     )
     assert verdict.compatible == all_hold is True
