@@ -13,13 +13,14 @@ import json
 import math
 import reprlib
 import sys
+from collections import Counter
 from json.encoder import encode_basestring_ascii as quote
 
 import numpy as np
 
 from . import models
 from .correspondence import Correspondence
-from .errors import FalsiflowError
+from .errors import DuplicateLabel, FalsiflowError
 from .inference import bootstrap_pvalue, tally
 from .measure import FiniteDistribution, empirical, is_real, json_labels
 from .semiparametric import SemiparametricModel, maximize_dual
@@ -148,13 +149,20 @@ def load_distribution(path: str) -> FiniteDistribution:
     return FiniteDistribution.from_json(_read_json(path))
 
 
-def load_data(path: str) -> list:
-    """Data CSV: header "y", one outcome label per line."""
+def load_data(path: str) -> Counter:
+    """Data CSV: header "y", one outcome label per line; blank lines are skipped.
+
+    The labels are counted once, as text: the result maps each label to its
+    count, in order of first appearance.  A label keeps any spaces; a line
+    ends at "\n", "\r\n" or "\r".
+    """
     with open(path) as fh:
-        lines = [line.rstrip("\n") for line in fh]
-    if not lines or lines[0] != "y":
+        lines = fh.read().split("\n")
+    if lines[0] != "y":
         raise FalsiflowError(f"{path}:1: expected a single-column CSV with header 'y'")
-    return [line for line in lines[1:] if line]
+    counts = Counter(lines[1:])
+    del counts[""]
+    return counts
 
 
 def write_output(text: str, out: str | None):
@@ -189,28 +197,46 @@ def render_json(obj: dict) -> str:
 # Commands
 # ---------------------------------------------------------------------------
 
-def _canonical_labels(labels, outcome_support) -> list:
-    """Read file labels, which are text, the way the model labels its outcomes.
+def _canonical_labels(labels, outcome_support) -> dict:
+    """Read distinct file labels, which are text, the way the model labels its
+    outcomes: {label: the outcome it reads as}, in the order of ``labels``.
 
     When every outcome is a real number, every label is read with float(), so
-    "0.50" is the outcome 0.5, and NaN is refused; otherwise labels match by
-    text.  Labels with no match are kept, so they count against the model.
+    "0.50" is the outcome 0.5, and NaN is refused once all are read; otherwise
+    labels match by text.  Labels with no match are kept, so they count
+    against the model.
     """
     if all(map(is_real, outcome_support)):
-        values = [float(lab) for lab in labels]
-        if any(v != v for v in values):
+        read = {lab: float(lab) for lab in labels}
+        if any(v != v for v in read.values()):
             raise FalsiflowError("the model's outcomes are numbers, and a label is NaN")
-        return values
+        return read
     by_text = {str(y): y for y in outcome_support}
-    return [by_text.get(str(lab), lab) for lab in labels]
+    return {lab: by_text.get(str(lab), lab) for lab in labels}
+
+
+def _canonical_counts(counts: Counter, outcome_support) -> Counter:
+    """``counts`` of file labels as counts of the outcomes they read as: labels
+    that read as one outcome, such as "0.5" and "0.50", add their counts."""
+    merged = Counter()
+    for lab, y in _canonical_labels(counts, outcome_support).items():
+        merged[y] += counts[lab]
+    return merged
 
 
 def _target_distribution(args, outcome_support) -> FiniteDistribution:
     if args.dist:
         p = load_distribution(args.dist)
-        return FiniteDistribution(tuple(_canonical_labels(p.support, outcome_support)), p.numerators)
+        read = _canonical_labels(p.support, outcome_support)
+        first = {}
+        for lab, y in read.items():
+            if y in first:
+                raise DuplicateLabel(f"{args.dist}: labels {first[y]!r} and {lab!r} both read as "
+                                     f"the outcome {y!r}")
+            first[y] = lab
+        return FiniteDistribution(tuple(read.values()), p.numerators)
     if args.data:
-        return empirical(_canonical_labels(load_data(args.data), outcome_support))
+        return empirical(_canonical_counts(load_data(args.data), outcome_support))
     raise FalsiflowError("either --dist or --data is required")
 
 
@@ -241,8 +267,10 @@ def cmd_test(args) -> int:
     model = load_model_spec(args.model)
     data = load_data(args.data)
     model, outcome_support = _tested_model(model, args.stat)
-    labels = _canonical_labels(data, outcome_support)
-    report = bootstrap_pvalue(labels, model, args.stat, args.B, args.seed)
+    counts = _canonical_counts(data, outcome_support)
+    # the CSV audit lists every replicate; the JSON report shows only p
+    report = bootstrap_pvalue(counts, model, args.stat, args.B, args.seed,
+                              replicates=args.format == "csv")
     if args.format == "csv":
         write_output(report.to_csv(), args.out)
     else:
@@ -338,9 +366,9 @@ def cmd_invert(args) -> int:
         local = dict(spec, params=dict(params, **pt))
         model, outcome_support = _tested_model(build_model(local, args.model, grids), args.stat)
         if outcome_support not in samples:
-            samples[outcome_support] = tally(_canonical_labels(data, outcome_support))
+            samples[outcome_support] = tally(_canonical_counts(data, outcome_support))
         pv = bootstrap_pvalue(samples[outcome_support], model, args.stat, args.B,
-                              int(seed.generate_state(1)[0])).pvalue
+                              int(seed.generate_state(1)[0]), replicates=False).pvalue
         accepted = pv >= args.alpha
         lines.append(",".join([format(pt[n], ".10g") for n in names] + [repr(pv), str(accepted).lower()]))
     write_output("\n".join(lines) + "\n", args.out)

@@ -199,7 +199,7 @@ def ascending(labels: Sequence[Label]) -> list[int]:
     """Indices of ``labels`` from lowest to highest; only real numbers other than NaN are ordered."""
     if not all(is_real(y) and y == y for y in labels):
         raise NotOrdered("half-line statistics need numeric outcome labels, not text or NaN")
-    return sorted(range(len(labels)), key=lambda i: labels[i])
+    return sorted(range(len(labels)), key=labels.__getitem__)
 
 
 def max_halfline_deficiency_fp(

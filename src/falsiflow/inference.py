@@ -16,9 +16,16 @@ of a block of replicates are derived in bulk with uint32 array arithmetic
 (:func:`_spawned_pcg64_states`), checked against numpy's own child 0, and set
 in turn on one reused generator; the draws are numpy's, bit for bit.
 
-A sample is counted once by :func:`tally`; the statistics and the bootstrap
-take its :class:`Sample` in place of the labels, so ``invert`` counts its
-data once for all of its grid points.
+A sample is counted once by :func:`tally`, from its labels or from a
+{label: count} mapping; the statistics and the bootstrap take its
+:class:`Sample` in place of the labels, so ``invert`` counts its data once
+for all of its grid points.
+
+A set-supremum replicate is never below 0, since the empty set attains
+P*(∅) - P_n(∅) = 0 (Galichon & Henry, *RES* 78, 2011).  So when the observed
+"tv-core" or "tn-halflines" statistic is 0, every replicate reaches it and
+p = (1 + B) / (B + 1) = 1 exactly; with ``replicates=False``,
+:func:`bootstrap_pvalue` then returns that p without drawing.
 
 The half-line statistic searches no outcome sets: in outcome order, P_n and
 the capacity of every half-line are prefix sums
@@ -36,7 +43,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, replace
-from typing import NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -114,15 +121,19 @@ class Sample(NamedTuple):
     base_counts: np.ndarray     # the sample's counts on ``support``, int64
 
 
-def tally(data: Sequence[Label] | Sample) -> Sample:
-    """Count a sample once for its statistic and its bootstrap; a ``Sample``
-    is returned as it is, so a caller testing several models tallies once."""
+def tally(data: Sequence[Label] | Mapping[Label, int] | Sample) -> Sample:
+    """Count a sample once for its statistic and its bootstrap.
+
+    ``data`` is the observed labels, or a {label: count} mapping of them in
+    order of first appearance.  A ``Sample`` is returned as it is, so a
+    caller testing several models tallies once.
+    """
     if isinstance(data, Sample):
         return data
-    if not data:
-        raise EmptyData("no observations")
-    n = len(data)
     counts = Counter(data)
+    if not counts:
+        raise EmptyData("no observations")
+    n = sum(counts.values())
     p_n = make_distribution((lab, c / n) for lab, c in counts.items())
     order = sorted(range(len(p_n.support)), key=lambda i: str(p_n.support[i]))
     support = tuple(p_n.support[i] for i in order)
@@ -256,6 +267,8 @@ def bootstrap_pvalue(
     statistic_kind: str,
     B: int,
     seed: int,
+    *,
+    replicates: bool = True,
 ) -> TestReport:
     """Bootstrap p-value for a statistic kind.
 
@@ -263,8 +276,14 @@ def bootstrap_pvalue(
     :class:`SemiparametricModel` for "semi".  Resamples are multinomial over
     the sorted empirical support; with T̃*_b the recentered replicate value,
     p = (1 + #{T̃*_b >= T}) / (B + 1).  A failing replicate aborts the run.
-    ``data`` is a label sequence or its :func:`tally`.  For "semi" the
+    ``data`` is what :func:`tally` takes, or its result.  For "semi" the
     statistic is solved with the first block of resamples, its LP first.
+
+    The report holds the replicates drawn.  With ``replicates=False`` a
+    caller that reads only p lets a "tv-core" or "tn-halflines" statistic of
+    0 skip the draws: each of those replicates is a supremum over a class of
+    sets holding the empty set, so it is at least 0, and p is 1 exactly.
+    That report has ``replicates == ()``.
     """
     sample = tally(data)
     if B < 1:
@@ -272,13 +291,15 @@ def bootstrap_pvalue(
     if B > 2**32:
         raise SupportMismatch("B must be at most 2**32, one spawn-key word per replicate")
     observed = None if statistic_kind == "semi" else _compute(statistic_kind, sample, model)
+    if not replicates and observed is not None and observed.value == 0:
+        return replace(observed, pvalue=1.0, B=B, seed=seed, replicates=())
 
     seeds = np.random.SeedSequence(seed)
     bitgen = np.random.PCG64(np.random.SeedSequence(seeds.entropy, spawn_key=(0,)))
     state = bitgen.state
     draw = np.random.Generator(bitgen).multinomial
     rows = max(1, REPLICATE_BLOCK // len(sample.support))
-    replicates: list[float] = []
+    values: list[float] = []
     for start in range(0, B, rows):
         children = _spawned_pcg64_states(seeds, start, min(rows, B - start))
         if start == 0 and children[0] != state["state"]:
@@ -288,8 +309,8 @@ def bootstrap_pvalue(
             state["state"] = child
             bitgen.state = state
             draws.append(draw(sample.n, sample.probs))
-        observed, values = _recentered_replicates(statistic_kind, np.array(draws), sample, model, observed)
-        replicates += values
-    exceed = sum(value >= observed.value for value in replicates)
+        observed, block = _recentered_replicates(statistic_kind, np.array(draws), sample, model, observed)
+        values += block
+    exceed = sum(value >= observed.value for value in values)
     pvalue = (1 + exceed) / (B + 1)
-    return replace(observed, pvalue=pvalue, B=B, seed=seed, replicates=tuple(replicates))
+    return replace(observed, pvalue=pvalue, B=B, seed=seed, replicates=tuple(values))

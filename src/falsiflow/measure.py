@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import math
 import numbers
+from collections import Counter
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Sequence
+from typing import Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -38,7 +39,8 @@ JSON_LABEL_TYPES = {str, int, float}
 
 def is_real(v) -> bool:
     """Whether ``v`` is a real number; a bool, which Python counts as one, is not."""
-    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+    # the exact-type tests answer for Python's own numbers without the ABC check
+    return type(v) is float or type(v) is int or (isinstance(v, numbers.Real) and not isinstance(v, bool))
 
 
 @dataclass(frozen=True)
@@ -110,12 +112,22 @@ class FiniteDistribution:
                     raise BadMass(f"mass {m!r} is not a number")
         support = json_labels(obj["support"], "support")
         if denom == DENOMINATOR:
-            try:
-                numerators = tuple(int(m) for m in masses)
-            except (OverflowError, ValueError):  # int() of inf or NaN
-                bad = next(m for m in masses if not math.isfinite(m))
-                raise BadMass(f"mass {bad!r} is not a finite number") from None
-            return FiniteDistribution(tuple(support), numerators)
+            # one pass, as large specs list thousands of masses; a mass that is
+            # not finite is named before one that is negative or fractional
+            numerators, bad = [], []
+            for m in masses:
+                try:
+                    k = int(m)
+                except (OverflowError, ValueError):  # int() of inf or NaN
+                    raise BadMass(f"mass {m!r} is not a finite number") from None
+                if k != m or k < 0:
+                    bad.append(m)
+                numerators.append(k)
+            if bad:
+                if bad[0] < 0:
+                    raise NegativeMass(f"mass {bad[0]!r} is negative")
+                raise BadMass(f"mass {bad[0]!r} is not a whole number at denominator {DENOMINATOR}")
+            return FiniteDistribution(tuple(support), tuple(numerators))
         if len(support) != len(masses):
             raise SupportMismatch("support and mass lists differ in length")
         return make_distribution(zip(support, (m / denom for m in masses)))
@@ -181,17 +193,16 @@ def make_distribution(pairs: Iterable[tuple[Label, float]]) -> FiniteDistributio
     return FiniteDistribution(tuple(labels), tuple(_round_preserving_sum(values)))
 
 
-def empirical(observations: Sequence[Label]) -> FiniteDistribution:
+def empirical(observations: Sequence[Label] | Mapping[Label, int]) -> FiniteDistribution:
     """Empirical distribution of a sample: mass of each label is count/n.
 
+    The sample is its observations or a {label: count} mapping of them.
     Support is the distinct observed labels in first-appearance order.
     """
-    if not observations:
+    counts = Counter(observations)
+    if not counts:
         raise EmptyData("empirical distribution of an empty sample")
-    counts: dict[Label, int] = {}
-    for y in observations:
-        counts[y] = counts.get(y, 0) + 1
-    n = len(observations)
+    n = sum(counts.values())
     return make_distribution((lab, c / n) for lab, c in counts.items())
 
 

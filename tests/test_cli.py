@@ -12,10 +12,11 @@ from hypothesis import example, given, strategies as st
 
 import falsiflow
 from falsiflow import inference, semiparametric, transport
-from falsiflow.cli import MAX_GRID_POINTS, build_model, main, parse_grid, render_json
+from falsiflow.cli import (MAX_GRID_POINTS, _canonical_counts, build_model, load_data, main,
+                           parse_grid, render_json)
 from falsiflow.correspondence import Correspondence
-from falsiflow.errors import SupportMismatch
-from falsiflow.measure import FiniteDistribution
+from falsiflow.errors import FalsiflowError, SupportMismatch
+from falsiflow.measure import FiniteDistribution, empirical
 
 
 ENTRY_SPEC = {"model": "entry_game", "params": {"delta1": -1.0, "delta2": -1.0}}
@@ -354,6 +355,71 @@ def test_search_non_numeric_label_exit2(tmp_path, capsys, command, label, messag
     data.write_text(f"y\n0.5\n{label}\n{label}\n")
     assert main([command, "--model", model, "--data", str(data)]) == 2
     assert message in capsys.readouterr().err
+
+
+def listed_sample(path, outcome_support, count):
+    """The data read as a list of labels, each label read on its own, and
+    then counted by ``count``: the reference for counting the text once."""
+    with open(path) as fh:
+        lines = [line.rstrip("\n") for line in fh]
+    if not lines or lines[0] != "y":
+        raise FalsiflowError(f"{path}:1: expected a single-column CSV with header 'y'")
+    labels = [line for line in lines[1:] if line]
+    if all(isinstance(y, float) for y in outcome_support):
+        labels = [float(lab) for lab in labels]
+        if any(v != v for v in labels):
+            raise FalsiflowError("the model's outcomes are numbers, and a label is NaN")
+    else:
+        by_text = {str(y): y for y in outcome_support}
+        labels = [by_text.get(lab, lab) for lab in labels]
+    return count(labels)
+
+
+def outcome_or_error(read):
+    try:
+        return read()
+    except (FalsiflowError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("text", [
+    "y\r\n0.5\r\n0.2\r\n0.5\r\n", "y\n0.5\n\n0.2\n\n\n0.5\n", "y\n0.5\n0.2", "y\r0.2\r0.5",
+    "y\n0.5 \n0.2\n0.5\n0.5 \n", "y\n0.2\n0.50\n0.5\n0.2\n0.8\n0.50\n", "y\n0.5\nnan\n0.2\n",
+    "y\n0.5\nnan\nhigh\n", "y\n0.5\nhigh\nnan\n", "y\n", "y", "", "\n", "y \n0.5\n",
+    "y\n(0,1)\n(1,0)\n(0,1) \n\n(0,1)\n",
+], ids=["crlf", "blank-lines", "no-final-newline", "cr", "trailing-spaces", "merge-order", "nan",
+        "nan-then-text", "text-then-nan", "header-only", "header-no-newline", "empty",
+        "blank-header", "spaced-header", "text-labels"])
+@pytest.mark.parametrize("spec", [SEARCH_SPEC, ENTRY_SPEC], ids=["numbers", "text"])
+def test_data_counted_once_as_text_matches_the_listed_labels(text, spec, tmp_path):
+    path = tmp_path / "data.csv"
+    path.write_bytes(text.encode())
+    g, _ = build_model(spec)
+    support = g.outcome_support
+    for count in (inference.tally, empirical):
+        got = outcome_or_error(lambda: count(_canonical_counts(load_data(str(path)), support)))
+        want = outcome_or_error(lambda: listed_sample(str(path), support, count))
+        if isinstance(want, inference.Sample):
+            assert got.n == want.n and got.p_n == want.p_n and got.support == want.support
+            assert np.array_equal(got.probs, want.probs)
+            assert np.array_equal(got.base_counts, want.base_counts)
+        else:
+            assert got == want
+
+
+@pytest.mark.parametrize("spec, dist, message", [
+    (ENTRY_SPEC, {"support": ["a", "b", "c"], "mass": [-0.5, 0.5, 1000000000]},
+     "mass -0.5 is negative"),
+    (ENTRY_SPEC, {"support": ["a", "b"], "mass": [0.7, 999999999.3]},
+     "mass 0.7 is not a whole number at denominator 1000000000"),
+    (SEARCH_SPEC, {"support": ["0.5", "0.0", "0.50"], "mass": [250000000, 500000000, 250000000]},
+     "{dist}: labels '0.5' and '0.50' both read as the outcome 0.5"),
+], ids=["negative-mass", "fractional-mass", "labels-of-one-outcome"])
+def test_check_dist_names_the_faulty_mass_or_labels(spec, dist, message, tmp_path, capsys):
+    model = write_json(tmp_path, "model.json", spec)
+    path = write_json(tmp_path, "d.json", dist)
+    assert main(["check", "--model", model, "--dist", path]) == 2
+    assert capsys.readouterr().err == f"error: {message.format(dist=path)}\n"
 
 
 @pytest.mark.parametrize("key", ["latent", "outcomes"])

@@ -1,8 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from falsiflow import inference
 from falsiflow.correspondence import Correspondence
 from falsiflow.errors import EmptyData, NotOrdered, SupportMismatch
 from falsiflow.inference import (
@@ -255,3 +257,47 @@ def test_csv_report_one_row_per_replicate():
     lines = rep.to_csv().strip().splitlines()
     assert lines[0] == "replicate,value"
     assert len(lines) == 2 + 5  # header + observed + B replicates
+
+
+def set_supremum_replicates(data, kind, B, seed):
+    """Each resample drawn from its own child seed and recentred on its own:
+    the one-at-a-time reference for the "tv-core" and "tn-halflines"
+    replicates.  ``len(data)`` must divide 10**9, so that P_n is exact."""
+    support = sorted(set(data), key=str)
+    counts = np.array([data.count(y) for y in support])
+    order = np.argsort(support) if kind == "tn-halflines" else None
+    reference = []
+    for child in np.random.SeedSequence(seed).spawn(B):
+        excess = np.random.default_rng(child).multinomial(len(data), counts / len(data)) - counts
+        if kind == "tv-core":
+            reference.append(np.maximum(excess, 0).sum() / len(data))
+        else:
+            reference.append(np.abs(np.cumsum(excess[order])).max() / len(data))
+    return tuple(reference)
+
+
+@pytest.mark.parametrize("kind, instance, data, zero", [
+    ("tv-core", entry_instance, ["(0,0)"] * 3 + ["(0,1)"] * 4 + ["(1,1)"] * 3, True),
+    ("tv-core", entry_instance, ["(0,0)"] * 3 + ["(0,1)"] * 5 + ["(1,1)"] * 2, False),
+    ("tn-halflines", search_instance, [0.0] * 5 + [0.2] + [0.5] * 2 + [0.9] * 2, True),
+    ("tn-halflines", search_instance, [0.9] * 6 + [0.5] + [0.0] * 3, False),
+], ids=["tv-core-zero", "tv-core-positive", "halflines-zero", "halflines-positive"])
+def test_bootstrap_without_replicates_draws_nothing_only_at_zero(kind, instance, data, zero,
+                                                                 monkeypatch):
+    g, nu = instance()
+    full = bootstrap_pvalue(data, (nu, g), kind, B=30, seed=8)
+    assert (full.value == 0) is zero
+    assert full.replicates == set_supremum_replicates(data, kind, 30, 8)
+    assert full.pvalue == (1 + sum(v >= full.value for v in full.replicates)) / 31
+
+    spawned = []
+    derive = inference._spawned_pcg64_states
+    monkeypatch.setattr(inference, "_spawned_pcg64_states",
+                        lambda *args: spawned.append(args) or derive(*args))
+    rep = bootstrap_pvalue(data, (nu, g), kind, B=30, seed=8, replicates=False)
+    if zero:
+        # every replicate is at least 0, so p is 1 without a draw
+        assert full.pvalue == 1.0 and min(full.replicates) >= 0
+        assert rep == replace(full, replicates=()) and spawned == []
+    else:
+        assert rep == full and spawned

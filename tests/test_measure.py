@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 
 from falsiflow.errors import (
     BadDenominator,
+    BadMass,
     DuplicateLabel,
     EmptyData,
     FalsiflowError,
@@ -194,6 +195,14 @@ def test_from_json_checks_the_sum_against_any_denominator():
         FiniteDistribution.from_json({"support": ["a", "b"], "mass": [1, 1], "denominator": 4})
     q = FiniteDistribution.from_json({"support": ["a", "b"], "mass": [1, 3], "denominator": 4})
     assert q.numerators == (250000000, 750000000)
+
+
+def test_from_json_default_denominator_takes_whole_masses():
+    q = FiniteDistribution.from_json({"support": ["a", "b"], "mass": [5e8, 500000000]})
+    assert q.numerators == (500000000, 500000000) and all(type(k) is int for k in q.numerators)
+    # a mass that is not finite is named before a negative one
+    with pytest.raises(BadMass, match="^mass inf is not a finite number$"):
+        FiniteDistribution.from_json({"support": ["a", "b"], "mass": [-0.5, math.inf]})
 
 
 @pytest.mark.parametrize("denominator", [0, -4, "4", None, True, math.nan, math.inf])

@@ -1,8 +1,8 @@
 """The benchmark's tracer (bench/tracer.py) patches falsiflow by name and reads
 a few fields of what the patched calls take and return.  These tests run it
-over a pilot and an entry-game ``check``, one ``test --stat tn-halflines`` and
-one entry-game ``invert``, so a renamed method or a dropped field fails here
-and not only in a traced benchmark run.
+over a pilot and an entry-game ``check``, a JSON and a CSV ``test --stat
+tn-halflines`` and one entry-game ``invert``, so a renamed method or a
+dropped field fails here and not only in a traced benchmark run.
 """
 
 import importlib.util
@@ -46,8 +46,12 @@ def test_tracer_counts_lp_solves_and_replicates(tmp_path):
         tracer.start_round()
         assert main(["check", "--model", pilot, "--dist", dist,
                      "--out", str(tmp_path / "check.json")]) == 0
-        assert main(["test", "--model", search, "--data", data, "--stat", "tn-halflines",
-                     "--B", "5", "--out", str(tmp_path / "test.json")]) == 0
+        # the data's statistic is 0: the JSON report draws no replicate, the
+        # CSV audit all 5
+        test = ["test", "--model", search, "--data", data, "--stat", "tn-halflines", "--B", "5"]
+        assert main(test + ["--out", str(tmp_path / "test.json")]) == 0
+        assert tracer.counts["inference.replicates"] == 0
+        assert main(test + ["--format", "csv", "--out", str(tmp_path / "test.csv")]) == 0
         tracer.end_round()
     finally:
         tracer.remove()
