@@ -20,7 +20,7 @@ import numpy as np
 
 from . import models
 from .correspondence import Correspondence
-from .errors import DuplicateLabel, FalsiflowError
+from .errors import DuplicateLabel, EmptyData, FalsiflowError, MissingField
 from .inference import bootstrap_pvalue, tally
 from .measure import FiniteDistribution, empirical, is_real, json_labels
 from .semiparametric import SemiparametricModel, maximize_dual
@@ -146,7 +146,10 @@ def build_model(spec: dict, origin: str = "<spec>", grids: dict | None = None):
 
 
 def load_distribution(path: str) -> FiniteDistribution:
-    return FiniteDistribution.from_json(_read_json(path))
+    try:
+        return FiniteDistribution.from_json(_read_json(path))
+    except MissingField as exc:
+        raise MissingField(f"{path}: {exc}") from exc
 
 
 def load_data(path: str) -> Counter:
@@ -154,7 +157,7 @@ def load_data(path: str) -> Counter:
 
     The labels are counted once, as text: the result maps each label to its
     count, in order of first appearance.  A label keeps any spaces; a line
-    ends at "\n", "\r\n" or "\r".
+    ends at "\n", "\r\n" or "\r".  A file with no label is refused.
     """
     with open(path) as fh:
         lines = fh.read().split("\n")
@@ -162,6 +165,8 @@ def load_data(path: str) -> Counter:
         raise FalsiflowError(f"{path}:1: expected a single-column CSV with header 'y'")
     counts = Counter(lines[1:])
     del counts[""]
+    if not counts:
+        raise EmptyData(f"{path}: no observations below the header 'y'")
     return counts
 
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import DuplicateLabel, EmptyImage, NotOrdered, SupportMismatch
 from .measure import (DENOMINATOR, JSON_LABEL_TYPES, FiniteDistribution, Label, align, is_real,
-                      json_labels)
+                      json_field, json_labels)
 
 @dataclass(frozen=True, eq=False)
 class Correspondence:
@@ -118,8 +118,8 @@ class Correspondence:
     def from_json(obj: dict) -> "Correspondence":
         for key in ("latent", "outcomes"):
             what = f"correspondence {key!r}"
-            refuse_repeats(json_labels(obj[key], what), what)
-        images = obj["G"]
+            refuse_repeats(json_labels(json_field(obj, key, "correspondence"), what), what)
+        images = json_field(obj, "G", "correspondence")
         if not isinstance(images, dict):
             raise SupportMismatch("correspondence 'G' must map each latent label to a list of outcomes")
         latents = obj["latent"]

@@ -38,6 +38,10 @@ class SupportMismatch(FalsiflowError):
     pass
 
 
+class MissingField(SupportMismatch):
+    """A JSON object that lacks a field it needs."""
+
+
 class EmptyImage(FalsiflowError):
     """A latent point with an empty outcome set; correspondences must be nonempty-valued."""
 

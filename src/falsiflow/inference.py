@@ -31,8 +31,8 @@ The half-line statistic searches no outcome sets: in outcome order, P_n and
 the capacity of every half-line are prefix sums
 (:func:`~falsiflow.correspondence.max_halfline_deficiency_fp`), and the
 set-supremum replicates of a block of resamples come from one count matrix.
-The dual-statistic replicates of a block are built from the same count
-matrix and solved together with the observed P_n by
+The dual-statistic replicates of a block are the same count matrix, rounded
+at once to mass rows, solved with the observed P_n's row by
 :func:`~falsiflow.semiparametric.maximize_dual_batch`, which takes an LP only
 for a distribution no earlier LP's optimal basis covers; P_n comes first, so
 its certificate is that of :func:`~falsiflow.semiparametric.maximize_dual`.
@@ -49,7 +49,7 @@ import numpy as np
 
 from .correspondence import Correspondence, ascending, max_halfline_deficiency_fp
 from .errors import EmptyData, FalsiflowError, SupportMismatch
-from .measure import DENOMINATOR, FiniteDistribution, Label, make_distribution
+from .measure import DENOMINATOR, FiniteDistribution, Label, _round_preserving_sum, make_distribution
 from .semiparametric import DualCertificate, SemiparametricModel, maximize_dual, maximize_dual_batch
 from .transport import solve_zero_one
 
@@ -215,13 +215,18 @@ def _recentered_replicates(kind, star_counts, sample: Sample, model, observed):
     the observed points, the largest absolute prefix sum in label order.  Both
     are exact integers over n, computed for all rows at once.  For "semi" the
     replicate is the dual statistic on the resample minus the observed value;
-    each resample's distribution is built from its count row, and all of them
-    are certified by one :func:`maximize_dual_batch` call, behind P_n when
-    ``observed`` is None.
+    the count rows over n are rounded as ``make_distribution`` rounds one,
+    behind P_n's row when ``observed`` is None, and certified by one
+    :func:`maximize_dual_batch` call on P_n's labels, in P_n's order.
     """
     if kind == "semi":
-        resamples = [make_distribution(zip(sample.support, row / sample.n)) for row in star_counts]
-        certs = maximize_dual_batch(model, [sample.p_n] * (observed is None) + resamples)
+        block = np.vstack([sample.probs] * (observed is None) + [star_counts / sample.n])
+        # in P_n's order, labels the model does not list extend its outcomes
+        # as in maximize_dual(model, P_n), so every row is certified alike
+        position = {y: k for k, y in enumerate(sample.support)}
+        columns = [position[y] for y in sample.p_n.support]
+        masses = _round_preserving_sum(block)[:, columns] / DENOMINATOR
+        certs = maximize_dual_batch(model, sample.p_n.support, masses)
         if observed is None:
             observed = _semi_report(sample, certs.pop(0))
         return observed, [max(c.T, 0.0) - observed.value for c in certs]

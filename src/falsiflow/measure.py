@@ -21,6 +21,7 @@ from .errors import (
     DuplicateLabel,
     EmptyData,
     MassSumOutOfTolerance,
+    MissingField,
     NegativeMass,
     SupportMismatch,
 )
@@ -103,14 +104,14 @@ class FiniteDistribution:
         denom = obj.get("denominator", DENOMINATOR)
         if isinstance(denom, bool) or not isinstance(denom, (int, float)) or not 0 < denom < math.inf:
             raise BadDenominator(f"denominator {denom!r} must be a positive finite number")
-        masses = obj["mass"]
+        masses = json_field(obj, "mass", "distribution")
         if not isinstance(masses, list):
             raise BadMass(f"mass {masses!r} must be a list of numbers")
         if not set(map(type, masses)) <= {int, float}:
             for m in masses:
                 if isinstance(m, bool) or not isinstance(m, (int, float)):
                     raise BadMass(f"mass {m!r} is not a number")
-        support = json_labels(obj["support"], "support")
+        support = json_labels(json_field(obj, "support", "distribution"), "support")
         if denom == DENOMINATOR:
             # one pass, as large specs list thousands of masses; a mass that is
             # not finite is named before one that is negative or fractional
@@ -133,6 +134,15 @@ class FiniteDistribution:
         return make_distribution(zip(support, (m / denom for m in masses)))
 
 
+def json_field(obj: dict, key: str, what: str):
+    """``obj[key]`` of a JSON object; ``what`` names the object in the error
+    when the key is absent."""
+    try:
+        return obj[key]
+    except KeyError:
+        raise MissingField(f"{what} is missing field {key!r}") from None
+
+
 def json_labels(labels, where: str) -> list:
     """``labels`` read from a JSON file, checked to be a list of strings and numbers;
     ``where`` names the list in the error."""
@@ -145,27 +155,19 @@ def json_labels(labels, where: str) -> list:
     return labels
 
 
-def _round_preserving_sum(values: Sequence[float]) -> list[int]:
-    """Round probabilities to fixed point; assign the residual to the largest mass.
+def _round_preserving_sum(values) -> np.ndarray:
+    """Round each row of probabilities, one row (1-D) or a block (2-D), to
+    int64 fixed point; assign each row's residual to its largest mass.
 
     ``np.rint`` rounds half to even, as ``round`` does; the residual goes to
-    the first of the largest numerators.  A mass that is not finite, or whose
-    numerator does not fit in int64, raises instead of wrapping around.
+    the first of the row's largest numerators.
     """
-    scaled = np.asarray(values, dtype=float) * DENOMINATOR
-    bad = np.flatnonzero(~(np.abs(scaled) < 2.0**63))
-    if bad.size:
-        raise MassSumOutOfTolerance(
-            f"mass {values[bad[0]]!r} has no 64-bit fixed-point numerator"
-        )
-    rounded = np.rint(scaled).astype(np.int64)
-    numers = rounded.tolist()
-    residual = DENOMINATOR - sum(numers)
-    if residual:
-        k = int(np.argmax(rounded))
-        numers[k] += residual
-        if numers[k] < 0:
-            raise MassSumOutOfTolerance("rounding residual exceeds the largest mass")
+    numers = np.rint(np.asarray(values, dtype=float) * DENOMINATOR).astype(np.int64)
+    rows = numers.reshape(-1, numers.shape[-1])  # a view: numers gets the residuals
+    at = (np.arange(len(rows)), rows.argmax(axis=1))
+    rows[at] += DENOMINATOR - rows.sum(axis=1)
+    if (rows[at] < 0).any():
+        raise MassSumOutOfTolerance("rounding residual exceeds the largest mass")
     return numers
 
 
@@ -190,7 +192,7 @@ def make_distribution(pairs: Iterable[tuple[Label, float]]) -> FiniteDistributio
     total = sum(values)
     if abs(total - 1.0) > SUM_TOLERANCE:
         raise MassSumOutOfTolerance(f"masses sum to {total!r}, expected 1 within {SUM_TOLERANCE}")
-    return FiniteDistribution(tuple(labels), tuple(_round_preserving_sum(values)))
+    return FiniteDistribution(tuple(labels), tuple(_round_preserving_sum(values).tolist()))
 
 
 def empirical(observations: Sequence[Label] | Mapping[Label, int]) -> FiniteDistribution:

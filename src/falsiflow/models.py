@@ -71,7 +71,7 @@ def uniform_grid_2d(lo: float, hi: float, cells: int) -> LatentGrid:
     coords = np.column_stack([np.repeat(mids, cells), np.tile(mids, cells)])
     texts = [_fmt(m) for m in mids]
     nodes = tuple(f"({a},{b})" for a in texts for b in texts)
-    equal = _round_preserving_sum(np.full(len(nodes), 1.0 / len(nodes)))
+    equal = _round_preserving_sum(np.full(len(nodes), 1.0 / len(nodes))).tolist()
     weights = FiniteDistribution(nodes, tuple(equal))
     return LatentGrid(nodes=nodes, coords=coords, weights=weights)
 

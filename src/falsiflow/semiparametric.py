@@ -25,10 +25,10 @@ LP and to the closed form, so both run on the model's exactly merged columns
 (:attr:`SemiparametricModel.merged_columns`); :func:`primal_lp` keeps every
 column and stays the unmerged oracle.  The primal LPs of k outcome
 distributions of one model differ only in their right-hand side, so
-:func:`maximize_dual_batch` covers them with few optimal bases: an LP's basis
-serves every distribution whose basic solution under it is feasible, and its
-multiplier is then their optimal multiplier.  Each distribution passes its
-own closed-form certificate.
+:func:`maximize_dual_batch` covers them, given as mass rows, with few optimal
+bases: an LP's basis serves every distribution whose basic solution under it
+is feasible, and its multiplier is then their optimal multiplier.  Each
+distribution passes its own closed-form certificate.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ import numpy as np
 from . import lp
 from .correspondence import Correspondence
 from .errors import CertificateMismatch, Infeasible, SupportMismatch
-from .measure import FiniteDistribution, Label, align
+from .measure import FiniteDistribution, Label
 
 #: Dual values at or below this threshold are read as "compatible".
 COMPATIBILITY_THRESHOLD = 1e-6
@@ -89,13 +89,6 @@ class SemiparametricModel:
         cost = np.ones((len(g.outcome_support), len(columns)))
         cost[g.indices[pos], np.repeat(np.arange(len(columns)), sizes)] = 0.0
         return cost
-
-    def extend_outcomes(self, extra: Sequence[Label]) -> "SemiparametricModel":
-        """The model with outcome labels appended that no latent node admits."""
-        g = self.correspondence.extend_outcomes(extra)
-        if g is self.correspondence:
-            return self
-        return SemiparametricModel(g, self.moments)
 
     @cached_property
     def merged_columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -164,21 +157,22 @@ def dual_objective(model: SemiparametricModel, p: FiniteDistribution, lam: Seque
 def maximize_dual(model: SemiparametricModel, p: FiniteDistribution) -> DualCertificate:
     """Maximize the dual objective over multipliers with one exact LP.
 
-    The k = 1 case of :func:`maximize_dual_batch`: one standalone LP, whose
-    HiGHS iteration count the certificate reports.
+    The k = 1 case of :func:`maximize_dual_batch`, ``p`` as one mass row: one
+    standalone LP, whose HiGHS iteration count the certificate reports.
     """
-    return maximize_dual_batch(model, [p])[0]
+    return maximize_dual_batch(model, p.support, np.array([p.masses]))[0]
 
 
 def maximize_dual_batch(
-    model: SemiparametricModel, ps: Sequence[FiniteDistribution]
+    model: SemiparametricModel, support: Sequence[Label], masses: np.ndarray
 ) -> list[DualCertificate]:
     """Maximize the dual objective for each of k outcome distributions of one model.
 
-    Labels of ``ps`` the model does not list are appended to its outcomes with
-    an empty preimage, and each distribution is aligned onto them.  The k
-    primal LPs over the model's merged latent columns share their matrix and
-    cost and differ only in the outcome marginals.  So the first pending
+    The distributions are the k rows of ``masses`` over the distinct labels
+    ``support``.  Labels the model does not list are appended to its outcomes,
+    in ``support`` order, with an empty preimage.  The k primal LPs over the
+    model's merged latent columns share their matrix and cost and differ
+    only in the outcome marginals.  So the first pending
     distribution is solved by its own LP on HiGHS, and every other pending
     one whose basic solution under that LP's optimal basis is feasible
     (:func:`lp.basic_solutions`) takes that coupling, optimal for it, and the
@@ -189,16 +183,18 @@ def maximize_dual_batch(
     of the LP whose basis it took.  Moments no latent distribution on the
     grid meets (infeasible primal, unbounded dual) raise :class:`Infeasible`.
     """
-    model = model.extend_outcomes([y for p in ps for y in p.support])
-    g = model.correspondence
+    g = model.correspondence.extend_outcomes(support)
+    model = SemiparametricModel(g, model.moments) if g is not model.correspondence else model
     n_y = len(g.outcome_support)
+    index = {y: i for i, y in enumerate(g.outcome_support)}
+    rows = np.zeros((len(masses), n_y))
+    rows[:, [index[y] for y in support]] = masses
     _, cost, moments = model.merged_columns
-    masses = np.array([align(p, g.outcome_support).masses for p in ps]).reshape(len(ps), n_y)
-    rhs = np.hstack([masses, np.zeros((len(ps), moments.shape[0]))])
+    rhs = np.hstack([rows, np.zeros((len(rows), moments.shape[0]))])
     a, scales = _primal_matrix(n_y, moments)
     c = cost.ravel()
-    certificates: list[DualCertificate | None] = [None] * len(ps)
-    pending = np.arange(len(ps))
+    certificates: list[DualCertificate | None] = [None] * len(rows)
+    pending = np.arange(len(rows))
     while pending.size:
         first, rest = pending[0], pending[1:]
         sol = _solve_primal(lp.LinearProgram(c=c, a=a, b=rhs[first]))
@@ -209,7 +205,7 @@ def maximize_dual_batch(
         objectives = [float(sol.x @ c), *(x_basic[covered] @ c[sol.basis]).tolist()]
         for i, objective in zip([first, *rest[covered]], objectives):
             certificates[i] = DualCertificate(
-                T=_certify(values, masses[i], objective),
+                T=_certify(values, rows[i], objective),
                 lambda_star=lam.copy(),
                 minimizer_map=dict(minimizers),
                 iterations=sol.iterations,

@@ -13,9 +13,10 @@ same fact two more ways, and this module keeps them for the tests:
   ``selection_minimax_check``).
 
 It also keeps the total variation distance, which the identity
-correspondence reduces the transport value to, and a direct sampler of a
-finite distribution.  Outcome sets are int bitsets over outcome indices here;
-``g.labels_of(bits)`` gives the labels that ``capacity`` takes.  The helpers
+correspondence reduces the transport value to, a direct sampler of a finite
+distribution, and ``mass_rows``, which lays distributions out as the rows
+``maximize_dual_batch`` takes.  Outcome sets are int bitsets over outcome
+indices here; ``g.labels_of(bits)`` gives the labels that ``capacity`` takes.  The helpers
 read the relation through its derived bitsets (``Correspondence.image``) or
 its index slices, so that they check the stored arrays from another side.
 """
@@ -118,6 +119,14 @@ def interval_deficiency(
     if value <= 0:
         return 0, (), "empty"
     return value, labels, "upper" if is_upper else "lower"
+
+
+def mass_rows(ps: Sequence[FiniteDistribution]) -> tuple[list[Label], np.ndarray]:
+    """The labels of ``ps`` in order of first appearance, and one row of masses
+    per distribution over them: the form ``maximize_dual_batch`` takes."""
+    support = list(dict.fromkeys(y for p in ps for y in p.support))
+    masses = np.array([[p.mass(y) for y in support] for p in ps]).reshape(len(ps), len(support))
+    return support, masses
 
 
 def sample_distribution(p: FiniteDistribution, n: int, seed: int) -> list[Label]:

@@ -15,7 +15,7 @@ from falsiflow import inference, semiparametric, transport
 from falsiflow.cli import (MAX_GRID_POINTS, _canonical_counts, build_model, load_data, main,
                            parse_grid, render_json)
 from falsiflow.correspondence import Correspondence
-from falsiflow.errors import FalsiflowError, SupportMismatch
+from falsiflow.errors import EmptyData, FalsiflowError, SupportMismatch
 from falsiflow.measure import FiniteDistribution, empirical
 
 
@@ -365,6 +365,8 @@ def listed_sample(path, outcome_support, count):
     if not lines or lines[0] != "y":
         raise FalsiflowError(f"{path}:1: expected a single-column CSV with header 'y'")
     labels = [line for line in lines[1:] if line]
+    if not labels:
+        raise EmptyData(f"{path}: no observations below the header 'y'")
     if all(isinstance(y, float) for y in outcome_support):
         labels = [float(lab) for lab in labels]
         if any(v != v for v in labels):
@@ -521,6 +523,46 @@ def test_spec_distribution_errors_name_file_and_field(kind, key, params, message
     assert capsys.readouterr().err == f"error: {spec}: field {key!r} of model {kind!r}: {message}\n"
     with pytest.raises(SupportMismatch):
         build_model({"model": kind, "params": params})
+
+
+@pytest.mark.parametrize("case", ["dist-without-mass", "dist-without-support", "search-nu-without-mass",
+                                  "custom-without-G", "check-empty-data", "test-empty-data",
+                                  "invert-empty-data"])
+def test_missing_fields_and_empty_data_name_the_file(case, tmp_path, capsys):
+    entry = write_json(tmp_path, "entry.json", ENTRY_SPEC)
+    empty = tmp_path / "empty.csv"
+    empty.write_text("y\n")
+    dist = write_json(tmp_path, "d.json", {
+        "dist-without-mass": {"support": ["(0,0)"]},
+        "dist-without-support": {"mass": [1000000000]},
+    }.get(case, COMPATIBLE_P))
+    spec = write_json(tmp_path, "s.json", {
+        "search-nu-without-mass": {"model": "search",
+                                   "params": {"nu": {"support": ["e1"]}, "alpha": [["e1", 0.5]]}},
+        "custom-without-G": {"model": "custom", "params": {
+            "correspondence": {"latent": ["u1"], "outcomes": ["a"]}, "nu": HALVES}},
+    }.get(case, ENTRY_SPEC))
+    argv, message = {
+        "dist-without-mass": (["check", "--model", entry, "--dist", dist],
+                              f"{dist}: distribution is missing field 'mass'"),
+        "dist-without-support": (["check", "--model", entry, "--dist", dist],
+                                 f"{dist}: distribution is missing field 'support'"),
+        "search-nu-without-mass": (["check", "--model", spec, "--dist", dist],
+                                   f"{spec}: field 'nu' of model 'search': "
+                                   "distribution is missing field 'mass'"),
+        "custom-without-G": (["check", "--model", spec, "--dist", dist],
+                             f"{spec}: field 'correspondence' of model 'custom': "
+                             "correspondence is missing field 'G'"),
+        "check-empty-data": (["check", "--model", entry, "--data", str(empty)],
+                             f"{empty}: no observations below the header 'y'"),
+        "test-empty-data": (["test", "--model", entry, "--data", str(empty), "--B", "5"],
+                            f"{empty}: no observations below the header 'y'"),
+        "invert-empty-data": (["invert", "--model", entry, "--data", str(empty), "--B", "5",
+                               "--grid", "delta1=-1.0:-0.5:0.5"],
+                              f"{empty}: no observations below the header 'y'"),
+    }[case]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_custom_spec_numeric_latent_label_exit2(tmp_path):

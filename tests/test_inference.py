@@ -13,7 +13,7 @@ from falsiflow.inference import (
     statistic_tn_halflines,
     statistic_tv_core,
 )
-from falsiflow.measure import align, empirical, make_distribution
+from falsiflow.measure import FiniteDistribution, align, empirical, make_distribution
 from falsiflow.models import (
     binary_response_pilot,
     entry_game,
@@ -21,7 +21,7 @@ from falsiflow.models import (
     search_game,
     simulate,
 )
-from falsiflow.semiparametric import maximize_dual
+from falsiflow.semiparametric import maximize_dual, maximize_dual_batch
 from oracles import core_deficiency_bruteforce, sample_distribution
 
 
@@ -241,6 +241,65 @@ def test_bootstrap_semi_certificate_is_the_standalone_one(eta):
     assert cert.iterations == ref.iterations
     assert rep.to_json() == statistic_semiparametric(data, model).to_json() | {
         "pvalue": rep.pvalue, "B": 2, "seed": 901}
+
+
+def pilot_data(seed, unseen):
+    """n = 2,000 pilot outcomes, first appearing in other than sorted order,
+    and with labels the pilot does not list when ``unseen``: those first
+    appear in reverse sorted order, so the extended model's outcome order
+    tells P_n's label order from the sorted resampling order."""
+    rng = np.random.default_rng(seed)
+    labels = rng.choice(["(1,1)", "(0,-1)", "(1,-1)", "(0,1)"], size=2000, p=[0.2, 0.3, 0.15, 0.35])
+    labels[:4] = ["(1,1)", "(0,1)", "(1,-1)", "(0,-1)"]
+    if unseen:
+        labels[1:90:3] = "zz"
+        labels[2:90:5] = "junk"
+        labels[4:90:7] = "(2,1)"
+    return labels.tolist()
+
+
+def reference_semi_bootstrap(data, model, B, seed):
+    """The semi bootstrap with one distribution record per resample: each
+    resample is built by make_distribution, aligned onto P_n's labels, and its
+    masses stacked, P_n's first, as rows in P_n's label order."""
+    sample = inference.tally(data)
+    draws = [np.random.default_rng(child).multinomial(sample.n, sample.probs)
+             for child in np.random.SeedSequence(seed).spawn(B)]
+    ps = [sample.p_n] + [make_distribution(zip(sample.support, row / sample.n)) for row in draws]
+    rows = np.array([align(p, sample.p_n.support).masses for p in ps])
+    observed, *certs = maximize_dual_batch(model, sample.p_n.support, rows)
+    value = max(observed.T, 0.0)
+    replicates = tuple(max(c.T, 0.0) - value for c in certs)
+    return observed, replicates, (1 + sum(v >= value for v in replicates)) / (B + 1)
+
+
+@pytest.mark.parametrize("unseen", [False, True], ids=["listed", "unseen"])
+@pytest.mark.parametrize("eta", [0.15, 0.5, 0.85])
+def test_bootstrap_semi_equals_one_record_per_resample(eta, unseen):
+    model = binary_response_pilot(eta)
+    data = pilot_data(int(eta * 100), unseen)
+    rep = bootstrap_pvalue(data, model, "semi", 200, 901)
+    cert, replicates, pvalue = reference_semi_bootstrap(data, model, 200, 901)
+    assert rep.replicates == replicates
+    assert rep.pvalue == pvalue
+    assert rep.certificate.T == cert.T
+    assert rep.certificate.lambda_star.tobytes() == cert.lambda_star.tobytes()
+    assert list(rep.certificate.minimizer_map.items()) == list(cert.minimizer_map.items())
+    assert rep.certificate.iterations == cert.iterations
+
+
+def test_semi_bootstrap_builds_no_distribution_per_resample(monkeypatch):
+    model = binary_response_pilot(0.5)
+    data = pilot_data(5, unseen=True)
+    built = []
+    check = FiniteDistribution.__post_init__
+    monkeypatch.setattr(FiniteDistribution, "__post_init__", lambda p: built.append(p) or check(p))
+    counts = []
+    for B in (20, 200):
+        built.clear()
+        bootstrap_pvalue(data, model, "semi", B, 3)
+        counts.append(len(built))
+    assert counts[0] == counts[1] > 0
 
 
 @pytest.mark.parametrize("B", [0, 2**32 + 1])

@@ -20,6 +20,7 @@ from falsiflow.models import (
     moment_inequality_model,
     pilot_distribution,
 )
+from oracles import mass_rows
 
 
 def _scipy(a: lp.CscMatrix) -> sparse.csc_array:
@@ -102,7 +103,7 @@ def test_csc_record_from_solve_primal_matches_scipy(monkeypatch):
     sup = model.correspondence.outcome_support
     rng = np.random.default_rng(5)
     semiparametric.maximize_dual_batch(
-        model, [make_distribution(zip(sup, rng.dirichlet(np.ones(len(sup))))) for _ in range(3)])
+        model, *mass_rows([make_distribution(zip(sup, rng.dirichlet(np.ones(len(sup))))) for _ in range(3)]))
     phi, grid = [[-0.25], [0.75]], [[-1.0], [-0.25], [0.0], [0.75], [1.0]]
     model = moment_inequality_model(["0", "1"], phi, grid)
     semiparametric.primal_lp(model, align(make_distribution([("0", 0.4), ("1", 0.6)]),
@@ -256,7 +257,7 @@ def test_matches_linprog_on_semiparametric_programs(monkeypatch):
         sup = model.correspondence.outcome_support
         ps = [align(pilot_distribution(*rng.random(2)), sup) for _ in range(25)]
         semiparametric.maximize_dual(model, ps[0])
-        semiparametric.maximize_dual_batch(model, ps)
+        semiparametric.maximize_dual_batch(model, *mass_rows(ps))
     nodes = np.linspace(-1.0, 1.0, 5)
     for phi, grid in (
         ([[-0.25], [0.75]], [[-1.0], [-0.25], [0.0], [0.75], [1.0]]),

@@ -161,15 +161,37 @@ def test_round_preserving_sum_matches_python_formula(seed):
             w = np.round(w * 3) + 1          # ties at the maximum
         values = (w / w.sum()).tolist()
         numers = _round_preserving_sum(values)
-        assert numers == round_preserving_sum_python(values)
-        assert all(type(n) is int for n in numers)
+        assert numers.dtype == np.int64
+        assert numers.tolist() == round_preserving_sum_python(values)
+        p = make_distribution(zip(range(len(values)), values))
+        assert p.numerators == tuple(numers.tolist())
+        assert all(type(n) is int for n in p.numerators)
 
 
 def test_round_preserving_sum_negative_residual_and_tie():
     # both round up to 500000001, so the residual is -2 and goes to the first
     values = [0.5000000006, 0.5000000006]
     assert round(values[0] * DENOMINATOR) == 500000001
-    assert _round_preserving_sum(values) == round_preserving_sum_python(values) == [499999999, 500000001]
+    assert (_round_preserving_sum(values).tolist() == round_preserving_sum_python(values)
+            == [499999999, 500000001])
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_round_preserving_sum_block_matches_rows(seed):
+    # a block of count rows over n, as the bootstrap rounds them, with the
+    # tie and negative-residual rows of the tests above mixed in
+    rng = np.random.default_rng(seed)
+    width = int(rng.integers(2, 30))
+    n = int(rng.integers(1, 5000))
+    rows = rng.multinomial(n, rng.dirichlet(np.ones(width)), size=200) / n
+    rows[::7] = np.round(rng.random(width) * 3) + 1
+    rows[::7] /= rows[::7].sum(axis=1, keepdims=True)
+    rows[3, :2] = 0.5000000006
+    rows[3, 2:] = 0.0
+    block = _round_preserving_sum(rows)
+    assert block.dtype == np.int64 and block.shape == rows.shape
+    for row, numers in zip(rows, block):
+        assert numers.tolist() == _round_preserving_sum(row).tolist() == round_preserving_sum_python(row.tolist())
 
 
 @pytest.mark.parametrize(

@@ -24,6 +24,7 @@ from falsiflow.semiparametric import (
     maximize_dual_batch,
     primal_lp,
 )
+from oracles import mass_rows
 
 # (P(Z=1 | X=1), P(Z=1 | X=-1)): near the boundary, outside, inside, outside
 PILOT_POINTS = [(0.33, 0.67), (0.5, 0.5), (0.2, 0.9), (0.6, 0.4)]
@@ -236,7 +237,7 @@ def test_batch_matches_one_at_a_time_on_pilot_resamples():
         p1, pm1 = rng.uniform(0.1, 0.9, size=2)
         probs = aligned(model, pilot_distribution(p1, pm1)).masses
         ps = resamples(support, probs, int(rng.integers(50, 3000)), 200, rng)
-        for cert, p in zip(maximize_dual_batch(model, ps), ps, strict=True):
+        for cert, p in zip(maximize_dual_batch(model, *mass_rows(ps)), ps, strict=True):
             ref = maximize_dual(model, p)
             assert cert.T == ref.T
             assert cert.lambda_star.tobytes() == ref.lambda_star.tobytes()
@@ -264,7 +265,7 @@ def test_batch_matches_one_at_a_time_on_moment_inequalities_and_example4():
         model, _ = example4_instance(m, ps[0])
         cases.append((model, [with_slack(p) for p in ps]))
     for model, ps in cases:
-        for cert, p in zip(maximize_dual_batch(model, ps), ps, strict=True):
+        for cert, p in zip(maximize_dual_batch(model, *mass_rows(ps)), ps, strict=True):
             assert abs(cert.T - maximize_dual(model, p).T) <= 1e-12
 
 
@@ -292,7 +293,7 @@ def invert_point(eta, seed):
 def test_cover_takes_one_lp_for_an_invert_point(eta, monkeypatch):
     model, ps = invert_point(eta, 901)
     programs = lp_solves(monkeypatch)
-    certs = maximize_dual_batch(model, ps)
+    certs = maximize_dual_batch(model, *mass_rows(ps))
     assert len(programs) == 1
     monkeypatch.undo()
     for cert, p in zip(certs, ps, strict=True):
@@ -316,7 +317,7 @@ def test_cover_takes_one_lp_per_basis_across_the_region(monkeypatch):
         return x_basic, covered
 
     monkeypatch.setattr(lp, "basic_solutions", spy)
-    certs = maximize_dual_batch(model, ps)
+    certs = maximize_dual_batch(model, *mass_rows(ps))
     monkeypatch.undo()
     assert 1 < len(programs) < len(ps)
     assert sum(len(b) for _, _, b, _ in covers) == len(ps) - len(programs)
@@ -345,7 +346,7 @@ def test_cover_without_a_usable_basis_takes_one_lp_each(basis, monkeypatch):
 
     monkeypatch.setattr(lp, "solve", unusable)
     programs = lp_solves(monkeypatch)
-    certs = maximize_dual_batch(model, ps)
+    certs = maximize_dual_batch(model, *mass_rows(ps))
     assert len(programs) == len(ps)
     monkeypatch.undo()
     for cert, p in zip(certs, ps, strict=True):
@@ -357,7 +358,7 @@ def test_batch_rejects_one_perturbed_block(monkeypatch):
     # covered one, is moved
     model, ps = invert_point(0.3, 3)
     programs = lp_solves(monkeypatch)
-    assert len(maximize_dual_batch(model, ps)) == len(ps)
+    assert len(maximize_dual_batch(model, *mass_rows(ps))) == len(ps)
     assert len(programs) == 1
     real = semiparametric._certify
     calls = []
@@ -368,7 +369,7 @@ def test_batch_rejects_one_perturbed_block(monkeypatch):
 
     monkeypatch.setattr(semiparametric, "_certify", third_shifted)
     with pytest.raises(CertificateMismatch):
-        maximize_dual_batch(model, ps)
+        maximize_dual_batch(model, *mass_rows(ps))
     assert len(calls) == 3
 
 
@@ -393,10 +394,10 @@ def test_batch_rejects_one_blocks_perturbed_moment_duals(monkeypatch):
 
     monkeypatch.setattr(semiparametric, "_solve_primal", second_moved)
     with pytest.raises(CertificateMismatch, match="does not certify the primal optimum"):
-        maximize_dual_batch(model, ps)
+        maximize_dual_batch(model, *mass_rows(ps))
     assert len(calls) == 2
     monkeypatch.undo()
-    assert len(maximize_dual_batch(model, ps)) == len(ps)
+    assert len(maximize_dual_batch(model, *mass_rows(ps))) == len(ps)
 
 
 def test_feasible_suboptimal_coupling_is_rejected(monkeypatch):
@@ -424,13 +425,13 @@ def test_feasible_suboptimal_coupling_is_rejected(monkeypatch):
 
     monkeypatch.setattr(semiparametric, "_solve_primal", suboptimal_basis)
     with pytest.raises(CertificateMismatch, match="primal optimum 1.0"):
-        maximize_dual_batch(model, [p, p])
+        maximize_dual_batch(model, *mass_rows([p, p]))
 
 
 def test_batch_of_none_and_unseen_outcome():
     model = binary_response_pilot(0.3)
-    assert maximize_dual_batch(model, []) == []
-    [cert] = maximize_dual_batch(model, [make_distribution([("a", 1.0)])])
+    assert maximize_dual_batch(model, *mass_rows([])) == []
+    [cert] = maximize_dual_batch(model, *mass_rows([make_distribution([("a", 1.0)])]))
     assert cert.T == 1.0
     assert list(cert.minimizer_map) == list(model.correspondence.outcome_support) + ["a"]
 
@@ -440,6 +441,11 @@ def assert_same_certificate(cert, ref):
     assert cert.lambda_star.tobytes() == ref.lambda_star.tobytes()
     assert list(cert.minimizer_map.items()) == list(ref.minimizer_map.items())
     assert cert.iterations == ref.iterations
+
+
+def extended(model, labels):
+    """The model with the outcome labels appended that no latent node admits."""
+    return SemiparametricModel(model.correspondence.extend_outcomes(labels), model.moments)
 
 
 def test_any_labels_equal_explicit_extension():
@@ -455,9 +461,10 @@ def test_any_labels_equal_explicit_extension():
             ps.append(make_distribution(zip(rng.permutation(np.array(labels, dtype=object)),
                                             rng.dirichlet(np.ones(len(labels))))))
         for p in ps:
-            ext = model.extend_outcomes(p.support)
+            ext = extended(model, p.support)
             assert_same_certificate(maximize_dual(model, p), maximize_dual(ext, aligned(ext, p)))
-        ext = model.extend_outcomes([y for p in ps for y in p.support])
-        for cert, ref in zip(maximize_dual_batch(model, ps),
-                             maximize_dual_batch(ext, [aligned(ext, p) for p in ps]), strict=True):
+        ext = extended(model, [y for p in ps for y in p.support])
+        for cert, ref in zip(maximize_dual_batch(model, *mass_rows(ps)),
+                             maximize_dual_batch(ext, *mass_rows([aligned(ext, p) for p in ps])),
+                             strict=True):
             assert_same_certificate(cert, ref)
