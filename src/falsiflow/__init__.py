@@ -21,7 +21,6 @@ from .semiparametric import (
     DualCertificate,
     SemiparametricModel,
     maximize_dual,
-    primal_lp,
 )
 from .transport import TransportResult, solve_zero_one
 
@@ -43,7 +42,6 @@ __all__ = [
     "empirical",
     "make_distribution",
     "maximize_dual",
-    "primal_lp",
     "solve_zero_one",
     "statistic_semiparametric",
     "statistic_tn_halflines",

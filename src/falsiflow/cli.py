@@ -41,6 +41,8 @@ def _read_json(path: str):
             return json.load(fh)
         except json.JSONDecodeError as exc:
             raise FalsiflowError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}") from exc
+        except RecursionError:
+            raise FalsiflowError(f"{path}: JSON nested too deeply") from None
 
 
 def load_model_spec(path: str):
@@ -460,6 +462,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (FalsiflowError, OSError, KeyError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
+        return EXIT_ERROR
+    except MemoryError as exc:  # numpy's text names the allocation it refused
+        sys.stderr.write(f"error: {str(exc) or 'out of memory'}\n")
         return EXIT_ERROR
 
 

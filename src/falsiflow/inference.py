@@ -48,8 +48,8 @@ from typing import Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .correspondence import Correspondence, ascending, max_halfline_deficiency_fp
-from .errors import EmptyData, FalsiflowError, SupportMismatch
-from .measure import DENOMINATOR, FiniteDistribution, Label, _round_preserving_sum, make_distribution
+from .errors import FalsiflowError, SupportMismatch
+from .measure import DENOMINATOR, FiniteDistribution, Label, _round_preserving_sum, empirical
 from .semiparametric import DualCertificate, SemiparametricModel, maximize_dual, maximize_dual_batch
 from .transport import solve_zero_one
 
@@ -131,15 +131,12 @@ def tally(data: Sequence[Label] | Mapping[Label, int] | Sample) -> Sample:
     if isinstance(data, Sample):
         return data
     counts = Counter(data)
-    if not counts:
-        raise EmptyData("no observations")
-    n = sum(counts.values())
-    p_n = make_distribution((lab, c / n) for lab, c in counts.items())
+    p_n = empirical(counts)
     order = sorted(range(len(p_n.support)), key=lambda i: str(p_n.support[i]))
     support = tuple(p_n.support[i] for i in order)
     probs = np.array([p_n.numerators[i] for i in order], dtype=float) / DENOMINATOR
     base_counts = np.array([counts[lab] for lab in support], dtype=np.int64)
-    return Sample(n, p_n, support, probs, base_counts)
+    return Sample(counts.total(), p_n, support, probs, base_counts)
 
 
 def statistic_tv_core(

@@ -1,5 +1,5 @@
-"""Sparse equality-form linear programs: the primal oracle of the
-semiparametric statistic.
+"""Sparse equality-form linear programs: the primal LP of the semiparametric
+statistic.
 
 A program is  min c'x  s.t.  A x = b,  x >= 0,  with A held as a
 :class:`CscMatrix`, the three compressed-column arrays HiGHS reads.  It is

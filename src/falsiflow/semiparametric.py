@@ -1,5 +1,5 @@
-"""Moment-restriction compatibility: the dual statistic over multipliers and
-its primal LP oracle.
+"""Moment-restriction compatibility: the dual statistic over multipliers,
+certified by one primal LP.
 
 The model fixes the correspondence but restricts the latent distribution only
 through E[m_i(U)] = 0.  Compatibility is decided by the finite-dimensional
@@ -22,8 +22,7 @@ raise :class:`~falsiflow.errors.Infeasible` (infeasible primal).
 
 Only latent columns with distinct (image, moment column) pairs matter to the
 LP and to the closed form, so both run on the model's exactly merged columns
-(:attr:`SemiparametricModel.merged_columns`); :func:`primal_lp` keeps every
-column and stays the unmerged oracle.  The primal LPs of k outcome
+(:attr:`SemiparametricModel.merged_columns`).  The primal LPs of k outcome
 distributions of one model differ only in their right-hand side, so
 :func:`maximize_dual_batch` covers them, given as mass rows, with few optimal
 bases: an LP's basis serves every distribution whose basic solution under it
@@ -77,19 +76,6 @@ class SemiparametricModel:
     def n_moments(self) -> int:
         return self.moments.shape[0]
 
-    def cost_matrix(self, columns: np.ndarray | None = None) -> np.ndarray:
-        """1 where the outcome is inadmissible for the latent node, else 0; one
-        column per latent index in ``columns``, or per latent node."""
-        g = self.correspondence
-        columns = np.arange(len(g.latent_support)) if columns is None else columns
-        starts = g.indptr[columns]
-        sizes = g.indptr[columns + 1] - starts
-        # position of each admissible pair of the chosen columns in g.indices
-        pos = np.repeat(starts - np.cumsum(sizes) + sizes, sizes) + np.arange(sizes.sum())
-        cost = np.ones((len(g.outcome_support), len(columns)))
-        cost[g.indices[pos], np.repeat(np.arange(len(columns)), sizes)] = 0.0
-        return cost
-
     @cached_property
     def merged_columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Latent columns merged exactly on equal (image, moment column).
@@ -108,7 +94,13 @@ class SemiparametricModel:
         for j, key in enumerate(zip(images, map(bytes, self.moments.T.copy()))):
             classes.setdefault(key, j)
         first = np.fromiter(classes.values(), dtype=np.intp, count=len(classes))
-        return first, self.cost_matrix(first), self.moments[:, first]
+        # cost 0 at each admissible (outcome, column) pair, found by its position in g.indices
+        starts = g.indptr[first]
+        sizes = g.indptr[first + 1] - starts
+        pos = np.repeat(starts - np.cumsum(sizes) + sizes, sizes) + np.arange(sizes.sum())
+        cost = np.ones((len(g.outcome_support), len(first)))
+        cost[g.indices[pos], np.repeat(np.arange(len(first)), sizes)] = 0.0
+        return first, cost, self.moments[:, first]
 
 
 @dataclass(frozen=True)
@@ -197,7 +189,13 @@ def maximize_dual_batch(
     pending = np.arange(len(rows))
     while pending.size:
         first, rest = pending[0], pending[1:]
-        sol = _solve_primal(lp.LinearProgram(c=c, a=a, b=rhs[first]))
+        try:
+            sol = lp.solve(lp.LinearProgram(c=c, a=a, b=rhs[first]))
+        except Infeasible:
+            raise Infeasible(
+                "no latent distribution on the grid satisfies the moment restrictions; "
+                "the dual is unbounded"
+            ) from None
         lam = sol.duals[n_y:] / scales + 0.0  # + 0.0 turns -0.0 into 0.0
         values, argmin = _evaluate(model, lam)
         minimizers = {y: g.latent_support[int(j)] for y, j in zip(g.outcome_support, argmin)}
@@ -249,37 +247,3 @@ def _primal_matrix(n_y: int, moments: np.ndarray) -> tuple[lp.CscMatrix, np.ndar
         indptr.astype(np.int32), (n_y + d, n_y * n_c),
     )
     return a, scales
-
-
-def _solve_primal(program: lp.LinearProgram) -> lp.Solution:
-    """The primal LP's optimum; raises :class:`Infeasible` when no latent
-    distribution on the grid meets the moments."""
-    try:
-        return lp.solve(program)
-    except Infeasible:
-        raise Infeasible(
-            "no latent distribution on the grid satisfies the moment restrictions; "
-            "the dual is unbounded"
-        ) from None
-
-
-def primal_lp(
-    model: SemiparametricModel, p: FiniteDistribution
-) -> tuple[float, np.ndarray]:
-    """Minimal violation mass over couplings whose latent marginal satisfies
-    the moment restrictions.
-
-    Returns the certified optimum and an optimal joint-mass matrix
-    pi[outcome, latent].  Raises :class:`Infeasible` when no latent
-    distribution on the grid meets the moments.
-    """
-    if p.support != model.correspondence.outcome_support:
-        raise SupportMismatch("p must live on the model's outcome support")
-    weights = np.asarray(p.masses)
-    a, scales = _primal_matrix(len(p), model.moments)
-    c = model.cost_matrix().ravel()
-    sol = _solve_primal(lp.LinearProgram(c=c, a=a, b=np.concatenate([weights, np.zeros(model.n_moments)])))
-    objective = float(sol.x @ c)
-    _certify(_evaluate(model, sol.duals[len(p):] / scales)[0], weights, objective)
-    return objective, sol.x.reshape(len(p), -1)
-

@@ -12,6 +12,11 @@ same fact two more ways, and this module keeps them for the tests:
 - the selections of the correspondence (``enumerate_selections``,
   ``selection_minimax_check``).
 
+For moment restrictions the package solves one primal LP on merged latent
+columns (``semiparametric.maximize_dual``).  Here the paper's transport LP
+and its dual are written out densely on every latent, unscaled, and solved
+with scipy's ``linprog`` (``primal_lp_oracle``, ``dual_lp_oracle``).
+
 It also keeps the total variation distance, which the identity
 correspondence reduces the transport value to, a direct sampler of a finite
 distribution, and ``mass_rows``, which lays distributions out as the rows
@@ -26,6 +31,7 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
+from scipy.optimize import linprog
 
 from falsiflow.correspondence import Correspondence, ascending, max_halfline_deficiency_fp
 from falsiflow.errors import FalsiflowError, SupportMismatch
@@ -119,6 +125,38 @@ def interval_deficiency(
     if value <= 0:
         return 0, (), "empty"
     return value, labels, "upper" if is_upper else "lower"
+
+
+def cost_matrix(g: Correspondence) -> np.ndarray:
+    """The zero-one transport cost: 1 where outcome i is inadmissible for latent j, else 0."""
+    return 1.0 - g.adjacency_matrix()
+
+
+def primal_lp_oracle(model, p: FiniteDistribution) -> tuple[float, np.ndarray]:
+    """T(P) as the unmerged primal LP  min sum pi(y, u) cost(y, u)  over couplings
+    pi >= 0 with outcome marginal P whose latent marginal mu has sum_u mu(u) m(u) = 0,
+    one variable per (outcome, latent node).  Returns T and the optimal pi[outcome, latent]."""
+    g = model.correspondence
+    if p.support != g.outcome_support:
+        raise SupportMismatch("p must live on the model's outcome support")
+    n_y, n_u = len(g.outcome_support), len(g.latent_support)
+    a_eq = np.vstack([np.kron(np.eye(n_y), np.ones(n_u)), np.tile(model.moments, n_y)])
+    b_eq = np.concatenate([p.masses, np.zeros(model.n_moments)])
+    res = linprog(cost_matrix(g).ravel(), A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
+    assert res.status == 0, res.message
+    return float(res.fun), res.x.reshape(n_y, n_u)
+
+
+def dual_lp_oracle(model, p: FiniteDistribution) -> float:
+    """T(P) as the dual LP  max sum_y P(y) f_y  s.t.  f_y + lambda'm(u) <= cost(y, u),
+    f and lambda free."""
+    g = model.correspondence
+    n_y, n_u = len(g.outcome_support), len(g.latent_support)
+    a = np.hstack([np.repeat(np.eye(n_y), n_u, axis=0), np.tile(model.moments.T, (n_y, 1))])
+    c = np.concatenate([-np.asarray(p.masses), np.zeros(model.n_moments)])
+    res = linprog(c, A_ub=a, b_ub=cost_matrix(g).ravel(), bounds=(None, None), method="highs")
+    assert res.status == 0, res.message
+    return -res.fun
 
 
 def mass_rows(ps: Sequence[FiniteDistribution]) -> tuple[list[Label], np.ndarray]:

@@ -9,7 +9,6 @@ import time
 
 import numpy as np
 import pytest
-from scipy.optimize import linprog
 
 from falsiflow.cli import main
 from falsiflow.correspondence import Correspondence, capacity_fp
@@ -28,12 +27,14 @@ from falsiflow.models import (
     pilot_distribution,
     search_game,
 )
-from falsiflow.semiparametric import SemiparametricModel, maximize_dual, primal_lp
+from falsiflow.semiparametric import SemiparametricModel, maximize_dual
 from falsiflow.transport import solve_zero_one
 from oracles import (
     core_deficiency_bruteforce,
+    dual_lp_oracle,
     from_bitsets,
     interval_deficiency,
+    primal_lp_oracle,
     sample_distribution,
     selection_minimax_check,
     total_variation_fp,
@@ -132,18 +133,6 @@ def test_criterion_04_entry_game_16_inequalities():
 # criterion 5 -------------------------------------------------------------
 
 
-def dual_lp_oracle(model, p):
-    """T(P) as the dual LP  max sum_y P(y) f_y  s.t.  f_y + lambda'm(u) <= cost(y, u),
-    f and lambda free, solved with linprog directly (independent of falsiflow.lp)."""
-    n_y, n_u = len(model.correspondence.outcome_support), len(model.correspondence.latent_support)
-    d = model.n_moments
-    a = np.hstack([np.repeat(np.eye(n_y), n_u, axis=0), np.tile(model.moments.T, (n_y, 1))])
-    c = np.concatenate([-np.asarray(p.masses), np.zeros(d)])
-    res = linprog(c, A_ub=a, b_ub=model.cost_matrix().ravel(), bounds=(None, None), method="highs")
-    assert res.status == 0
-    return -res.fun
-
-
 def test_criterion_05_no_duality_gap():
     rng = np.random.default_rng(2026)
     start = time.monotonic()
@@ -161,7 +150,7 @@ def test_criterion_05_no_duality_gap():
         model = SemiparametricModel(g, moments)
         p = random_fixed_point(rng, g.outcome_support)
         cert = maximize_dual(model, p)
-        value, _ = primal_lp(model, p)
+        value, _ = primal_lp_oracle(model, p)
         oracle = dual_lp_oracle(model, p)
         assert abs(cert.T - value) <= 1e-8
         assert abs(cert.T - oracle) <= 1e-8
@@ -184,7 +173,7 @@ def test_criterion_06_pilot_analytic_region():
         pm1 = probs[int(rng.integers(len(probs)))]
         m = models[eta]
         p = align(pilot_distribution(p1, pm1), m.correspondence.outcome_support)
-        value, _ = primal_lp(m, p)
+        value, _ = primal_lp_oracle(m, p)
         assert (value <= 1e-9) == (p1 <= eta <= pm1)
 
     for eta in etas:
@@ -207,7 +196,7 @@ def test_criterion_07_truncation_family_values():
     for m in (2, 10, 100, 1000):
         model, p = example4_instance(m)
         cert = maximize_dual(model, p)
-        value, _ = primal_lp(model, p)
+        value, _ = primal_lp_oracle(model, p)
         assert cert.T == pytest.approx(1 / m, abs=1e-6)
         assert value == pytest.approx(1 / m, abs=1e-6)
         assert value > 0 and cert.T > 0

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 import falsiflow
-from falsiflow import inference, semiparametric, transport
+from falsiflow import inference, models, semiparametric, transport
 from falsiflow.cli import (MAX_GRID_POINTS, _canonical_counts, build_model, load_data, main,
                            parse_grid, render_json)
 from falsiflow.correspondence import Correspondence
@@ -197,6 +197,27 @@ def test_check_unreadable_input_exit2(case, entry_model, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and UNREADABLE[case] in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag", ["--model", "--dist"])
+def test_deeply_nested_json_exit2(flag, entry_model, tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
+    dist = write_json(tmp_path, "p.json", COMPATIBLE_P)
+    model, dist = (str(deep), dist) if flag == "--model" else (entry_model, str(deep))
+    assert main(["check", "--model", model, "--dist", dist]) == 2
+    assert capsys.readouterr().err == f"error: {deep}: JSON nested too deeply\n"
+
+
+@pytest.mark.parametrize("text", ["", "Unable to allocate 6.71 GiB for an array with shape (900000000,)"])
+def test_out_of_memory_exit2(text, entry_model, tmp_path, monkeypatch, capsys):
+    def exhausted(*args):
+        raise MemoryError(text)
+
+    monkeypatch.setattr(models, "uniform_grid_2d", exhausted)
+    dist = write_json(tmp_path, "p.json", COMPATIBLE_P)
+    assert main(["check", "--model", entry_model, "--dist", dist]) == 2
+    assert capsys.readouterr().err == f"error: {text or 'out of memory'}\n"
 
 
 def test_invert_malformed_model_json_exit2(tmp_path, capsys):

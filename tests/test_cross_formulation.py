@@ -10,6 +10,7 @@ distribution of a sample, whose statistic ``statistic_tv_core`` reports.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from falsiflow.correspondence import Correspondence, capacity
@@ -74,3 +75,28 @@ def test_tv_core_statistic_equals_lp_on_an_empirical_p(instance, n, rule, from_n
     sample = simulate(g, source, rule, n, seed)
     t = maximize_dual(point_identified(g, nu), empirical(sample)).T
     assert abs(statistic_tv_core(sample, nu, g).value - t) <= 1e-9
+
+
+def random_model(rng, n_y, n_u):
+    """n_u latents, each admitting 1 to 3 of n_y outcomes, and a random nu."""
+    outcomes = [f"y{i}" for i in range(n_y)]
+    g = Correspondence.from_map(
+        {f"u{j}": [outcomes[i] for i in rng.choice(n_y, size=rng.integers(1, 4), replace=False)]
+         for j in range(n_u)},
+        outcomes,
+    )
+    return g, fixed_point(g.latent_support, rng.integers(1, 100, size=n_u))
+
+
+@pytest.mark.parametrize("n_u", [100, 200])
+def test_max_flow_equals_lp_at_scale(n_u):
+    # a fixed P, and the empirical P of a sample drawn from latents the model
+    # gives little mass: the first tenth, at 100 times their nu weight
+    rng = np.random.default_rng(n_u)
+    g, nu = random_model(rng, 10, n_u)
+    boost = np.where(np.arange(n_u) < n_u // 10, 100, 1) * np.array(nu.numerators)
+    sample = simulate(g, fixed_point(g.latent_support, boost // boost.min()), "uniform-random", 500, n_u)
+    for p in (fixed_point(g.outcome_support, rng.integers(1, 100, size=10)), empirical(sample)):
+        t = maximize_dual(point_identified(g, nu), p).T
+        assert t > 0
+        assert abs(t - solve_zero_one(p, nu, g).primal_value) <= 1e-9

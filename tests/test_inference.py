@@ -87,6 +87,13 @@ def test_tv_core_empty():
         statistic_tv_core([], nu, g)
 
 
+@pytest.mark.parametrize("data", [[], {}], ids=["labels", "counts"])
+def test_tally_empty_fails_as_empirical(data):
+    # tally builds P_n with empirical, so it refuses an empty sample in its words
+    with pytest.raises(EmptyData, match="^empirical distribution of an empty sample$"):
+        inference.tally(data)
+
+
 def test_sqrt_n_scaling_under_duplication():
     g, nu = entry_instance()
     data = ["(0,0)"] * 3 + ["(0,1)"] * 5 + ["(1,1)"] * 2

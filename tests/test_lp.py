@@ -20,7 +20,7 @@ from falsiflow.models import (
     moment_inequality_model,
     pilot_distribution,
 )
-from oracles import mass_rows
+from oracles import mass_rows, primal_lp_oracle
 
 
 def _scipy(a: lp.CscMatrix) -> sparse.csc_array:
@@ -106,9 +106,10 @@ def test_csc_record_from_solve_primal_matches_scipy(monkeypatch):
         model, *mass_rows([make_distribution(zip(sup, rng.dirichlet(np.ones(len(sup))))) for _ in range(3)]))
     phi, grid = [[-0.25], [0.75]], [[-1.0], [-0.25], [0.0], [0.75], [1.0]]
     model = moment_inequality_model(["0", "1"], phi, grid)
-    semiparametric.primal_lp(model, align(make_distribution([("0", 0.4), ("1", 0.6)]),
-                                          model.correspondence.outcome_support))
+    p = align(make_distribution([("0", 0.4), ("1", 0.6)]), model.correspondence.outcome_support)
+    cert = semiparametric.maximize_dual(model, p)
     monkeypatch.undo()
+    assert abs(cert.T - primal_lp_oracle(model, p)[0]) <= 1e-9
     assert len(programs) >= 2
     for program in programs:
         _assert_same_csc(program.a, _canonical(_scipy(program.a).toarray()))

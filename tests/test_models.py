@@ -26,9 +26,15 @@ from falsiflow.models import (
     simulate,
     uniform_grid_2d,
 )
-from falsiflow.semiparametric import maximize_dual, primal_lp
+from falsiflow.semiparametric import maximize_dual
 from falsiflow.transport import solve_zero_one
-from oracles import core_deficiency_bruteforce, interval_deficiency, outcomes_of, sample_distribution
+from oracles import (
+    core_deficiency_bruteforce,
+    interval_deficiency,
+    outcomes_of,
+    primal_lp_oracle,
+    sample_distribution,
+)
 
 
 # --- line network -----------------------------------------------------------
@@ -346,7 +352,7 @@ def test_moment_inequality_repeated_labels_refused():
 def test_example4_values():
     for m in (2, 10, 100, 1000):
         model, p = example4_instance(m)
-        value, _ = primal_lp(model, p)
+        value, _ = primal_lp_oracle(model, p)
         assert value == pytest.approx(1 / m, abs=1e-9)
 
 

@@ -22,9 +22,8 @@ from falsiflow.semiparametric import (
     dual_objective,
     maximize_dual,
     maximize_dual_batch,
-    primal_lp,
 )
-from oracles import mass_rows
+from oracles import mass_rows, primal_lp_oracle
 
 # (P(Z=1 | X=1), P(Z=1 | X=-1)): near the boundary, outside, inside, outside
 PILOT_POINTS = [(0.33, 0.67), (0.5, 0.5), (0.2, 0.9), (0.6, 0.4)]
@@ -92,7 +91,7 @@ def test_incompatible_pilot_matches_primal():
     p = aligned(model, pilot_distribution(0.5, 0.5))
     cert = maximize_dual(model, p)
     assert cert.T > 1e-6
-    value, _ = primal_lp(model, p)
+    value, _ = primal_lp_oracle(model, p)
     assert abs(cert.T - value) <= 1e-5
 
 
@@ -122,19 +121,11 @@ def test_no_moments_certificate():
 def test_weak_duality_random_lambdas():
     model = binary_response_pilot(0.4, epsilon_grid=[-1.5, -0.5, 0.5, 1.5])
     p = aligned(model, pilot_distribution(0.6, 0.7))
-    value, _ = primal_lp(model, p)
+    value, _ = primal_lp_oracle(model, p)
     rng = np.random.default_rng(9)
     for _ in range(25):
         lam = rng.normal(scale=3.0, size=2)
         assert dual_objective(model, p, lam) <= value + 1e-9
-
-
-def test_primal_lp_infeasible_moments():
-    g = Correspondence.from_map({"u1": ["a"], "u2": ["a"]})
-    model = SemiparametricModel(g, np.array([[1.0, 2.0]]))  # all m1(u) > 0
-    p = make_distribution([("a", 1.0)])
-    with pytest.raises(Infeasible):
-        primal_lp(model, p)
 
 
 def test_maximize_dual_diverges_on_empty_V():
@@ -149,7 +140,7 @@ def test_vacuous_moments_reduce_to_parametric_free_nu():
     g = Correspondence.from_map({"u1": ["a"], "u2": ["b"]})
     model = SemiparametricModel(g, np.zeros((1, 2)))
     p = make_distribution([("a", 0.4), ("b", 0.6)])
-    value, _ = primal_lp(model, p)
+    value, _ = primal_lp_oracle(model, p)
     assert value == pytest.approx(0.0, abs=1e-9)
 
 
@@ -163,7 +154,7 @@ def test_singleton_V_recovers_parametric():
     nu = make_distribution([("u1", 0.3), ("u2", 0.7)])
     for masses in [(0.5, 0.5), (0.9, 0.1), (0.2, 0.8)]:
         p = make_distribution([("a", masses[0]), ("b", masses[1])])
-        value, _ = primal_lp(model, p)
+        value, _ = primal_lp_oracle(model, p)
         assert value == pytest.approx(solve_zero_one(p, nu, g).primal_value, abs=1e-8)
 
 
@@ -219,7 +210,7 @@ def test_unmerged_primal_lp_at_1001_nodes():
     model = binary_response_pilot(0.3, epsilon_grid=np.linspace(-2.0, 2.0, 1001))
     for p1, pm1 in PILOT_POINTS:
         p = aligned(model, pilot_distribution(p1, pm1))
-        value, pi = primal_lp(model, p)
+        value, pi = primal_lp_oracle(model, p)
         assert pi.shape == (4, 2002)
         assert abs(value - maximize_dual(model, p).T) <= 1e-9
 
@@ -380,7 +371,7 @@ def test_batch_rejects_one_blocks_perturbed_moment_duals(monkeypatch):
     model = binary_response_pilot(0.3)
     n_y = len(model.correspondence.outcome_support)
     ps = [aligned(model, pilot_distribution(p1, pm1)) for p1, pm1 in PILOT_POINTS]
-    real = semiparametric._solve_primal
+    real = lp.solve
     calls = []
 
     def second_moved(program):
@@ -392,7 +383,7 @@ def test_batch_rejects_one_blocks_perturbed_moment_duals(monkeypatch):
         duals[n_y] += 0.5
         return replace(sol, duals=duals)
 
-    monkeypatch.setattr(semiparametric, "_solve_primal", second_moved)
+    monkeypatch.setattr(lp, "solve", second_moved)
     with pytest.raises(CertificateMismatch, match="does not certify the primal optimum"):
         maximize_dual_batch(model, *mass_rows(ps))
     assert len(calls) == 2
@@ -406,24 +397,23 @@ def test_feasible_suboptimal_coupling_is_rejected(monkeypatch):
     g = Correspondence.from_map({"u": ["a"], "v": ["b"]})
     model = SemiparametricModel(g, [[0.5, -0.5]])
     p = make_distribution([("a", 0.5), ("b", 0.5)])
-    assert maximize_dual(model, p).T == 0.0 and primal_lp(model, p)[0] == 0.0
-    real = semiparametric._solve_primal
+    assert maximize_dual(model, p).T == 0.0 and primal_lp_oracle(model, p)[0] == 0.0
+    real = lp.solve
 
     def product_coupling(program):
         sol = real(program)
         return replace(sol, x=np.outer(program.b[:2], [0.5, 0.5]).ravel())
 
-    monkeypatch.setattr(semiparametric, "_solve_primal", product_coupling)
-    for solve in (maximize_dual, primal_lp):
-        with pytest.raises(CertificateMismatch, match="primal optimum 0.5"):
-            solve(model, p)
+    monkeypatch.setattr(lp, "solve", product_coupling)
+    with pytest.raises(CertificateMismatch, match="primal optimum 0.5"):
+        maximize_dual(model, p)
 
     # a covered distribution takes the basis {pi(a,u), pi(a,v), pi(b,u)},
     # whose basic solution (0, 0.5, 0.5) is feasible and costs 1
     def suboptimal_basis(program):
         return replace(real(program), basis=np.array([0, 1, 2]))
 
-    monkeypatch.setattr(semiparametric, "_solve_primal", suboptimal_basis)
+    monkeypatch.setattr(lp, "solve", suboptimal_basis)
     with pytest.raises(CertificateMismatch, match="primal optimum 1.0"):
         maximize_dual_batch(model, *mass_rows([p, p]))
 
