@@ -64,11 +64,11 @@ def _reals(v) -> bool:
 
 
 def _matrix(v) -> bool:
-    """A list of numbers, or a list of lists of numbers, as numpy reads a matrix."""
-    return _reals(v) or (isinstance(v, list) and all(map(_reals, v)))
+    """A list of numbers, or a list of equally long lists of numbers, as numpy reads a matrix."""
+    return _reals(v) or (isinstance(v, list) and all(map(_reals, v)) and len(set(map(len, v))) <= 1)
 
 
-_MATRIX = "a list of numbers or of number lists"
+_MATRIX = "a list of numbers or of equally long number lists"
 
 
 def _alpha_table(v) -> bool:
@@ -115,7 +115,7 @@ def build_model(spec: dict, origin: str = "<spec>", grids: dict | None = None):
             resolution = field("resolution", _count, "a positive integer", 40)
             # entry_game's own grid, built only where entry_game would build it:
             # past its check on the deltas
-            if delta1 < 0 and delta2 < 0 and resolution not in grids:
+            if all(-math.inf < d < 0 for d in (delta1, delta2)) and resolution not in grids:
                 grids[resolution] = models.uniform_grid_2d(-2.0, 2.0, resolution)
             return models.entry_game(delta1, delta2, grids.get(resolution), resolution)
         if kind == "search":
@@ -320,7 +320,10 @@ def parse_grid(spec: str) -> list[dict]:
         pieces = rng.split(":")
         if len(pieces) != 3:
             raise FalsiflowError(f"grid axis {part!r} must be name=start:stop:step")
-        start, stop, step = (float(x) for x in pieces)
+        try:
+            start, stop, step = (float(x) for x in pieces)
+        except ValueError:
+            raise FalsiflowError(f"grid axis {part!r} needs numbers for start, stop and step") from None
         if not np.isfinite([start, stop, step]).all():
             raise FalsiflowError(f"grid axis {part!r} needs a finite start, stop and step")
         if step <= 0:

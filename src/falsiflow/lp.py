@@ -9,9 +9,10 @@ imports, and only here.  It is loaded from its file, because importing it by
 name runs the ``scipy.optimize`` package init, which costs every start-up
 about 0.3 s and of which nothing here is used.  Nothing here imports
 ``scipy.sparse`` either (about 0.2 s more).  :func:`solve` returns only an
-optimum, whose x it checks for primal feasibility at :data:`TOLERANCE`;
-every other outcome raises.  Its one caller, :mod:`falsiflow.semiparametric`,
-certifies optimality.  Whether a basis is optimal does not depend on b
+optimum, whose x it checks for primal feasibility at :data:`TOLERANCE`, with
+its duals and basis but not HiGHS's objective value; every other outcome
+raises.  Its one caller, :mod:`falsiflow.semiparametric`, certifies
+optimality against c'x.  Whether a basis is optimal does not depend on b
 (Bertsimas & Tsitsiklis, *Introduction to Linear Optimization*, 1997, §5.1),
 so :func:`basic_solutions` tests the optimal basis of :func:`solve` on other b.
 """
@@ -119,7 +120,6 @@ class LinearProgram:
 @dataclass(frozen=True)
 class Solution:
     x: np.ndarray
-    objective: float
     duals: np.ndarray  # one multiplier per constraint row
     iterations: int    # dual simplex iterations (``nit``)
     basis: np.ndarray  # the optimal basis's column indices, one per row; empty if a row is basic
@@ -152,12 +152,10 @@ def solve(program: LinearProgram) -> Solution:
         raise LpFailure(f"solver failure: {message}")
     solution, info = solver.getSolution(), solver.getInfo()
     x, duals = np.array(solution.col_value), np.array(solution.row_dual)
-    objective = info.objective_function_value
-    if not (np.isfinite(x).all() and np.isfinite(duals).all() and np.isfinite(objective)):
+    if not (np.isfinite(x).all() and np.isfinite(duals).all()):
         raise LpFailure("solver returned a non-finite solution")
     _verify(program, x)
-    return Solution(x, float(objective), duals, int(info.simplex_iteration_count),
-                    _basic_columns(solver, program.b.size))
+    return Solution(x, duals, int(info.simplex_iteration_count), _basic_columns(solver, program.b.size))
 
 
 def _basic_columns(solver, rows: int) -> np.ndarray:

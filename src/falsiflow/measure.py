@@ -74,9 +74,6 @@ class FiniteDistribution:
     def masses(self) -> tuple[float, ...]:
         return tuple(n / DENOMINATOR for n in self.numerators)
 
-    def index(self, label: Label) -> int:
-        return self.support.index(label)
-
     def numerator(self, label: Label) -> int:
         """Integer mass of ``label`` (0 if absent)."""
         try:
@@ -86,13 +83,6 @@ class FiniteDistribution:
 
     def mass(self, label: Label) -> float:
         return self.numerator(label) / DENOMINATOR
-
-    def to_json(self) -> dict:
-        return {
-            "support": [str(lab) for lab in self.support],
-            "mass": list(self.numerators),
-            "denominator": DENOMINATOR,
-        }
 
     @staticmethod
     def from_json(obj: dict) -> "FiniteDistribution":

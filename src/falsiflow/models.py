@@ -4,6 +4,9 @@ pilot, moment-inequality models, and seeded simulators.
 Outcome and latent labels are canonical strings (tuples render as "(a,b)" with
 no spaces) except for the search model, whose outcomes are effort levels and
 stay numeric so half-line statistics can order them.
+
+Numeric parameters must be finite: each model function refuses NaN and +-inf with
+:class:`~falsiflow.errors.BadParameters` that names the parameter.
 """
 
 from __future__ import annotations
@@ -40,6 +43,14 @@ def _fmt(v) -> str:
 def tuple_label(*values) -> str:
     """Canonical string label for a tuple-valued outcome or latent point."""
     return "(" + ",".join(_fmt(v) for v in values) + ")"
+
+
+def _refuse_non_finite(name: str, values) -> None:
+    """Raise :class:`BadParameters` naming ``name`` unless every value is finite."""
+    values = np.asarray(values, dtype=float)
+    bad = ~np.isfinite(values)
+    if bad.any():
+        raise BadParameters(f"{name} must be finite, not {float(values[bad][0])!r}")
 
 
 @dataclass(frozen=True)
@@ -132,8 +143,12 @@ def entry_game(
     at once.  Each node gets a 4-bit code whose bit i marks ENTRY_OUTCOMES[i]
     as an equilibrium; the set bits of that code are the region's outcome
     indices.  Region masses are exact int64 sums of the node numerators per
-    code, and regions are ordered by their outcome indices.
+    code, and regions are ordered by their outcome indices.  No code is 0: for
+    delta_i < 0 neither best response rises with the other's entry, so their
+    composition, a non-decreasing map of {0, 1} into itself, has a fixed point.
     """
+    _refuse_non_finite("delta1", delta1)
+    _refuse_non_finite("delta2", delta2)
     if not (delta1 < 0 and delta2 < 0):
         raise BadParameters("monopoly profits must exceed duopoly profits (delta_i < 0)")
     if grid is None:
@@ -146,9 +161,6 @@ def entry_game(
     for bit, (y1, y2) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
         best_response = (y1 == (delta2 * y2 + e1 >= 0)) & (y2 == (delta1 * y1 + e2 >= 0))
         codes |= best_response.astype(np.int64) << bit
-    empty = np.flatnonzero(codes == 0)
-    if empty.size:
-        raise BadParameters(f"no pure equilibrium at grid node {grid.nodes[empty[0]]}")
     masses = np.zeros(16, dtype=np.int64)
     np.add.at(masses, codes, np.array(grid.weights.numerators, dtype=np.int64))
 
@@ -210,6 +222,7 @@ def binary_response_pilot(
     if epsilon_grid is None:
         epsilon_grid = np.linspace(-2.0, 2.0, DEFAULT_NODES)
     eps = np.asarray([round(float(e), 12) for e in epsilon_grid])
+    _refuse_non_finite("epsilon_grid", eps)
     for low, high, what in ((-np.inf, -1, "eps <= -1"), (-1, 0, "-1 < eps <= 0"),
                             (0, 1, "0 < eps <= 1"), (1, np.inf, "eps > 1")):
         if not ((eps > low) & (eps <= high)).any():
@@ -255,6 +268,8 @@ def moment_inequality_model(
         raise BadParameters("one phi row per outcome required")
     if grid.shape[1] != phi.shape[1]:
         raise BadParameters("latent grid dimension must match the number of phi components")
+    _refuse_non_finite("phi", phi)
+    _refuse_non_finite("grid", grid)
 
     refuse_repeats(outcomes, "outcome list")
     dominated = (grid[:, None, :] >= phi[None]).all(axis=2)  # [node, outcome]
@@ -271,15 +286,8 @@ def moment_inequality_model(
     return SemiparametricModel(correspondence=g, moments=grid.T.copy())
 
 
-def with_slack(p: FiniteDistribution) -> FiniteDistribution:
-    """Extend an outcome distribution with the zero-mass slack outcome."""
-    if SLACK_OUTCOME in p.support:
-        return p
-    return FiniteDistribution(p.support + (SLACK_OUTCOME,), p.numerators + (0,))
-
-
 def example4_instance(
-    m: int, p: FiniteDistribution | None = None
+    m: float, p: FiniteDistribution | None = None
 ) -> tuple[SemiparametricModel, FiniteDistribution]:
     """Two-point latent family {1, 1-m} with E[U] = 0 and every real outcome
     admissible for u = 1 only.
@@ -287,9 +295,10 @@ def example4_instance(
     The zero-mean restriction forces latent mass 1/m onto 1-m, whose image is
     the zero-mass slack outcome, so the minimal violation mass is exactly 1/m;
     the infimum over the untruncated family would approach 0 without attaining it.
+    Returns the model and ``p`` with the slack outcome appended at mass zero.
     """
-    if m < 2:
-        raise BadParameters("m must be an integer >= 2")
+    if not 2 <= m < np.inf:
+        raise BadParameters(f"M must be a finite number >= 2, not {m!r}")
     if p is None:
         p = make_distribution([("y0", 1.0)])
     if SLACK_OUTCOME in p.support:
@@ -300,7 +309,7 @@ def example4_instance(
         outcome_support=support,
     )
     model = SemiparametricModel(correspondence=g, moments=np.array([[1.0, float(1 - m)]]))
-    return model, with_slack(p)
+    return model, FiniteDistribution(support, p.numerators + (0,))
 
 
 # ---------------------------------------------------------------------------

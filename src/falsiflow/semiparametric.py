@@ -128,8 +128,7 @@ class DualCertificate:
 def _evaluate(model: SemiparametricModel, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-outcome inner minimum and its argmin latent index at multiplier ``lam``."""
     first, cost, moments = model.merged_columns
-    penalty = -(lam @ moments) if model.n_moments else np.zeros(cost.shape[1])
-    scores = cost + penalty[None, :]
+    scores = cost - lam @ moments
     argmin = scores.argmin(axis=1)  # ties resolved at the smallest latent index
     return scores[np.arange(scores.shape[0]), argmin], first[argmin]
 

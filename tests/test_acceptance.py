@@ -207,14 +207,14 @@ def test_criterion_07_truncation_family_values():
 # criterion 8 -------------------------------------------------------------
 
 
-def _random_search_instance(rng, alternative):
-    """Monotone search model with <= 12 grid points.
+def _random_search_instance(rng, alternative, levels=None):
+    """Monotone search model with ``levels`` grid points, or 2 to 11 drawn from ``rng``.
 
     Compatible instances push each effort mass to either zero effort or its own
     level.  Alternatives overload a top block of effort levels, so the positive
     deficiencies form a suffix and the binding set is a half-line class.
     """
-    k = int(rng.integers(2, 12))
+    k = int(rng.integers(2, 12)) if levels is None else levels
     levels = [round((j + 1) / (k + 1), 10) for j in range(k)]
     w = rng.integers(1, 1000, size=k)
     nu_numers = (w * DENOMINATOR // w.sum()).astype(np.int64)

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -507,6 +508,88 @@ def test_spec_field_of_wrong_type_exit2(kind, key, value, tmp_path, capsys):
     assert f"spec.json: field {key!r} of model {kind!r} must be " in err
 
 
+#: One valid spec per model family, and the place of each number in its params.
+NUMERIC_FIELDS = {
+    "line_network": ({"masses": [0.25, 0.25, 0.25, 0.25]}, [("masses", 0)]),
+    "entry_game": ({"delta1": -1.0, "delta2": -1.0, "resolution": 4},
+                   [("delta1",), ("delta2",), ("resolution",)]),
+    "search": ({"nu": HALVES, "alpha": [["u1", 0.5], ["u2", 0.8]]},
+               [("nu", "mass", 0), ("nu", "denominator"), ("alpha", 0, 1)]),
+    "pilot": ({"eta": 0.5, "epsilon_grid": [-1.5, -0.5, 0.5, 1.5, 2.5]},
+              [("eta",), ("epsilon_grid", 4)]),
+    "moment_inequality": ({"outcomes": ["a", "b"], "phi": [[0.0], [1.0]], "grid": [[-1.0], [2.0]]},
+                          [("phi", 0, 0), ("grid", 1, 0)]),
+    "example4": ({"M": 2}, [("M",)]),
+    "custom": ({"correspondence": CUSTOM_G, "nu": HALVES}, [("nu", "mass", 0), ("nu", "denominator")]),
+    "custom-moments": ({"correspondence": CUSTOM_G, "moments": [[1.0, -1.0]]}, [("moments", 0, 0)]),
+}
+
+
+def numeric_params(family, path, value):
+    """A copy of the params of ``family`` in NUMERIC_FIELDS with ``value`` at ``path``."""
+    params = json.loads(json.dumps(NUMERIC_FIELDS[family][0]))
+    *inner, last = path
+    target = params
+    for key in inner:
+        target = target[key]
+    target[last] = value
+    return params
+
+
+@pytest.mark.parametrize("value", ["NaN", "1e309", "-1e309"])
+@pytest.mark.parametrize("family, path", [
+    (family, path) for family, (_, paths) in NUMERIC_FIELDS.items() for path in paths
+], ids=lambda v: v if isinstance(v, str) else "-".join(map(str, v)))
+def test_non_finite_spec_number_exit2(family, path, value, tmp_path, capsys):
+    # JSON reads 1e309 as inf; each is refused with one error line, not run
+    text = json.dumps({"model": family.removesuffix("-moments"),
+                       "params": numeric_params(family, path, "@")})
+    spec = tmp_path / "spec.json"
+    spec.write_text(text.replace('"@"', value))
+    # each spec as given runs, on this P, to exit 0 or 1
+    label = 0.5 if family == "search" else "a"
+    dist = write_json(tmp_path, "p.json", {"support": [label], "mass": [1], "denominator": 1})
+    assert main(["check", "--model", str(spec), "--dist", dist]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("model, field, value, message", [
+    ("entry_game", "delta1", -np.inf, "delta1 must be finite, not -inf"),
+    ("entry_game", "delta2", np.nan, "delta2 must be finite, not nan"),
+    ("pilot", "epsilon_grid", np.inf, "epsilon_grid must be finite, not inf"),
+    ("moment_inequality", "phi", -np.inf, "phi must be finite, not -inf"),
+    ("moment_inequality", "grid", np.nan, "grid must be finite, not nan"),
+    ("example4", "M", np.inf, "M must be a finite number >= 2, not inf"),
+])
+def test_non_finite_model_parameter_is_named(model, field, value, message):
+    path = next(p for p in NUMERIC_FIELDS[model][1] if p[0] == field)
+    params = numeric_params(model, path, value)
+    with pytest.raises(FalsiflowError, match=f"^{re.escape(message)}$"):
+        build_model({"model": model, "params": params})
+
+
+def test_example4_refuses_m_below_2():
+    with pytest.raises(FalsiflowError, match="^M must be a finite number >= 2, not 1.5$"):
+        build_model({"model": "example4", "params": {"M": 1.5}})
+    assert build_model({"model": "example4", "params": {"M": 2.5}}).moments.tolist() == [[1.0, -1.5]]
+
+
+@pytest.mark.parametrize("kind, key, params", [
+    ("moment_inequality", "phi", {"outcomes": ["a", "b"], "phi": [[0.0, 0.0], [1.0]], "grid": [[3, 3]]}),
+    ("moment_inequality", "grid", {"outcomes": ["a"], "phi": [[0.0, 0.0]], "grid": [[3, 3], [1]]}),
+    ("custom", "moments", {"correspondence": CUSTOM_G, "moments": [[1.0, -1.0], [0.5]]}),
+])
+def test_ragged_matrix_names_file_and_field(kind, key, params, tmp_path, capsys):
+    spec = write_json(tmp_path, "spec.json", {"model": kind, "params": params})
+    dist = write_json(tmp_path, "p.json", {"support": ["a"], "mass": [1], "denominator": 1})
+    assert main(["check", "--model", spec, "--dist", dist]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {spec}: field {key!r} of model {kind!r} must be a list of numbers or of "
+        f"equally long number lists, not {params[key]!r}\n"
+    )
+
+
 @pytest.mark.parametrize("where", ["dist", "search-nu", "custom-nu", "mi-outcomes"])
 def test_distribution_or_labels_of_wrong_type_exit2(where, tmp_path, capsys):
     spec = {
@@ -846,6 +929,17 @@ def test_invert_non_finite_grid_exit2(tmp_path, capsys, axis):
     code = main(["invert", "--model", model, "--data", str(data), "--stat", "semi", "--grid", axis])
     assert code == 2
     assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("axis", ["eta=a:1:0.1", "eta=0:1:x", "eta=0::0.1"])
+def test_invert_grid_bound_not_a_number_names_the_axis(axis, tmp_path, capsys):
+    model = write_json(tmp_path, "pilot.json", {"model": "pilot", "params": {"eta": 0.5}})
+    data = tmp_path / "data.csv"
+    data.write_text("y\n(0,1)\n")
+    code = main(["invert", "--model", model, "--data", str(data), "--stat", "semi", "--grid", axis])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: grid axis {axis!r} needs numbers for start, stop and step\n")
 
 
 @pytest.mark.parametrize(

@@ -7,6 +7,9 @@ equals the zero-one transport value.  The two solvers share no code path:
 csgraph's Dinic max flow on the correspondence's arcs against the HiGHS
 simplex on its dense cost matrix.  The same holds for the empirical
 distribution of a sample, whose statistic ``statistic_tv_core`` reports.
+
+On the search model, whose outcomes are ordered, the interval classes of
+``oracles.interval_deficiency`` are checked against the max flow as well.
 """
 
 import numpy as np
@@ -19,6 +22,8 @@ from falsiflow.measure import DENOMINATOR, FiniteDistribution, empirical
 from falsiflow.models import SELECTION_RULES, simulate
 from falsiflow.semiparametric import SemiparametricModel, maximize_dual
 from falsiflow.transport import solve_zero_one
+from oracles import interval_deficiency
+from test_acceptance import _random_search_instance
 
 
 def fixed_point(labels, weights):
@@ -100,3 +105,21 @@ def test_max_flow_equals_lp_at_scale(n_u):
         t = maximize_dual(point_identified(g, nu), p).T
         assert t > 0
         assert abs(t - solve_zero_one(p, nu, g).primal_value) <= 1e-9
+
+
+def test_interval_classes_attain_max_flow_on_search_models_at_1000_levels():
+    # compatible instances and alternatives that overload a top block of levels
+    rng = np.random.default_rng(130)
+    for i in range(20):
+        g, nu, p = _random_search_instance(rng, alternative=i % 2 == 1, levels=1000)
+        assert interval_deficiency(g, nu, p)[0] == solve_zero_one(p, nu, g).primal_fp
+
+
+def test_interval_classes_bound_max_flow_on_random_p_at_1000_levels():
+    # on an arbitrary P the binding class need not be an interval, so the
+    # interval value is only a lower bound on the transport value
+    rng = np.random.default_rng(131)
+    for _ in range(20):
+        g, nu, _ = _random_search_instance(rng, alternative=False, levels=1000)
+        p = fixed_point(g.outcome_support, rng.integers(1, 100, size=len(g.outcome_support)))
+        assert interval_deficiency(g, nu, p)[0] <= solve_zero_one(p, nu, g).primal_fp

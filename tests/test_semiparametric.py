@@ -14,7 +14,6 @@ from falsiflow.models import (
     example4_instance,
     moment_inequality_model,
     pilot_distribution,
-    with_slack,
 )
 from falsiflow.semiparametric import (
     COMPATIBILITY_THRESHOLD,
@@ -247,14 +246,12 @@ def test_batch_matches_one_at_a_time_on_moment_inequalities_and_example4():
         grid = np.vstack([rng.uniform(-1.0, 1.2, size=(40, 2)), [[1.2, 1.2], [-1.0, -1.0]]])
         model = moment_inequality_model(outcomes, phi, grid)
         base = rng.dirichlet(np.ones(5))
-        cases.append(
-            (model, [with_slack(p) for p in resamples(outcomes, base, 200, 30, rng)])
-        )
+        cases.append((model, resamples(outcomes, base, 200, 30, rng)))
     real = ["y0", "y1", "y2"]
     for m in (2, 10, 100, 1000):
         ps = resamples(real, rng.dirichlet(np.ones(3)), 100, 30, rng)
         model, _ = example4_instance(m, ps[0])
-        cases.append((model, [with_slack(p) for p in ps]))
+        cases.append((model, ps))
     for model, ps in cases:
         for cert, p in zip(maximize_dual_batch(model, *mass_rows(ps)), ps, strict=True):
             assert abs(cert.T - maximize_dual(model, p).T) <= 1e-12
