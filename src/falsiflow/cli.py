@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import reprlib
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import models
 from .correspondence import Correspondence
-from .errors import DuplicateLabel, EmptyData, FalsiflowError, MissingField
+from .errors import DuplicateLabel, EmptyData, FalsiflowError
 from .inference import bootstrap_pvalue, tally
 from .measure import FiniteDistribution, empirical, is_real, json_labels
 from .semiparametric import SemiparametricModel, maximize_dual
@@ -148,10 +149,11 @@ def build_model(spec: dict, origin: str = "<spec>", grids: dict | None = None):
 
 
 def load_distribution(path: str) -> FiniteDistribution:
+    obj = _read_json(path)  # outside the handler: it names the file itself
     try:
-        return FiniteDistribution.from_json(_read_json(path))
-    except MissingField as exc:
-        raise MissingField(f"{path}: {exc}") from exc
+        return FiniteDistribution.from_json(obj)
+    except FalsiflowError as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
 
 
 def load_data(path: str) -> Counter:
@@ -209,12 +211,18 @@ def _canonical_labels(labels, outcome_support) -> dict:
     outcomes: {label: the outcome it reads as}, in the order of ``labels``.
 
     When every outcome is a real number, every label is read with float(), so
-    "0.50" is the outcome 0.5, and NaN is refused once all are read; otherwise
-    labels match by text.  Labels with no match are kept, so they count
-    against the model.
+    "0.50" is the outcome 0.5; a label that float() refuses is named, and NaN
+    is refused once all are read.  Otherwise labels match by text.
+    Labels with no match are kept, so they count against the model.
     """
     if all(map(is_real, outcome_support)):
-        read = {lab: float(lab) for lab in labels}
+        read = {}
+        for lab in labels:
+            try:
+                read[lab] = float(lab)
+            except (ValueError, OverflowError):  # OverflowError: an int beyond a double's range
+                raise FalsiflowError(f"the model's outcomes are numbers, and the label "
+                                     f"{reprlib.repr(lab)} does not read as one") from None
         if any(v != v for v in read.values()):
             raise FalsiflowError("the model's outcomes are numbers, and a label is NaN")
         return read
@@ -301,21 +309,18 @@ def cmd_simulate(args) -> int:
 MAX_GRID_POINTS = 10**5
 
 
-def parse_grid(spec: str) -> list[dict]:
-    """Grid spec "name=start:stop:step[,name2=...]" -> list of param dicts (product order).
+def parse_grid(spec: str) -> tuple[list[str], list[dict]]:
+    """Grid spec "name=start:stop:step[,name2=...]" -> (axis names, param dicts in product order).
 
-    The points are counted, floor((stop - start) / step) + 1 per axis, before
-    any is built; a grid of more than :data:`MAX_GRID_POINTS` is refused, and
-    so is an axis named twice or whose values, rounded to 10 decimals, repeat.
+    Each axis is built once.  An axis named twice, of more than :data:`MAX_GRID_POINTS` values
+    (refused before any is built) or whose values repeat at 10 decimals is refused, and so is a
+    grid of more points, before any point is built.
     """
-    axes = []
-    size = 1
-    for part in spec.split(","):
-        if not part:
-            continue
+    axes: dict[str, list[float]] = {}
+    for part in filter(None, spec.split(",")):
         name, _, rng = part.partition("=")
         name = name.strip()
-        if name in (axis[1] for axis in axes):
+        if name in axes:
             raise FalsiflowError(f"grid axis {name!r} is given more than once")
         pieces = rng.split(":")
         if len(pieces) != 3:
@@ -333,42 +338,36 @@ def parse_grid(spec: str) -> list[dict]:
         span = (stop - start) / step  # may be inf, so bounded before floor
         if span >= MAX_GRID_POINTS:
             raise FalsiflowError(f"grid axis {part!r} has more than {MAX_GRID_POINTS} points")
-        size *= max(0, math.floor(span) + 1)
-        axes.append((part, name, start, stop, step, math.floor(span) + 2))
-    if size > MAX_GRID_POINTS:
-        raise FalsiflowError(f"grid {spec!r} has {size} points, more than {MAX_GRID_POINTS}")
-    points: list[dict] = [{}]
-    for part, name, start, stop, step, cap in axes:
         values = []
-        for k in range(cap):  # one more than counted, for the tolerance on stop
+        for k in range(math.floor(span) + 2):  # one past the floor, for the tolerance on stop
             v = round(start + k * step, 10)
             if v > stop + 1e-12:
                 break
             values.append(v)
         if len(set(values)) < len(values):
             raise FalsiflowError(f"grid axis {part!r} repeats values at 10 decimals")
-        points = [dict(pt, **{name: v}) for pt in points for v in values]
-    return points if axes else []
+        axes[name] = values
+    size = math.prod(map(len, axes.values()))
+    if size > MAX_GRID_POINTS:
+        raise FalsiflowError(f"grid {spec!r} has {size} points, more than {MAX_GRID_POINTS}")
+    points = itertools.product(*axes.values()) if axes else ()
+    return list(axes), [dict(zip(axes, values)) for values in points]
 
 
 def cmd_invert(args) -> int:
     spec = _check_spec(_read_json(args.model), args.model)
-    points = parse_grid(args.grid)
+    names, points = parse_grid(args.grid)
     params = spec.get("params", {})
-    for name in (part.partition("=")[0].strip() for part in args.grid.split(",") if part):
+    for name in names:
         if name not in params:
             raise FalsiflowError(f"{args.model}: grid axis {name!r} names no field of model "
                                  f"{spec.get('model')!r}")
     data = load_data(args.data)
-    names = sorted({k for pt in points for k in pt})
-    header = ",".join(names + ["pvalue", "accepted"])
     if not points:
         sys.stderr.write("warning: empty parameter grid, empty region\n")
-        write_output(header + "\n", args.out)
-        return EXIT_COMPATIBLE
-
+    names = sorted(names) if points else []  # an empty region's header names no axis
     seeds = np.random.SeedSequence(args.seed).spawn(len(points))
-    lines = [header]
+    lines = [",".join(names + ["pvalue", "accepted"])]
     # what the grid leaves alone is prepared once: each outcome support's
     # tally of the data, and each resolution's entry-game grid
     samples, grids = {}, {}

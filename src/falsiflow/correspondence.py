@@ -15,16 +15,15 @@ query A, are sequences of outcome labels.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import DuplicateLabel, EmptyImage, NotOrdered, SupportMismatch
+from .errors import EmptyImage, NotOrdered, SupportMismatch
 from .measure import (DENOMINATOR, JSON_LABEL_TYPES, FiniteDistribution, Label, align, is_real,
-                      json_field, json_labels)
+                      json_field, json_labels, refuse_repeats)
 
 @dataclass(frozen=True, eq=False)
 class Correspondence:
@@ -32,8 +31,8 @@ class Correspondence:
 
     Latent j (in ``latent_support`` order) admits the outcome indices
     ``indices[indptr[j]:indptr[j + 1]]``, ascending and without repeats;
-    :meth:`from_map` builds them so.  Images must be nonempty.  Both arrays
-    are read-only int32.
+    :meth:`from_map` builds them so.  Images must be nonempty, and neither
+    support may repeat a label.  Both arrays are read-only int32.
     """
 
     latent_support: tuple[Label, ...]
@@ -42,6 +41,8 @@ class Correspondence:
     indices: np.ndarray
 
     def __post_init__(self):
+        refuse_repeats(self.latent_support, "latent support")
+        refuse_repeats(self.outcome_support, "outcome support")
         for name in ("indptr", "indices"):  # own read-only copies
             arr = np.array(getattr(self, name), dtype=np.int32)
             arr.flags.writeable = False
@@ -117,8 +118,7 @@ class Correspondence:
     @staticmethod
     def from_json(obj: dict) -> "Correspondence":
         for key in ("latent", "outcomes"):
-            what = f"correspondence {key!r}"
-            refuse_repeats(json_labels(json_field(obj, key, "correspondence"), what), what)
+            json_labels(json_field(obj, key, "correspondence"), f"correspondence {key!r}")
         images = json_field(obj, "G", "correspondence")
         if not isinstance(images, dict):
             raise SupportMismatch("correspondence 'G' must map each latent label to a list of outcomes")
@@ -134,15 +134,8 @@ class Correspondence:
         if not (all(type(ys) is list for ys in lists)
                 and set(map(type, itertools.chain.from_iterable(lists))) <= JSON_LABEL_TYPES):
             for ys in lists:  # names the first offending list or label
-                json_labels(ys, "correspondence 'G'")
+                json_labels(ys, "correspondence 'G'", distinct=False)
         return _from_lists(tuple(latents), lists, obj["outcomes"])
-
-
-def refuse_repeats(labels: Sequence[Label], what: str):
-    """Raise :class:`DuplicateLabel` naming the first label that ``labels`` repeats."""
-    if len(set(labels)) != len(labels):
-        repeated = next(y for y, count in Counter(labels).items() if count > 1)
-        raise DuplicateLabel(f"{what} repeats the label {repeated!r}")
 
 
 def _from_lists(

@@ -25,7 +25,7 @@ class BadMass(FalsiflowError):
 
 
 class DuplicateLabel(FalsiflowError):
-    pass
+    """A list that repeats a label, or, read from a file, holds two labels with one text."""
 
 
 class EmptyData(FalsiflowError):
@@ -35,11 +35,7 @@ class EmptyData(FalsiflowError):
 # -- correspondence / transport ------------------------------------------------
 
 class SupportMismatch(FalsiflowError):
-    pass
-
-
-class MissingField(SupportMismatch):
-    """A JSON object that lacks a field it needs."""
+    """Labels or lists that do not fit together, or a JSON object that lacks a field."""
 
 
 class EmptyImage(FalsiflowError):

@@ -3,6 +3,9 @@
 Masses are stored as 64-bit integer numerators over the fixed denominator
 ``DENOMINATOR`` = 10**9.  This makes compatibility verdicts (module
 ``transport``) exact integer comparisons instead of float-tolerance calls.
+
+The label rules live here too: :func:`refuse_repeats` is the one check on
+repeated labels, and :func:`json_labels` reads a label list from a JSON file.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ from .errors import (
     DuplicateLabel,
     EmptyData,
     MassSumOutOfTolerance,
-    MissingField,
     NegativeMass,
     SupportMismatch,
 )
@@ -58,8 +60,7 @@ class FiniteDistribution:
     def __post_init__(self):
         if len(self.support) != len(self.numerators):
             raise SupportMismatch("support and mass lists differ in length")
-        if len(set(self.support)) != len(self.support):
-            raise DuplicateLabel("support labels must be distinct")
+        refuse_repeats(self.support, "support")
         if min(self.numerators, default=0) < 0:
             raise NegativeMass("fixed-point masses must be nonnegative")
         if sum(self.numerators) != DENOMINATOR:
@@ -124,24 +125,38 @@ class FiniteDistribution:
         return make_distribution(zip(support, (m / denom for m in masses)))
 
 
+def refuse_repeats(labels: Sequence[Label], what: str):
+    """Raise :class:`DuplicateLabel` naming the first label that ``labels`` repeats."""
+    if len(set(labels)) != len(labels):
+        repeated = next(y for y, count in Counter(labels).items() if count > 1)
+        raise DuplicateLabel(f"{what} repeats the label {repeated!r}")
+
+
 def json_field(obj: dict, key: str, what: str):
     """``obj[key]`` of a JSON object; ``what`` names the object in the error
     when the key is absent."""
     try:
         return obj[key]
     except KeyError:
-        raise MissingField(f"{what} is missing field {key!r}") from None
+        raise SupportMismatch(f"{what} is missing field {key!r}") from None
 
 
-def json_labels(labels, where: str) -> list:
+def json_labels(labels, where: str, distinct: bool = True) -> list:
     """``labels`` read from a JSON file, checked to be a list of strings and numbers;
-    ``where`` names the list in the error."""
+    ``where`` names the list in the error.  Unless ``distinct`` is false, two equal
+    labels are refused, and so are two with the same text, such as 1 and "1": files
+    and outputs carry labels as text, so nothing could tell those two apart."""
     if not isinstance(labels, list):
         raise SupportMismatch(f"{where} {labels!r} must be a list of labels")
-    if not set(map(type, labels)) <= JSON_LABEL_TYPES:
+    types = set(map(type, labels))
+    if not types <= JSON_LABEL_TYPES:
         for y in labels:
             if isinstance(y, bool) or not isinstance(y, (str, int, float)):
                 raise SupportMismatch(f"{where} label {y!r} is not a string or number")
+    if distinct:
+        refuse_repeats(labels, where)
+        if types != {str}:  # a number may share its text with a string, and NaN with NaN
+            refuse_repeats(list(map(str, labels)), f"{where}, read as text,")
     return labels
 
 
@@ -171,8 +186,6 @@ def make_distribution(pairs: Iterable[tuple[Label, float]]) -> FiniteDistributio
     if not pairs:
         raise EmptyData("cannot build a distribution from an empty list")
     labels = [lab for lab, _ in pairs]
-    if len(set(labels)) != len(labels):
-        raise DuplicateLabel(f"duplicate labels in {labels}")
     values = [float(m) for _, m in pairs]
     if any(v < 0 for v in values):
         raise NegativeMass(f"negative mass in {values}")

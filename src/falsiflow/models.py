@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .correspondence import Correspondence, refuse_repeats
+from .correspondence import Correspondence
 from .errors import (
     BadParameters,
     BadRule,
@@ -24,7 +24,8 @@ from .errors import (
     NotMonotone,
     SupportMismatch,
 )
-from .measure import DENOMINATOR, FiniteDistribution, Label, _round_preserving_sum, make_distribution
+from .measure import (DENOMINATOR, FiniteDistribution, Label, _round_preserving_sum, make_distribution,
+                      refuse_repeats)
 from .semiparametric import SemiparametricModel
 
 #: Dummy outcome standing in for an empty image; always carries P-mass zero.
@@ -55,7 +56,7 @@ def _refuse_non_finite(name: str, values) -> None:
 
 @dataclass(frozen=True)
 class LatentGrid:
-    """Discretization of a continuous latent space."""
+    """Discretization of a continuous latent space; every coordinate is finite."""
 
     nodes: tuple[Label, ...]
     coords: np.ndarray                      # one row of coordinates per node
@@ -66,6 +67,7 @@ class LatentGrid:
         object.__setattr__(self, "coords", coords)
         if coords.shape[0] != len(self.nodes):
             raise SupportMismatch("one coordinate row per grid node required")
+        _refuse_non_finite("grid coordinates", coords)
         if self.weights.support != self.nodes:
             raise SupportMismatch("grid weights must live on the grid nodes")
 
@@ -329,8 +331,9 @@ def simulate(
     seed: int,
 ) -> list[Label]:
     """Draw n outcomes: latent points by inverse CDF on the fixed-point masses,
-    then one admissible outcome per draw according to the selection rule,
-    one of ``SELECTION_RULES``.
+    then per draw of latent j the outcome at index ``g.indices[g.indptr[j] + k]``: k = 0
+    under the rule "first", and under "uniform-random" (see ``SELECTION_RULES``)
+    k = ``rng.integers(size)``, taken in draw order, when j admits size > 1 outcomes.
 
     Identical (inputs, seed) give identical output sequences.
     """
@@ -338,19 +341,15 @@ def simulate(
         raise BadRule(f"unknown selection rule {rule!r}")
     if nu.support != g.latent_support:
         raise SupportMismatch("nu must live on the latent support of the correspondence")
-    outcomes, ends, indices = g.outcome_support, g.indptr.tolist(), g.indices.tolist()
-    choices = [
-        tuple(outcomes[i] for i in indices[a : a + 1 if rule == "first" else b])
-        for a, b in zip(ends, ends[1:])
-    ]
     if n == 0:
         return []
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     cum = np.cumsum(nu.numerators)
     draws = rng.integers(0, DENOMINATOR, size=n)
     latent_idx = np.searchsorted(cum, draws, side="right")
-    out: list[Label] = []
-    for j in latent_idx:
-        opts = choices[j]
-        out.append(opts[0] if len(opts) == 1 else opts[rng.integers(len(opts))])
-    return out
+    at = g.indptr[latent_idx]
+    if rule == "uniform-random":
+        for k, size in enumerate((g.indptr[latent_idx + 1] - at).tolist()):
+            if size > 1:
+                at[k] += rng.integers(size)
+    return [g.outcome_support[i] for i in g.indices[at].tolist()]

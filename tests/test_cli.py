@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import reprlib
 import resource
 import subprocess
 import sys
@@ -390,6 +391,12 @@ def listed_sample(path, outcome_support, count):
     if not labels:
         raise EmptyData(f"{path}: no observations below the header 'y'")
     if all(isinstance(y, float) for y in outcome_support):
+        for lab in labels:
+            try:
+                float(lab)
+            except ValueError:
+                raise FalsiflowError(f"the model's outcomes are numbers, and the label {lab!r} "
+                                     "does not read as one") from None
         labels = [float(lab) for lab in labels]
         if any(v != v for v in labels):
             raise FalsiflowError("the model's outcomes are numbers, and a label is NaN")
@@ -433,9 +440,9 @@ def test_data_counted_once_as_text_matches_the_listed_labels(text, spec, tmp_pat
 
 @pytest.mark.parametrize("spec, dist, message", [
     (ENTRY_SPEC, {"support": ["a", "b", "c"], "mass": [-0.5, 0.5, 1000000000]},
-     "mass -0.5 is negative"),
+     "{dist}: mass -0.5 is negative"),
     (ENTRY_SPEC, {"support": ["a", "b"], "mass": [0.7, 999999999.3]},
-     "mass 0.7 is not a whole number at denominator 1000000000"),
+     "{dist}: mass 0.7 is not a whole number at denominator 1000000000"),
     (SEARCH_SPEC, {"support": ["0.5", "0.0", "0.50"], "mass": [250000000, 500000000, 250000000]},
      "{dist}: labels '0.5' and '0.50' both read as the outcome 0.5"),
 ], ids=["negative-mass", "fractional-mass", "labels-of-one-outcome"])
@@ -444,6 +451,33 @@ def test_check_dist_names_the_faulty_mass_or_labels(spec, dist, message, tmp_pat
     path = write_json(tmp_path, "d.json", dist)
     assert main(["check", "--model", model, "--dist", path]) == 2
     assert capsys.readouterr().err == f"error: {message.format(dist=path)}\n"
+
+
+@pytest.mark.parametrize("command", ["check-data", "check-dist", "test", "invert"])
+def test_label_that_is_not_a_number_on_numeric_outcomes_exit2(command, tmp_path, capsys):
+    # a search spec has no numeric field to grid, so invert grids a field it ignores
+    model = write_json(tmp_path, "search.json", dict(SEARCH_SPEC, params=dict(SEARCH_SPEC["params"], x=0)))
+    data = tmp_path / "data.csv"
+    data.write_text("y\n0.5\nhigh\n0.0\n")
+    dist = write_json(tmp_path, "p.json", {"support": ["0.5", "high"], "mass": [1, 1], "denominator": 2})
+    argv = {
+        "check-data": ["check", "--data", str(data)],
+        "check-dist": ["check", "--dist", dist],
+        "test": ["test", "--data", str(data), "--stat", "tn-halflines", "--B", "5"],
+        "invert": ["invert", "--data", str(data), "--stat", "tn-halflines", "--B", "5", "--grid", "x=0:0:1"],
+    }[command]
+    assert main(argv + ["--model", model]) == 2
+    assert capsys.readouterr().err == (
+        "error: the model's outcomes are numbers, and the label 'high' does not read as one\n")
+
+
+def test_label_beyond_a_double_on_numeric_outcomes_exit2(tmp_path, capsys):
+    model = write_json(tmp_path, "search.json", SEARCH_SPEC)
+    dist = tmp_path / "p.json"
+    dist.write_text('{"support": [0.5, 1%s], "mass": [1, 1], "denominator": 2}' % ("0" * 400))
+    assert main(["check", "--model", model, "--dist", str(dist)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: the model's outcomes are numbers, and the label {reprlib.repr(10**400)} does not read as one\n")
 
 
 @pytest.mark.parametrize("key", ["latent", "outcomes"])
@@ -473,6 +507,36 @@ def test_custom_spec_unhashable_label_exit2(tmp_path, capsys, where):
 
 CUSTOM_G = {"latent": ["u1", "u2"], "outcomes": ["a", "b"], "G": {"u1": ["a"], "u2": ["a", "b"]}}
 HALVES = {"support": ["u1", "u2"], "mass": [1, 1], "denominator": 2}
+
+
+def custom_spec(g=CUSTOM_G, nu=HALVES):
+    return {"model": "custom", "params": {"correspondence": g, "nu": nu}}
+
+
+@pytest.mark.parametrize("spec, dist, message", [
+    (custom_spec(), {"support": [1, "1"], "mass": [1, 1], "denominator": 2},
+     "{dist}: support, read as text, repeats the label '1'"),
+    (custom_spec({"latent": [1, "1"], "outcomes": ["a"], "G": {"1": ["a"]}}), None,
+     "{model}: field 'correspondence' of model 'custom': "
+     "correspondence 'latent', read as text, repeats the label '1'"),
+    (custom_spec({"latent": ["u", "v"], "outcomes": [1, "1"], "G": {"u": [1], "v": ["1"]}},
+                 {"support": ["u", "v"], "mass": [1, 1], "denominator": 2}), None,
+     "{model}: field 'correspondence' of model 'custom': "
+     "correspondence 'outcomes', read as text, repeats the label '1'"),
+    (custom_spec(nu={"support": ["u1", "u2", 2, "2"], "mass": [1, 1, 0, 0], "denominator": 2}), None,
+     "{model}: field 'nu' of model 'custom': support, read as text, repeats the label '2'"),
+    ({"model": "moment_inequality", "params": {"outcomes": [1, "1"], "phi": [[0.0], [1.0]], "grid": [[1.0]]}},
+     None, "moment_inequality 'outcomes', read as text, repeats the label '1'"),
+], ids=["dist-support", "custom-latent", "custom-outcomes", "custom-nu", "mi-outcomes"])
+def test_labels_sharing_a_text_exit2(spec, dist, message, tmp_path, capsys):
+    # a data line "1" could name the outcome 1 or "1", and no output could tell them apart
+    model = write_json(tmp_path, "spec.json", spec)
+    data = tmp_path / "data.csv"
+    data.write_text("y\n1\n1\n")
+    dist = dist and write_json(tmp_path, "p.json", dist)
+    assert main(["check", "--model", model] + (["--dist", dist] if dist else ["--data", str(data)])) == 2
+    assert capsys.readouterr().err == f"error: {message.format(model=model, dist=dist)}\n"
+
 
 
 @pytest.mark.parametrize("kind, key, value", [
@@ -903,7 +967,8 @@ def test_search_nan_alpha_exit2(tmp_path, capsys):
 
 
 def test_parse_grid_product_order():
-    pts = parse_grid("a=0:1:0.5,b=1:2:1")
+    names, pts = parse_grid("a=0:1:0.5,b=1:2:1")
+    assert names == ["a", "b"]
     assert pts == [
         {"a": 0.0, "b": 1.0},
         {"a": 0.0, "b": 2.0},
@@ -915,7 +980,7 @@ def test_parse_grid_product_order():
 
 
 def test_parse_grid_empty():
-    assert parse_grid("") == []
+    assert parse_grid("") == ([], [])
 
 
 @pytest.mark.parametrize(
@@ -998,7 +1063,7 @@ def test_invert_grid_axis_repeating_values_exit2(tmp_path):
 
 
 def test_parse_grid_at_the_guard():
-    assert len(parse_grid(f"a=0:{MAX_GRID_POINTS - 1}:1")) == MAX_GRID_POINTS
+    assert len(parse_grid(f"a=0:{MAX_GRID_POINTS - 1}:1")[1]) == MAX_GRID_POINTS
 
 
 def test_invert_single_point_matches_test(entry_model, tmp_path, capsys):
@@ -1040,7 +1105,7 @@ def test_invert_rows_match_test_at_each_point(tmp_path, capsys, spec, stat, coun
     assert main(["invert", "--model", model, *common, "--seed", "3", "--grid", grid]) == 0
     header, *rows = capsys.readouterr().out.splitlines()
     names = header.split(",")[:-2]
-    points = parse_grid(grid)
+    _, points = parse_grid(grid)
     seeds = np.random.SeedSequence(3).spawn(len(points))
     assert len(rows) == len(points)
     for row, pt, seed in zip(rows, points, seeds):

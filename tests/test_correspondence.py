@@ -364,6 +364,27 @@ def test_from_json_sorts_images():
     assert g.indices.tolist() == [0, 0, 1]
 
 
+class RepeatingMap(dict):
+    """A mapping whose iteration lists its first latent label twice."""
+
+    def __iter__(self):
+        keys = list(dict.__iter__(self))
+        return iter(keys + keys[:1])
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: Correspondence(("u", "u"), ("a",), [0, 1, 2], [0, 0]), "latent support repeats the label 'u'"),
+    (lambda: Correspondence(("u",), ("a", "b", "a"), [0, 1], [0]), "outcome support repeats the label 'a'"),
+    (lambda: Correspondence.from_map(RepeatingMap(u=["a"], v=["b"])), "latent support repeats the label 'u'"),
+    (lambda: Correspondence.from_map({"u": ["a"], "v": ["b"]}, outcome_support=["a", "b", "a"]),
+     "outcome support repeats the label 'a'"),
+], ids=["constructor-latent", "constructor-outcome", "from_map-latent", "from_map-outcome"])
+def test_repeated_labels_refused(build, message):
+    with pytest.raises(DuplicateLabel) as exc:
+        build()
+    assert str(exc.value) == message
+
+
 def test_solvers_never_read_the_dense_view_or_the_bitsets(monkeypatch):
     def fail(*args):
         raise AssertionError("a solver read a derived view of the correspondence")

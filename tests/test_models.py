@@ -176,6 +176,14 @@ def test_entry_game_needs_two_coordinates(columns):
         entry_game(-1.0, -1.0, grid=grid)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_latent_grid_refuses_non_finite_coordinates(bad):
+    nodes = ("a", "b")
+    with pytest.raises(BadParameters) as exc:
+        LatentGrid(nodes=nodes, coords=[[0.0, 1.0], [bad, 0.5]], weights=make_distribution(zip(nodes, [0.5, 0.5])))
+    assert str(exc.value) == f"grid coordinates must be finite, not {bad!r}"
+
+
 # --- search model -------------------------------------------------------------
 
 def search_instance():

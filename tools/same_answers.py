@@ -1,12 +1,23 @@
-"""Print what falsiflow answers on every operation of the four benchmark workloads.
+"""Print what falsiflow answers on every operation of the four benchmark workloads, and on a few more.
 
     python3 tools/same_answers.py --src PATH --seeds 1 2 3 901
 
 For each seed, the inputs of the workloads of ``bench/workloads.py`` are
 generated under a temporary directory; then falsiflow is imported from PATH, a
 ``src`` directory, and ``falsiflow.cli.main`` runs each operation in this
-process.  One line is printed per operation: workload, seed, index, exit code,
-and the sha256 of its --out file ("-" when it wrote none) and of its stderr.
+process.  Each workload's operations are followed by those of the sets below,
+which no workload runs, on the same inputs:
+
+- ``semi-test``: ``test --stat semi --B 2000 --format csv`` on the data and
+  seed of each ``semi-invert`` operation, and on its model at the grid's first
+  or last eta.  The CSV lists every replicate, so it shows a change of T or
+  lambda that invert's B = 2 hides;
+- ``entry-simulate`` and ``custom-simulate``: ``simulate --n 500`` under each
+  selection rule, on each ``entry-invert`` model and on the first
+  ``large-check`` model, a ``custom`` spec.
+
+One line is printed per operation: name, seed, index, exit code, and the
+sha256 of its --out file ("-" when it wrote none) and of its stderr.
 The temporary directory's path is replaced by "<work>" before hashing, so two
 source trees give the same answers when their printed lines are equal:
 
@@ -20,6 +31,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import json
 import sys
 import tempfile
 from pathlib import Path
@@ -29,10 +41,60 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 import workloads  # noqa: E402  (bench/workloads.py)
 
 
+#: ``simulate``'s selection rules, named here so that any source tree can be listed
+RULES = ("first", "uniform-random")
+
+
 def digest(text: str | None, work: str) -> str:
     if text is None:
         return "-"
     return hashlib.sha256(text.replace(work, "<work>").encode()).hexdigest()
+
+
+def flag(op, name: str) -> str:
+    return op.argv[op.argv.index(name) + 1]
+
+
+def extra_ops(name: str, ops: list, work: Path, seed: int) -> list:
+    """(name, argv, out) of the operations that ``ops``, workload ``name``'s, leave out."""
+    if name == "semi-invert":
+        extras = []
+        for k, op in enumerate(ops):
+            # at the grid's first or last eta, which lie outside the region the data are drawn
+            # from, T > 0; inside it T and every replicate are 0
+            spec = json.loads(Path(flag(op, "--model")).read_text())
+            spec["params"]["eta"] = workloads.SEMI_ETAS[0 if k % 2 == 0 else -1]
+            model = work / f"semi-test{k}.json"
+            model.write_text(json.dumps(spec))
+            out = work / f"semi-test{k}.out"
+            extras.append(("semi-test", ["test", "--model", str(model), "--data", flag(op, "--data"),
+                                         "--stat", "semi", "--B", "2000", "--format", "csv",
+                                         "--seed", flag(op, "--seed"), "--out", str(out)], out))
+        return extras
+    if name == "entry-invert":
+        label, models = "entry-simulate", dict.fromkeys(flag(op, "--model") for op in ops)
+    elif name == "large-check":
+        label, models = "custom-simulate", [flag(ops[0], "--model")]
+    else:
+        return []
+    return [(label, ["simulate", "--model", model, "--n", "500", "--rule", rule, "--seed", str(seed),
+                     "--out", str(work / f"simulate{k}-{rule}.csv")],
+             work / f"simulate{k}-{rule}.csv")
+            for k, model in enumerate(models) for rule in RULES]
+
+
+def run(cli, argv: list[str], out: Path, work: Path) -> tuple:
+    """``cli.main(argv)``'s exit code, and the digests of ``out`` and of its stderr."""
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse refused the flags
+            code = exc.code
+        except Exception as exc:  # an escaped traceback is an answer too
+            code = type(exc).__name__
+    text = out.read_text() if out.exists() else None
+    return code, digest(text, str(work)), digest(stderr.getvalue(), str(work))
 
 
 def main() -> int:
@@ -52,17 +114,11 @@ def main() -> int:
         for seed in args.seeds:
             for name in workloads.WORKLOADS:
                 work = Path(tmp) / f"{name}-{seed}"
-                for k, op in enumerate(workloads.generate(name, seed, work)):
-                    stderr = io.StringIO()
-                    with contextlib.redirect_stderr(stderr):
-                        try:
-                            code = cli.main(op.argv)
-                        except SystemExit as exc:  # argparse refused the flags
-                            code = exc.code
-                        except Exception as exc:  # an escaped traceback is an answer too
-                            code = type(exc).__name__
-                    out = op.out.read_text() if op.out.exists() else None
-                    print(name, seed, k, code, digest(out, str(work)), digest(stderr.getvalue(), str(work)))
+                ops = workloads.generate(name, seed, work)
+                for k, op in enumerate(ops):
+                    print(name, seed, k, *run(cli, op.argv, op.out, work))
+                for k, (extra, argv, out) in enumerate(extra_ops(name, ops, work, seed)):
+                    print(extra, seed, k, *run(cli, argv, out, work))
     return 0
 
 
