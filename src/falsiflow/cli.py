@@ -15,6 +15,7 @@ import math
 import reprlib
 import sys
 from collections import Counter
+from dataclasses import replace
 from json.encoder import encode_basestring_ascii as quote
 
 import numpy as np
@@ -25,7 +26,7 @@ from .errors import DuplicateLabel, EmptyData, FalsiflowError
 from .inference import bootstrap_pvalue, tally
 from .measure import FiniteDistribution, empirical, is_real, json_labels
 from .semiparametric import SemiparametricModel, maximize_dual
-from .transport import solve_zero_one
+from .transport import TransportResult, solve_zero_one
 
 EXIT_COMPATIBLE = 0
 EXIT_INCOMPATIBLE = 1
@@ -131,7 +132,7 @@ def build_model(spec: dict, origin: str = "<spec>", grids: dict | None = None):
             )
         if kind == "moment_inequality":
             return models.moment_inequality_model(
-                json_labels(params["outcomes"], "moment_inequality 'outcomes'"),
+                parsed("outcomes", lambda v: json_labels(v, "outcomes"), params["outcomes"]),
                 field("phi", _matrix, _MATRIX), field("grid", _matrix, _MATRIX),
             )
         if kind == "example4":
@@ -183,36 +184,43 @@ def write_output(text: str, out: str | None):
 
 
 def render_json(obj: dict) -> str:
-    """``json.dumps(obj, sort_keys=True, indent=2) + "\\n"``.
+    """The JSON report of a command: ``obj``, keys sorted, indented by 2."""
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
-    The rows of a top-level "plan", which ``TransportResult.to_json`` makes
-    ``[str, str, int]``, are formatted here in that layout: ``indent`` selects
-    json's pure-Python encoder, which spent most of a large check on them.
+
+def render_transport(result: TransportResult) -> str:
+    """``render_json(result.to_json())``, with the plan's rows written from the
+    result's arrays: ``indent`` selects json's pure-Python encoder, which spent
+    most of a large check on them.  Each label is quoted once, and all rows
+    come from one %-template over the interleaved row fields.
     """
-    plan = obj.get("plan")
-    if not plan:
-        return json.dumps(obj, sort_keys=True, indent=2) + "\n"
-    text = json.dumps(dict(obj, plan=[]), sort_keys=True, indent=2) + "\n"
+    none = result.plan_mass[:0]
+    text = render_json(replace(result, plan_latent=none, plan_outcome=none, plan_mass=none).to_json())
     # the only line that starts so: strings hold no raw newline, nested keys sit deeper
     head, _, tail = text.partition('\n  "plan": []')
-    rows = ",\n".join(
-        f"    [\n      {quote(u)},\n      {quote(y)},\n      {int.__repr__(m)}\n    ]"
-        for u, y, m in plan
-    )
-    return f'{head}\n  "plan": [\n{rows}\n  ]{tail}'
+    latents = list(map(quote, map(str, result.latent_support)))
+    outcomes = list(map(quote, map(str, result.outcome_support)))
+    fields = [None] * (3 * len(result.plan_mass))
+    fields[0::3] = map(latents.__getitem__, result.plan_latent.tolist())
+    fields[1::3] = map(outcomes.__getitem__, result.plan_outcome.tolist())
+    fields[2::3] = result.plan_mass.tolist()
+    row = "    [\n      %s,\n      %s,\n      %d\n    ]"  # as render_json lays out a plan row
+    rows = ",\n".join([row] * len(result.plan_mass)) % tuple(fields)
+    return f'{head}\n  "plan": [\n{rows}\n  ]{tail}' if rows else text
 
 
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
 
-def _canonical_labels(labels, outcome_support) -> dict:
-    """Read distinct file labels, which are text, the way the model labels its
-    outcomes: {label: the outcome it reads as}, in the order of ``labels``.
+def _canonical_labels(labels, outcome_support, path: str) -> dict:
+    """Read distinct labels of the file ``path``, which are text, the way the model
+    labels its outcomes: {label: the outcome it reads as}, in the order of ``labels``.
 
     When every outcome is a real number, every label is read with float(), so
     "0.50" is the outcome 0.5; a label that float() refuses is named, and NaN
-    is refused once all are read.  Otherwise labels match by text.
+    is refused once all are read; both errors name the file.  Otherwise labels
+    match by text.
     Labels with no match are kept, so they count against the model.
     """
     if all(map(is_real, outcome_support)):
@@ -221,20 +229,20 @@ def _canonical_labels(labels, outcome_support) -> dict:
             try:
                 read[lab] = float(lab)
             except (ValueError, OverflowError):  # OverflowError: an int beyond a double's range
-                raise FalsiflowError(f"the model's outcomes are numbers, and the label "
+                raise FalsiflowError(f"{path}: the model's outcomes are numbers, and the label "
                                      f"{reprlib.repr(lab)} does not read as one") from None
         if any(v != v for v in read.values()):
-            raise FalsiflowError("the model's outcomes are numbers, and a label is NaN")
+            raise FalsiflowError(f"{path}: the model's outcomes are numbers, and a label is NaN")
         return read
     by_text = {str(y): y for y in outcome_support}
     return {lab: by_text.get(str(lab), lab) for lab in labels}
 
 
-def _canonical_counts(counts: Counter, outcome_support) -> Counter:
-    """``counts`` of file labels as counts of the outcomes they read as: labels
-    that read as one outcome, such as "0.5" and "0.50", add their counts."""
+def _canonical_counts(counts: Counter, outcome_support, path: str) -> Counter:
+    """``counts`` of the labels of the file ``path`` as counts of the outcomes they read
+    as: labels that read as one outcome, such as "0.5" and "0.50", add their counts."""
     merged = Counter()
-    for lab, y in _canonical_labels(counts, outcome_support).items():
+    for lab, y in _canonical_labels(counts, outcome_support, path).items():
         merged[y] += counts[lab]
     return merged
 
@@ -242,7 +250,7 @@ def _canonical_counts(counts: Counter, outcome_support) -> Counter:
 def _target_distribution(args, outcome_support) -> FiniteDistribution:
     if args.dist:
         p = load_distribution(args.dist)
-        read = _canonical_labels(p.support, outcome_support)
+        read = _canonical_labels(p.support, outcome_support, args.dist)
         first = {}
         for lab, y in read.items():
             if y in first:
@@ -251,7 +259,7 @@ def _target_distribution(args, outcome_support) -> FiniteDistribution:
             first[y] = lab
         return FiniteDistribution(tuple(read.values()), p.numerators)
     if args.data:
-        return empirical(_canonical_counts(load_data(args.data), outcome_support))
+        return empirical(_canonical_counts(load_data(args.data), outcome_support, args.data))
     raise FalsiflowError("either --dist or --data is required")
 
 
@@ -261,7 +269,7 @@ def cmd_check(args) -> int:
     g = model.correspondence if semi else model[0]
     p = _target_distribution(args, g.outcome_support)
     result = maximize_dual(model, p) if semi else solve_zero_one(p, model[1], g)
-    write_output(render_json(result.to_json()), args.out)
+    write_output(render_json(result.to_json()) if semi else render_transport(result), args.out)
     return EXIT_COMPATIBLE if result.compatible else EXIT_INCOMPATIBLE
 
 
@@ -282,7 +290,7 @@ def cmd_test(args) -> int:
     model = load_model_spec(args.model)
     data = load_data(args.data)
     model, outcome_support = _tested_model(model, args.stat)
-    counts = _canonical_counts(data, outcome_support)
+    counts = _canonical_counts(data, outcome_support, args.data)
     # the CSV audit lists every replicate; the JSON report shows only p
     report = bootstrap_pvalue(counts, model, args.stat, args.B, args.seed,
                               replicates=args.format == "csv")
@@ -375,7 +383,7 @@ def cmd_invert(args) -> int:
         local = dict(spec, params=dict(params, **pt))
         model, outcome_support = _tested_model(build_model(local, args.model, grids), args.stat)
         if outcome_support not in samples:
-            samples[outcome_support] = tally(_canonical_counts(data, outcome_support))
+            samples[outcome_support] = tally(_canonical_counts(data, outcome_support, args.data))
         pv = bootstrap_pvalue(samples[outcome_support], model, args.stat, args.B,
                               int(seed.generate_state(1)[0]), replicates=False).pvalue
         accepted = pv >= args.alpha

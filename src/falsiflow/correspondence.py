@@ -124,14 +124,14 @@ class Correspondence:
             raise SupportMismatch("correspondence 'G' must map each latent label to a list of outcomes")
         latents = obj["latent"]
         try:
-            lists = [images[u] for u in latents]
+            lists = list(map(images.__getitem__, latents))
         except KeyError:
             u = next(u for u in latents if u not in images)
             why = "" if isinstance(u, str) else (
                 "; JSON object keys are text, so 'G' cannot key a numeric label")
             raise SupportMismatch(
                 f"correspondence 'G' has no entry for the latent label {u!r}{why}") from None
-        if not (all(type(ys) is list for ys in lists)
+        if not (set(map(type, lists)) <= {list}
                 and set(map(type, itertools.chain.from_iterable(lists))) <= JSON_LABEL_TYPES):
             for ys in lists:  # names the first offending list or label
                 json_labels(ys, "correspondence 'G'", distinct=False)

@@ -98,14 +98,17 @@ class FiniteDistribution:
         masses = json_field(obj, "mass", "distribution")
         if not isinstance(masses, list):
             raise BadMass(f"mass {masses!r} must be a list of numbers")
-        if not set(map(type, masses)) <= {int, float}:
+        types = set(map(type, masses))
+        if not types <= {int, float}:
             for m in masses:
                 if isinstance(m, bool) or not isinstance(m, (int, float)):
                     raise BadMass(f"mass {m!r} is not a number")
         support = json_labels(json_field(obj, "support", "distribution"), "support")
         if denom == DENOMINATOR:
-            # one pass, as large specs list thousands of masses; a mass that is
-            # not finite is named before one that is negative or fractional
+            if types <= {int} and min(masses, default=0) >= 0:  # the numerators as given
+                return FiniteDistribution(tuple(support), tuple(masses))
+            # the loop names the offending mass; one that is not finite is named
+            # before one that is negative or fractional
             numerators, bad = [], []
             for m in masses:
                 try:

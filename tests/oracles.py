@@ -17,6 +17,11 @@ columns (``semiparametric.maximize_dual``).  Here the paper's transport LP
 and its dual are written out densely on every latent, unscaled, and solved
 with scipy's ``linprog`` (``primal_lp_oracle``, ``dual_lp_oracle``).
 
+``min_cut_oracle`` is the max flow's earlier read-out, kept as the reference
+for the one the package does on the flow's CSR arrays: the residual graph as
+scipy.sparse arithmetic (``net - flow > 0``) and the plan as the flow matrix
+indexed at each admissible pair.
+
 It also keeps the total variation distance, which the identity
 correspondence reduces the transport value to, a direct sampler of a finite
 distribution, and ``mass_rows``, which lays distributions out as the rows
@@ -33,9 +38,9 @@ from typing import Iterator, Sequence
 import numpy as np
 from scipy.optimize import linprog
 
-from falsiflow.correspondence import Correspondence, ascending, max_halfline_deficiency_fp
+from falsiflow.correspondence import Correspondence, ascending, capacity_fp, max_halfline_deficiency_fp
 from falsiflow.errors import FalsiflowError, SupportMismatch
-from falsiflow.measure import DENOMINATOR, FiniteDistribution, Label
+from falsiflow.measure import DENOMINATOR, FiniteDistribution, Label, align
 from falsiflow.models import simulate
 
 #: Guard on exhaustive subset enumeration.
@@ -260,6 +265,49 @@ def core_deficiency_bruteforce(
         witness_bits=bits,
         witness=g.labels_of(bits),
     )
+
+
+def min_cut_oracle(
+    p: FiniteDistribution, nu: FiniteDistribution, g: Correspondence
+) -> tuple[int, tuple[Label, ...], int, tuple[tuple[Label, Label, int], ...]]:
+    """(primal_fp, witness, witness_capacity_fp, plan) of the zero-one transport,
+    read off scipy's max flow with sparse arithmetic: the witness is the set of
+    outcomes that a breadth-first search of ``net - flow > 0`` does not reach,
+    and the plan lists (latent, outcome, fixed-point mass) latent-major, read
+    as ``flow[rows, cols]``."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import breadth_first_order, maximum_flow
+
+    g = g.extend_outcomes(p.support)
+    p = align(p, g.outcome_support)
+    n_u, n_y, n_arcs = len(nu), len(p), len(g.indices)
+    source, sink = 0, 1 + n_u + n_y
+    heads = np.concatenate([1 + np.arange(n_u), 1 + n_u + g.indices, np.full(n_y, sink)])
+    indptr = np.concatenate([[0], n_u + g.indptr, n_u + n_arcs + np.arange(1, n_y + 1), [len(heads)]])
+    caps = np.concatenate([nu.numerators, np.full(n_arcs, DENOMINATOR), p.numerators])
+    net = csr_matrix((caps.astype(np.int32), heads.astype(np.int32), indptr.astype(np.int32)),
+                     shape=(sink + 1, sink + 1))
+
+    result = maximum_flow(net, source, sink, method="dinic")
+    flow = result.flow
+    primal_fp = DENOMINATOR - int(result.flow_value)
+
+    cut = np.zeros(sink + 1, dtype=bool)
+    if primal_fp:
+        cut[1 + n_u : sink] = True
+        cut[breadth_first_order(net - flow > 0, source, return_predecessors=False)] = False
+    cut = cut[1 + n_u : sink]
+    witness = tuple(map(g.outcome_support.__getitem__, np.flatnonzero(cut).tolist()))
+
+    latent = np.repeat(np.arange(n_u), np.diff(g.indptr))
+    sent = np.asarray(flow[1 + latent, 1 + n_u + g.indices]).ravel()
+    used = np.flatnonzero(sent > 0)
+    plan = tuple(zip(
+        map(nu.support.__getitem__, latent[used].tolist()),
+        map(p.support.__getitem__, g.indices[used].tolist()),
+        sent[used].tolist(),
+    ))
+    return primal_fp, witness, capacity_fp(g, nu, witness), plan
 
 
 def enumerate_selections(g: Correspondence) -> Iterator[dict[Label, Label]]:

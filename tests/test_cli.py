@@ -395,11 +395,11 @@ def listed_sample(path, outcome_support, count):
             try:
                 float(lab)
             except ValueError:
-                raise FalsiflowError(f"the model's outcomes are numbers, and the label {lab!r} "
+                raise FalsiflowError(f"{path}: the model's outcomes are numbers, and the label {lab!r} "
                                      "does not read as one") from None
         labels = [float(lab) for lab in labels]
         if any(v != v for v in labels):
-            raise FalsiflowError("the model's outcomes are numbers, and a label is NaN")
+            raise FalsiflowError(f"{path}: the model's outcomes are numbers, and a label is NaN")
     else:
         by_text = {str(y): y for y in outcome_support}
         labels = [by_text.get(lab, lab) for lab in labels]
@@ -428,7 +428,7 @@ def test_data_counted_once_as_text_matches_the_listed_labels(text, spec, tmp_pat
     g, _ = build_model(spec)
     support = g.outcome_support
     for count in (inference.tally, empirical):
-        got = outcome_or_error(lambda: count(_canonical_counts(load_data(str(path)), support)))
+        got = outcome_or_error(lambda: count(_canonical_counts(load_data(str(path)), support, str(path))))
         want = outcome_or_error(lambda: listed_sample(str(path), support, count))
         if isinstance(want, inference.Sample):
             assert got.n == want.n and got.p_n == want.p_n and got.support == want.support
@@ -468,7 +468,8 @@ def test_label_that_is_not_a_number_on_numeric_outcomes_exit2(command, tmp_path,
     }[command]
     assert main(argv + ["--model", model]) == 2
     assert capsys.readouterr().err == (
-        "error: the model's outcomes are numbers, and the label 'high' does not read as one\n")
+        f"error: {dist if command == 'check-dist' else data}: the model's outcomes are numbers, "
+        "and the label 'high' does not read as one\n")
 
 
 def test_label_beyond_a_double_on_numeric_outcomes_exit2(tmp_path, capsys):
@@ -477,7 +478,8 @@ def test_label_beyond_a_double_on_numeric_outcomes_exit2(tmp_path, capsys):
     dist.write_text('{"support": [0.5, 1%s], "mass": [1, 1], "denominator": 2}' % ("0" * 400))
     assert main(["check", "--model", model, "--dist", str(dist)]) == 2
     assert capsys.readouterr().err == (
-        f"error: the model's outcomes are numbers, and the label {reprlib.repr(10**400)} does not read as one\n")
+        f"error: {dist}: the model's outcomes are numbers, and the label {reprlib.repr(10**400)} "
+        "does not read as one\n")
 
 
 @pytest.mark.parametrize("key", ["latent", "outcomes"])
@@ -526,7 +528,8 @@ def custom_spec(g=CUSTOM_G, nu=HALVES):
     (custom_spec(nu={"support": ["u1", "u2", 2, "2"], "mass": [1, 1, 0, 0], "denominator": 2}), None,
      "{model}: field 'nu' of model 'custom': support, read as text, repeats the label '2'"),
     ({"model": "moment_inequality", "params": {"outcomes": [1, "1"], "phi": [[0.0], [1.0]], "grid": [[1.0]]}},
-     None, "moment_inequality 'outcomes', read as text, repeats the label '1'"),
+     None, "{model}: field 'outcomes' of model 'moment_inequality': "
+     "outcomes, read as text, repeats the label '1'"),
 ], ids=["dist-support", "custom-latent", "custom-outcomes", "custom-nu", "mi-outcomes"])
 def test_labels_sharing_a_text_exit2(spec, dist, message, tmp_path, capsys):
     # a data line "1" could name the outcome 1 or "1", and no output could tell them apart
@@ -669,7 +672,8 @@ def test_distribution_or_labels_of_wrong_type_exit2(where, tmp_path, capsys):
     assert main(["check", "--model", model, "--dist", dist]) == 2
     err = capsys.readouterr().err
     if where == "mi-outcomes":
-        assert "'outcomes' 2 must be a list of labels" in err
+        assert err == (f"error: {model}: field 'outcomes' of model 'moment_inequality': "
+                       "outcomes 2 must be a list of labels\n")
     else:
         assert "a distribution must be a JSON object with 'support' and 'mass', not a list" in err
 

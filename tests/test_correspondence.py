@@ -426,5 +426,5 @@ def test_check_at_scale_stays_within_memory():
     finally:
         tracemalloc.stop()
     assert len(g.indices) > 2.9 * 10**5
-    assert sum(m for _, _, m in result.plan) == DENOMINATOR - result.primal_fp
+    assert int(result.plan_mass.sum()) == DENOMINATOR - result.primal_fp
     assert peak < 100 * 2**20

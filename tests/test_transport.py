@@ -1,7 +1,11 @@
+import argparse
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from falsiflow.cli import _target_distribution, load_model_spec, main, render_transport
 from falsiflow.correspondence import Correspondence, capacity_fp
 from falsiflow.errors import SupportMismatch
 from falsiflow.measure import (
@@ -12,7 +16,7 @@ from falsiflow.measure import (
 )
 from falsiflow.models import line_network_game
 from falsiflow.transport import solve_zero_one
-from oracles import core_deficiency_bruteforce, from_bitsets, outcomes_of, total_variation_fp
+from oracles import core_deficiency_bruteforce, from_bitsets, min_cut_oracle, outcomes_of, total_variation_fp
 
 
 def entry_instance():
@@ -56,13 +60,19 @@ def random_instance(rng, n_y, n_u):
     return g, rand_dist(g.latent_support), rand_dist(g.outcome_support)
 
 
+def plan_rows(res):
+    """The plan as (latent, outcome, fixed-point mass) rows of labels."""
+    return [(res.latent_support[j], res.outcome_support[i], m) for j, i, m
+            in zip(res.plan_latent.tolist(), res.plan_outcome.tolist(), res.plan_mass.tolist())]
+
+
 def test_identity_uniform():
     g = Correspondence.from_map({"a": ["a"], "b": ["b"]})
     u = make_distribution([("a", 0.5), ("b", 0.5)])
     res = solve_zero_one(u, u, g)
     assert res.primal_fp == 0
     assert res.witness == ()
-    assert res.plan == (("a", "a", DENOMINATOR // 2), ("b", "b", DENOMINATOR // 2))
+    assert plan_rows(res) == [("a", "a", DENOMINATOR // 2), ("b", "b", DENOMINATOR // 2)]
 
 
 def test_entry_compatible_split():
@@ -71,7 +81,7 @@ def test_entry_compatible_split():
     res = solve_zero_one(p, nu, g)
     assert res.primal_fp == 0
     # the 0.4 multiplicity mass splits 0.2 / 0.2
-    mid = {(u, y): m for u, y, m in res.plan if u == "mid"}
+    mid = {(u, y): m for u, y, m in plan_rows(res) if u == "mid"}
     assert mid[("mid", "(0,1)")] == DENOMINATOR // 5
     assert mid[("mid", "(1,0)")] == DENOMINATOR // 5
 
@@ -93,7 +103,7 @@ def test_plan_marginals_and_adjacency():
     res = solve_zero_one(p, nu, g)
     by_u = {u: 0 for u in g.latent_support}
     by_y = {y: 0 for y in g.outcome_support}
-    for u, y, m in res.plan:
+    for u, y, m in plan_rows(res):
         assert y in outcomes_of(g, u)
         by_u[u] += m
         by_y[y] += m
@@ -101,7 +111,7 @@ def test_plan_marginals_and_adjacency():
         assert by_u[u] <= nu.numerator(u)
     for y in g.outcome_support:
         assert by_y[y] <= p.numerator(y)
-    assert sum(m for _, _, m in res.plan) == DENOMINATOR - res.primal_fp
+    assert sum(m for _, _, m in plan_rows(res)) == DENOMINATOR - res.primal_fp
 
 
 def test_unseen_outcome_counts_against_model():
@@ -109,7 +119,7 @@ def test_unseen_outcome_counts_against_model():
     res = solve_zero_one(make_distribution([("x", 1.0)]), nu, g)
     assert res.primal_value == 1.0
     assert res.witness == ("x",)
-    assert res.plan == ()
+    assert plan_rows(res) == []
     with pytest.raises(SupportMismatch):
         solve_zero_one(make_distribution([("x", 1.0)]), make_distribution([("v", 1.0)]), g)
 
@@ -229,3 +239,75 @@ def test_primal_matches_bruteforce(seed):
     rng = np.random.default_rng(seed)
     g, nu, p = random_instance(rng, int(rng.integers(1, 9)), int(rng.integers(1, 9)))
     assert solve_zero_one(p, nu, g).primal_fp == core_deficiency_bruteforce(g, nu, p).value_fp
+
+
+#: Labels that JSON must escape (quote, backslash, control characters, non-ASCII)
+ESCAPED = ['u"q', "b\\s", "n\nl", "c\x01t", "é", "€ 😀", "\x7f", "\t"]
+#: Numeric outcome labels: the CLI reads every label of P as a number
+NUMERIC = [0.1, 1e-07, 3, 0, -2, 2.5, 10**12, 1e300]
+
+
+def fixed_point_with_zeros(rng, k):
+    """k fixed-point numerators summing to DENOMINATOR, about a third of them 0."""
+    weights = rng.integers(1, 1000, size=k) * (rng.random(k) < 0.67)
+    weights[rng.integers(k)] += 1
+    numers = weights * DENOMINATOR // weights.sum()
+    numers[np.argmax(numers)] += DENOMINATOR - numers.sum()
+    return numers.tolist()
+
+
+def random_check_files(rng, k, tmp_path):
+    """A custom spec and a --dist file: escaped or numeric labels, zero masses,
+    P labels the correspondence does not list, and a compatible P, a falsified
+    one or one on unlisted labels only (an empty plan)."""
+    n_u, n_y = int(rng.integers(1, 7)), int(rng.integers(1, 6))
+    latents = [f"{ESCAPED[j % len(ESCAPED)]}{j}" for j in range(n_u)]
+    pool = NUMERIC if k % 3 == 0 else ESCAPED + [f"y{i}" for i in range(len(NUMERIC))]
+    labels = [pool[i] for i in rng.permutation(len(pool))[: n_y + 2]]
+    outcomes, unlisted = labels[:n_y], labels[n_y:]
+    images = [sorted(rng.permutation(n_y)[: rng.integers(1, n_y + 1)].tolist()) for _ in latents]
+    nu = fixed_point_with_zeros(rng, n_u)
+    kind = k % 4
+    if kind == 0:  # the image of nu under a selection: compatible
+        support = outcomes
+        mass = np.bincount([rng.choice(im) for im in images], weights=nu, minlength=n_y)
+        mass = mass.astype(np.int64).tolist()
+    elif kind == 3:  # unlisted labels only: all mass against the model
+        support, mass = unlisted, fixed_point_with_zeros(rng, len(unlisted))
+    else:
+        support = [y for y in outcomes if rng.random() < 0.7] + unlisted[: rng.integers(3)]
+        support = support or outcomes
+        mass = fixed_point_with_zeros(rng, len(support))
+    spec = tmp_path / f"spec{k}.json"
+    spec.write_text(json.dumps({"model": "custom", "params": {
+        "correspondence": {"latent": latents, "outcomes": outcomes,
+                           "G": {u: [outcomes[i] for i in im] for u, im in zip(latents, images)}},
+        "nu": {"support": latents, "mass": nu}}}))
+    dist = tmp_path / f"p{k}.json"
+    dist.write_text(json.dumps({"support": [support[i] for i in rng.permutation(len(support))],
+                                "mass": mass}))
+    return str(spec), str(dist)
+
+
+def test_arrays_witness_and_check_bytes_match_min_cut_oracle(tmp_path):
+    """The flow read off its CSR arrays against the sparse-arithmetic read-out
+    of ``min_cut_oracle``, and ``check``'s bytes against ``json.dumps``."""
+    rng = np.random.default_rng(29)
+    kinds = {"compatible": 0, "falsified": 0, "empty plan": 0}
+    for k in range(300):
+        spec, dist = random_check_files(rng, k, tmp_path)
+        g, nu = load_model_spec(spec)
+        p = _target_distribution(argparse.Namespace(dist=dist, data=None), g.outcome_support)
+        res = solve_zero_one(p, nu, g)
+        primal_fp, witness, witness_capacity_fp, plan = min_cut_oracle(p, nu, g)
+        assert (res.primal_fp, res.witness, res.witness_capacity_fp) == (primal_fp, witness,
+                                                                           witness_capacity_fp)
+        assert plan_rows(res) == list(plan)
+        assert res.plan_mass.dtype == np.int64 and (res.plan_mass > 0).all()
+        report = json.dumps(res.to_json(), sort_keys=True, indent=2) + "\n"
+        assert render_transport(res) == report
+        out = tmp_path / "out.json"
+        assert main(["check", "--model", spec, "--dist", dist, "--out", str(out)]) == (primal_fp > 0)
+        assert out.read_text() == report
+        kinds["empty plan" if not plan else "falsified" if primal_fp else "compatible"] += 1
+    assert min(kinds.values()) >= 30, kinds

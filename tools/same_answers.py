@@ -12,6 +12,12 @@ which no workload runs, on the same inputs:
   seed of each ``semi-invert`` operation, and on its model at the grid's first
   or last eta.  The CSV lists every replicate, so it shows a change of T or
   lambda that invert's B = 2 hides;
+- ``custom-escape``: ``check --dist`` on the first ``large-check`` instance
+  with every label rewritten to need JSON escaping (a quote, a backslash, a
+  control character and non-ASCII text), once with its own, compatible P and
+  once with P's first label moved to one the model does not list, which
+  falsifies it.  The workloads' labels are ASCII, so only this set shows the
+  quoting of ``check``'s output;
 - ``entry-simulate`` and ``custom-simulate``: ``simulate --n 500`` under each
   selection rule, on each ``entry-invert`` model and on the first
   ``large-check`` model, a ``custom`` spec.
@@ -34,6 +40,7 @@ import io
 import json
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
@@ -43,6 +50,9 @@ import workloads  # noqa: E402  (bench/workloads.py)
 
 #: ``simulate``'s selection rules, named here so that any source tree can be listed
 RULES = ("first", "uniform-random")
+
+#: Appended to every label of the ``custom-escape`` checks
+ESCAPE = ' "q\\\x01é😀'
 
 
 def digest(text: str | None, work: str) -> str:
@@ -77,10 +87,33 @@ def extra_ops(name: str, ops: list, work: Path, seed: int) -> list:
         label, models = "custom-simulate", [flag(ops[0], "--model")]
     else:
         return []
-    return [(label, ["simulate", "--model", model, "--n", "500", "--rule", rule, "--seed", str(seed),
-                     "--out", str(work / f"simulate{k}-{rule}.csv")],
-             work / f"simulate{k}-{rule}.csv")
-            for k, model in enumerate(models) for rule in RULES]
+    simulations = [(label, ["simulate", "--model", model, "--n", "500", "--rule", rule, "--seed", str(seed),
+                            "--out", str(work / f"simulate{k}-{rule}.csv")],
+                    work / f"simulate{k}-{rule}.csv")
+                   for k, model in enumerate(models) for rule in RULES]
+    return (escaped_checks(ops[0], work) if name == "large-check" else []) + simulations
+
+
+def escaped_checks(op, work: Path) -> list:
+    """(name, argv, out) of the two ``custom-escape`` checks on ``op``'s instance."""
+    spec = json.loads(Path(flag(op, "--model")).read_text())
+    g, nu = spec["params"]["correspondence"], spec["params"]["nu"]
+    g["latent"] = nu["support"] = [u + ESCAPE for u in g["latent"]]
+    g["outcomes"] = [y + ESCAPE for y in g["outcomes"]]
+    g["G"] = {u + ESCAPE: [y + ESCAPE for y in ys] for u, ys in g["G"].items()}
+    model = work / "escape.json"
+    model.write_text(json.dumps(spec))
+    p = json.loads(Path(flag(op, "--dist")).read_text())
+    p["support"] = [y + ESCAPE for y in p["support"]]
+    extras = []
+    for k in range(2):
+        if k:  # its mass now sits on a label the model does not list
+            p["support"][0] = "unlisted" + ESCAPE
+        dist, out = work / f"escape{k}-p.json", work / f"escape{k}.out"
+        dist.write_text(json.dumps(p))
+        extras.append(("custom-escape", ["check", "--model", str(model), "--dist", str(dist),
+                                         "--out", str(out)], out))
+    return extras
 
 
 def run(cli, argv: list[str], out: Path, work: Path) -> tuple:
@@ -117,8 +150,10 @@ def main() -> int:
                 ops = workloads.generate(name, seed, work)
                 for k, op in enumerate(ops):
                     print(name, seed, k, *run(cli, op.argv, op.out, work))
-                for k, (extra, argv, out) in enumerate(extra_ops(name, ops, work, seed)):
-                    print(extra, seed, k, *run(cli, argv, out, work))
+                index = Counter()  # each set numbers its own operations
+                for extra, argv, out in extra_ops(name, ops, work, seed):
+                    print(extra, seed, index[extra], *run(cli, argv, out, work))
+                    index[extra] += 1
     return 0
 
 
