@@ -24,7 +24,7 @@ from . import models
 from .correspondence import Correspondence
 from .errors import DuplicateLabel, EmptyData, FalsiflowError
 from .inference import bootstrap_pvalue, tally
-from .measure import FiniteDistribution, empirical, is_real, json_labels
+from .measure import FiniteDistribution, empirical, is_real, json_labels, refuse_repeats
 from .semiparametric import SemiparametricModel, maximize_dual
 from .transport import TransportResult, solve_zero_one
 
@@ -131,8 +131,10 @@ def build_model(spec: dict, origin: str = "<spec>", grids: dict | None = None):
                                    "a list of numbers", None),
             )
         if kind == "moment_inequality":
+            # the outcomes' repeats are refused here too, so that the error names the field
             return models.moment_inequality_model(
-                parsed("outcomes", lambda v: json_labels(v, "outcomes"), params["outcomes"]),
+                parsed("outcomes", lambda v: refuse_repeats(json_labels(v, "outcomes"), "outcomes"),
+                       params["outcomes"]),
                 field("phi", _matrix, _MATRIX), field("grid", _matrix, _MATRIX),
             )
         if kind == "example4":

@@ -198,6 +198,9 @@ def _compute(kind, data, model):
     """The parametric statistic ``kind`` on ``data``; ``model`` as in :func:`bootstrap_pvalue`."""
     if kind not in ("tv-core", "tn-halflines"):
         raise SupportMismatch(f"unknown statistic kind {kind!r}")
+    if isinstance(model, SemiparametricModel):
+        raise SupportMismatch(f"statistic kind {kind!r} needs a (nu, correspondence) pair, "
+                              "not a SemiparametricModel")
     nu, g = model
     return (statistic_tv_core if kind == "tv-core" else statistic_tn_halflines)(data, nu, g)
 
@@ -292,7 +295,13 @@ def bootstrap_pvalue(
         raise SupportMismatch("B must be at least 1")
     if B > 2**32:
         raise SupportMismatch("B must be at most 2**32, one spawn-key word per replicate")
-    observed = None if statistic_kind == "semi" else _compute(statistic_kind, sample, model)
+    if statistic_kind != "semi":
+        observed = _compute(statistic_kind, sample, model)
+    elif isinstance(model, SemiparametricModel):
+        observed = None
+    else:
+        raise SupportMismatch("statistic kind 'semi' needs a SemiparametricModel, "
+                              f"not a {type(model).__name__}")
     if not replicates and observed is not None and observed.value == 0:
         return replace(observed, pvalue=1.0, B=B, seed=seed, replicates=())
 

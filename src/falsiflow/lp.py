@@ -7,7 +7,7 @@ solved by the dual simplex method of HiGHS through the bindings scipy ships,
 ``scipy.optimize._highspy._core``: the one private scipy module ``src/``
 imports, and only here.  It is loaded from its file, because importing it by
 name runs the ``scipy.optimize`` package init, which costs every start-up
-about 0.3 s and of which nothing here is used.  Nothing here imports
+about 0.4 s and of which nothing here is used.  Nothing here imports
 ``scipy.sparse`` either (about 0.2 s more).  :func:`solve` returns only an
 optimum, whose x it checks for primal feasibility at :data:`TOLERANCE`, with
 its duals and basis but not HiGHS's objective value; every other outcome

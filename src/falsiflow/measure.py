@@ -4,8 +4,8 @@ Masses are stored as 64-bit integer numerators over the fixed denominator
 ``DENOMINATOR`` = 10**9.  This makes compatibility verdicts (module
 ``transport``) exact integer comparisons instead of float-tolerance calls.
 
-The label rules live here too: :func:`refuse_repeats` is the one check on
-repeated labels, and :func:`json_labels` reads a label list from a JSON file.
+The label rules live here too: :func:`refuse_repeats` is the records' check on
+repeated labels, and :func:`json_labels` refuses two JSON labels sharing a text.
 """
 
 from __future__ import annotations
@@ -128,11 +128,13 @@ class FiniteDistribution:
         return make_distribution(zip(support, (m / denom for m in masses)))
 
 
-def refuse_repeats(labels: Sequence[Label], what: str):
-    """Raise :class:`DuplicateLabel` naming the first label that ``labels`` repeats."""
+def refuse_repeats(labels: Sequence[Label], what: str) -> Sequence[Label]:
+    """Raise :class:`DuplicateLabel` naming the first label that ``labels`` repeats;
+    else return ``labels``."""
     if len(set(labels)) != len(labels):
         repeated = next(y for y, count in Counter(labels).items() if count > 1)
         raise DuplicateLabel(f"{what} repeats the label {repeated!r}")
+    return labels
 
 
 def json_field(obj: dict, key: str, what: str):
@@ -146,9 +148,9 @@ def json_field(obj: dict, key: str, what: str):
 
 def json_labels(labels, where: str, distinct: bool = True) -> list:
     """``labels`` read from a JSON file, checked to be a list of strings and numbers;
-    ``where`` names the list in the error.  Unless ``distinct`` is false, two equal
-    labels are refused, and so are two with the same text, such as 1 and "1": files
-    and outputs carry labels as text, so nothing could tell those two apart."""
+    ``where`` names the list in the error.  Unless ``distinct`` is false, two labels
+    with one text, such as 1 and "1", are refused, since files and outputs carry
+    labels as text; equal labels are left to the record built from the list."""
     if not isinstance(labels, list):
         raise SupportMismatch(f"{where} {labels!r} must be a list of labels")
     types = set(map(type, labels))
@@ -156,10 +158,9 @@ def json_labels(labels, where: str, distinct: bool = True) -> list:
         for y in labels:
             if isinstance(y, bool) or not isinstance(y, (str, int, float)):
                 raise SupportMismatch(f"{where} label {y!r} is not a string or number")
-    if distinct:
-        refuse_repeats(labels, where)
-        if types != {str}:  # a number may share its text with a string, and NaN with NaN
-            refuse_repeats(list(map(str, labels)), f"{where}, read as text,")
+    # two numbers share no text unless equal, and JSON gives back one NaN object
+    if distinct and str in types and len(types) > 1:
+        refuse_repeats(list(map(str, labels)), f"{where}, read as text,")
     return labels
 
 

@@ -24,8 +24,7 @@ from .errors import (
     NotMonotone,
     SupportMismatch,
 )
-from .measure import (DENOMINATOR, FiniteDistribution, Label, _round_preserving_sum, make_distribution,
-                      refuse_repeats)
+from .measure import DENOMINATOR, FiniteDistribution, Label, _round_preserving_sum, make_distribution
 from .semiparametric import SemiparametricModel
 
 #: Dummy outcome standing in for an empty image; always carries P-mass zero.
@@ -231,7 +230,6 @@ def binary_response_pilot(
             raise GridTooCoarse(f"epsilon grid has no node with {what}")
 
     texts = [_fmt(e) for e in eps]
-    refuse_repeats(texts, "epsilon grid")
     latents = tuple(f"({x},{t})" for x in (-1, 1) for t in texts)
     x, e = np.repeat([-1, 1], eps.size), np.tile(eps, 2)
     # Z = 1{x + eps <= 0}; outcome (z, x) sits at index 2z + 1{x = 1} of PILOT_OUTCOMES
@@ -273,14 +271,12 @@ def moment_inequality_model(
     _refuse_non_finite("phi", phi)
     _refuse_non_finite("grid", grid)
 
-    refuse_repeats(outcomes, "outcome list")
     dominated = (grid[:, None, :] >= phi[None]).all(axis=2)  # [node, outcome]
     covered = dominated.any(axis=0)
     if not covered.all():
         missing = [outcomes[k] for k in np.flatnonzero(~covered)]
         raise GridTooCoarse(f"no grid node dominates the phi values of outcomes {missing}")
     nodes = [tuple_label(*row) if row.size > 1 else _fmt(row[0]) for row in grid]
-    refuse_repeats(nodes, "latent grid")
     # a node dominating no outcome admits the slack outcome, the last one
     admits = np.column_stack([dominated, ~dominated.any(axis=1)])
     indptr = np.concatenate([[0], np.cumsum(admits.sum(axis=1))])

@@ -231,6 +231,9 @@ def _primal_matrix(n_y: int, moments: np.ndarray) -> tuple[lp.CscMatrix, np.ndar
     outcome-marginal row per outcome, then one moment row per moment, scaled
     to unit sup-norm.  The right-hand side is the outcome masses followed by
     one 0 per moment, and the cost is the cost matrix flattened row-major.
+    The scaling keeps a model's small moments from reading as zero: HiGHS
+    accepts a row residual up to its feasibility tolerance, 1e-7, so an
+    unscaled moment row of about 1e-12 would hold for almost any coupling.
     """
     d, n_c = moments.shape
     scales = np.abs(moments).max(axis=1, initial=0.0)

@@ -13,12 +13,12 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 import falsiflow
-from falsiflow import inference, models, semiparametric, transport
+from falsiflow import correspondence, inference, measure, models, semiparametric, transport
 from falsiflow.cli import (MAX_GRID_POINTS, _canonical_counts, build_model, load_data, main,
                            parse_grid, render_json)
 from falsiflow.correspondence import Correspondence
 from falsiflow.errors import EmptyData, FalsiflowError, SupportMismatch
-from falsiflow.measure import FiniteDistribution, empirical
+from falsiflow.measure import FiniteDistribution, empirical, refuse_repeats
 
 
 ENTRY_SPEC = {"model": "entry_game", "params": {"delta1": -1.0, "delta2": -1.0}}
@@ -540,6 +540,38 @@ def test_labels_sharing_a_text_exit2(spec, dist, message, tmp_path, capsys):
     assert main(["check", "--model", model] + (["--dist", dist] if dist else ["--data", str(data)])) == 2
     assert capsys.readouterr().err == f"error: {message.format(model=model, dist=dist)}\n"
 
+
+def test_custom_spec_labels_reach_the_repeat_check_once(tmp_path, capsys, monkeypatch):
+    # the records refuse a repeated label; json_labels, which reads the lists, leaves it to them
+    checked = []
+
+    def counting(labels, what):
+        checked.append((tuple(labels), what))
+        return refuse_repeats(labels, what)
+
+    monkeypatch.setattr(measure, "refuse_repeats", counting)
+    monkeypatch.setattr(correspondence, "refuse_repeats", counting)
+    spec = write_json(tmp_path, "custom.json", custom_spec())
+    dist = write_json(tmp_path, "p.json", {"support": ["a"], "mass": [1], "denominator": 1})
+    assert main(["check", "--model", spec, "--dist", dist]) == 0
+    assert [what for labels, what in checked if labels == ("u1", "u2")] == ["latent support", "support"]
+
+
+def test_distribution_with_a_repeat_and_a_negative_mass_names_the_mass(tmp_path, capsys):
+    # the record, built after the masses are read, is what refuses the repeat
+    spec = write_json(tmp_path, "custom.json", custom_spec())
+    dist = write_json(tmp_path, "p.json", {"support": ["a", "a"], "mass": [-1, 2], "denominator": 1})
+    assert main(["check", "--model", spec, "--dist", dist]) == 2
+    assert capsys.readouterr().err == f"error: {dist}: negative mass in [-1.0, 2.0]\n"
+
+
+def test_moment_inequality_repeated_outcome_names_the_field(tmp_path, capsys):
+    spec = write_json(tmp_path, "mi.json", {"model": "moment_inequality", "params": {
+        "outcomes": ["a", "a"], "phi": [[0.0], [1.0]], "grid": [[1.0]]}})
+    dist = write_json(tmp_path, "p.json", {"support": ["a"], "mass": [1], "denominator": 1})
+    assert main(["check", "--model", spec, "--dist", dist]) == 2
+    assert capsys.readouterr().err == (f"error: {spec}: field 'outcomes' of model 'moment_inequality': "
+                                       "outcomes repeats the label 'a'\n")
 
 
 @pytest.mark.parametrize("kind, key, value", [

@@ -347,8 +347,8 @@ SPEC = {"latent": ["u1", "u2"], "outcomes": ["a", "b"], "G": {"u1": ["a"], "u2":
     ({"latent": ["u1", 2], "G": {"u1": ["a"], "2": ["b"]}}, SupportMismatch,
      "correspondence 'G' has no entry for the latent label 2; "
      "JSON object keys are text, so 'G' cannot key a numeric label"),
-    ({"latent": ["u1", "u2", "u1"]}, DuplicateLabel, "correspondence 'latent' repeats the label 'u1'"),
-    ({"outcomes": ["a", "b", "b"]}, DuplicateLabel, "correspondence 'outcomes' repeats the label 'b'"),
+    ({"latent": ["u1", "u2", "u1"]}, DuplicateLabel, "latent support repeats the label 'u1'"),
+    ({"outcomes": ["a", "b", "b"]}, DuplicateLabel, "outcome support repeats the label 'b'"),
     ({"G": ["a"]}, SupportMismatch, "correspondence 'G' must map each latent label to a list of outcomes"),
 ], ids=["unknown-outcome", "label-type", "bool-label", "image-not-list", "empty-image",
         "missing-entry", "numeric-latent", "duplicate-latent", "duplicate-outcome", "G-not-object"])

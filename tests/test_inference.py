@@ -212,6 +212,22 @@ def test_bootstrap_semiparametric_kind():
     assert rep.pvalue > 0.05
 
 
+@pytest.mark.parametrize("kind, semi, message", [
+    ("semi", False, "statistic kind 'semi' needs a SemiparametricModel, not a tuple"),
+    ("tv-core", True,
+     "statistic kind 'tv-core' needs a (nu, correspondence) pair, not a SemiparametricModel"),
+    ("tn-halflines", True,
+     "statistic kind 'tn-halflines' needs a (nu, correspondence) pair, not a SemiparametricModel"),
+    ("dual", True, "unknown statistic kind 'dual'"),
+], ids=["semi-on-pair", "tv-core-on-semi", "tn-halflines-on-semi", "unknown-kind"])
+def test_bootstrap_refuses_a_model_of_the_other_kind(kind, semi, message):
+    g, nu = entry_instance()
+    model = binary_response_pilot(0.5) if semi else (nu, g)
+    with pytest.raises(SupportMismatch) as exc:
+        bootstrap_pvalue(["(0,0)", "(1,1)"], model, kind, B=5, seed=1)
+    assert str(exc.value) == message
+
+
 def test_bootstrap_semi_batch_matches_one_at_a_time_with_unknown_label():
     # "(2,1)" lies outside the model's outcome support, so it counts against
     # the model in every resample that draws it

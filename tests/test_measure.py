@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import re
 
@@ -217,6 +218,16 @@ def test_from_json_default_denominator_takes_whole_masses():
     # a mass that is not finite is named before a negative one
     with pytest.raises(BadMass, match="^mass inf is not a finite number$"):
         FiniteDistribution.from_json({"support": ["a", "b"], "mass": [-0.5, math.inf]})
+
+
+@pytest.mark.parametrize("support, label", [("[1, 1]", "1"), ("[1, 1.0]", "1"), ("[NaN, NaN]", "nan")],
+                         ids=["ints", "int-and-float", "nans"])
+def test_from_json_repeated_numbers_keep_their_text(support, label):
+    # only a string and a number can share a text without being equal, so the
+    # record refuses these, by the text json_labels would have given them
+    obj = json.loads(f'{{"support": {support}, "mass": [1, 1], "denominator": 2}}')
+    with pytest.raises(DuplicateLabel, match=f"^support repeats the label {label}$"):
+        FiniteDistribution.from_json(obj)
 
 
 @pytest.mark.parametrize("denominator", [0, -4, "4", None, True, math.nan, math.inf])

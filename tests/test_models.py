@@ -274,7 +274,7 @@ def test_pilot_grid_too_coarse():
 def test_pilot_repeated_node_refused():
     # nodes are told apart by their labels, eps formatted to 12 significant digits
     for grid in ([-1.5, -0.5, -0.5, 0.5, 1.5], [-1.5, -0.5, -0.5 + 1e-14, 0.5, 1.5]):
-        with pytest.raises(DuplicateLabel, match=r"^epsilon grid repeats the label '-0\.5'$"):
+        with pytest.raises(DuplicateLabel, match=r"^latent support repeats the label '\(-1,-0\.5\)'$"):
             binary_response_pilot(0.5, epsilon_grid=grid)
 
 
@@ -351,9 +351,9 @@ def test_moment_inequality_matches_its_per_node_definition():
 
 
 def test_moment_inequality_repeated_labels_refused():
-    with pytest.raises(DuplicateLabel, match=r"^latent grid repeats the label '0'$"):
+    with pytest.raises(DuplicateLabel, match=r"^latent support repeats the label '0'$"):
         moment_inequality_model(["a"], [[0.0]], [[-1.0], [0.0], [0.0], [1.0]])
-    with pytest.raises(DuplicateLabel, match=r"^outcome list repeats the label 'a'$"):
+    with pytest.raises(DuplicateLabel, match=r"^outcome support repeats the label 'a'$"):
         moment_inequality_model(["a", "a"], [[0.0], [0.5]], [[-1.0], [1.0]])
 
 

@@ -21,10 +21,11 @@ def test_lists_every_workload_operation_of_one_seed(tmp_path):
     )
     assert child.returncode == 0, child.stderr
     lines = [line.split() for line in child.stdout.splitlines()]
-    assert len(lines) == 69
+    assert len(lines) == 78
     assert all(len(fields) == 6 and fields[1] == "1" for fields in lines)
     assert Counter(fields[0] for fields in lines) == {
         "semi-invert": 12, "entry-invert": 8, "large-check": 19, "ordered-test": 12,
-        "semi-test": 12, "custom-escape": 2, "entry-simulate": 2, "custom-simulate": 2}
+        "semi-test": 12, "custom-escape": 2, "entry-simulate": 2, "custom-simulate": 2,
+        "load-errors": 9}
     # the inputs went to a temporary directory, not into the checkout
     assert not list(tmp_path.iterdir()) and bench_work() == before

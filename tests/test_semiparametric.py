@@ -94,6 +94,16 @@ def test_incompatible_pilot_matches_primal():
     assert abs(cert.T - value) <= 1e-5
 
 
+@pytest.mark.parametrize("scales", [(1e-12, 1e-12), (1e-6, 1e-6), (1e6, 1e6), (1e-12, 1), (1, 1e6)])
+def test_moment_row_scale_leaves_T(scales):
+    # T = (1/2)[(0.6 - 0.3) + 0] = 0.15; a moment row of about 1e-12 sits below HiGHS's
+    # feasibility tolerance, so without _primal_matrix's row scaling it would read as 0
+    pilot = binary_response_pilot(0.3)
+    model = SemiparametricModel(pilot.correspondence, pilot.moments * np.array(scales)[:, None])
+    cert = maximize_dual(model, aligned(model, pilot_distribution(0.6, 0.6)))
+    assert cert.T == pytest.approx(0.15, abs=1e-9)
+
+
 def test_example4_T(pilot_half):
     model, p = example4_instance(100)
     cert = maximize_dual(model, p)

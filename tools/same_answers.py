@@ -22,6 +22,10 @@ which no workload runs, on the same inputs:
   selection rule, on each ``entry-invert`` model and on the first
   ``large-check`` model, a ``custom`` spec.
 
+After the workloads of each seed, the ``load-errors`` set runs ``check`` on
+small malformed inputs of its own (:data:`LOAD_ERRORS`), each an input error
+whose stderr shows which check refused it and in what words.
+
 One line is printed per operation: name, seed, index, exit code, and the
 sha256 of its --out file ("-" when it wrote none) and of its stderr.
 The temporary directory's path is replaced by "<work>" before hashing, so two
@@ -53,6 +57,30 @@ RULES = ("first", "uniform-random")
 
 #: Appended to every label of the ``custom-escape`` checks
 ESCAPE = ' "q\\\x01é😀'
+
+#: The parts of the valid specs and distribution the ``load-errors`` set spoils
+CUSTOM_G = {"latent": ["u1", "u2"], "outcomes": ["a", "b"], "G": {"u1": ["a"], "u2": ["a", "b"]}}
+HALVES = {"support": ["u1", "u2"], "mass": [1, 1], "denominator": 2}
+MOMENT_INEQUALITY = {"outcomes": ["a", "b"], "phi": [[0.0], [1.0]], "grid": [[-1.0], [2.0]]}
+P = {"support": ["a"], "mass": [1], "denominator": 1}
+
+
+def custom(g=CUSTOM_G, nu=HALVES) -> dict:
+    return {"model": "custom", "params": {"correspondence": g, "nu": nu}}
+
+
+#: The ``load-errors`` set: (model spec, distribution) pairs, each malformed in one place
+LOAD_ERRORS = [
+    (custom(dict(CUSTOM_G, latent=["u1", "u2", "u1"])), P),
+    (custom(dict(CUSTOM_G, outcomes=["a", "b", "b"])), P),
+    (custom(nu={"support": ["u1", "u1"], "mass": [1, 1], "denominator": 2}), P),
+    (custom(), {"support": ["a", "a"], "mass": [1, 1], "denominator": 2}),
+    (custom(), {"support": ["a", "a"], "mass": [-1, 2], "denominator": 1}),
+    (custom(), {"support": [1, "1"], "mass": [1, 1], "denominator": 2}),
+    ({"model": "pilot", "params": {"eta": 0.5, "epsilon_grid": [-1.5, -0.5, -0.5, 0.5, 1.5]}}, P),
+    ({"model": "moment_inequality", "params": dict(MOMENT_INEQUALITY, outcomes=["a", "a"])}, P),
+    ({"model": "moment_inequality", "params": dict(MOMENT_INEQUALITY, grid=[[-1.0], [2.0], [2.0]])}, P),
+]
 
 
 def digest(text: str | None, work: str) -> str:
@@ -116,6 +144,18 @@ def escaped_checks(op, work: Path) -> list:
     return extras
 
 
+def load_errors(work: Path) -> list:
+    """(argv, out) of the ``load-errors`` checks, their inputs written under ``work``."""
+    work.mkdir(parents=True)
+    checks = []
+    for k, (spec, p) in enumerate(LOAD_ERRORS):
+        model, dist = work / f"error{k}.json", work / f"error{k}-p.json"
+        model.write_text(json.dumps(spec))
+        dist.write_text(json.dumps(p))
+        checks.append((["check", "--model", str(model), "--dist", str(dist)], work / f"error{k}.out"))
+    return checks
+
+
 def run(cli, argv: list[str], out: Path, work: Path) -> tuple:
     """``cli.main(argv)``'s exit code, and the digests of ``out`` and of its stderr."""
     stderr = io.StringIO()
@@ -154,6 +194,9 @@ def main() -> int:
                 for extra, argv, out in extra_ops(name, ops, work, seed):
                     print(extra, seed, index[extra], *run(cli, argv, out, work))
                     index[extra] += 1
+            work = Path(tmp) / f"load-errors-{seed}"
+            for k, (argv, out) in enumerate(load_errors(work)):
+                print("load-errors", seed, k, *run(cli, argv, out, work))
     return 0
 
 
