@@ -109,42 +109,52 @@ def build_model(spec: dict, origin: str = "<spec>", grids: dict | None = None):
         except FalsiflowError as exc:
             raise type(exc)(f"{origin}: field {key!r} of model {kind!r}: {exc}") from exc
 
+    def built(builder, *args, **kwargs):
+        """``builder(*args, **kwargs)``, with the file and the model named in its errors;
+        the arguments are read before the call, so their errors name their field alone."""
+        try:
+            return builder(*args, **kwargs)
+        except FalsiflowError as exc:
+            raise type(exc)(f"{origin}: model {kind!r}: {exc}") from exc
+
     try:
         if kind == "line_network":
-            return models.line_network_game(field("masses", _reals, "a list of numbers"))
+            return built(models.line_network_game, field("masses", _reals, "a list of numbers"))
         if kind == "entry_game":
             delta1, delta2 = field("delta1", is_real, "a number"), field("delta2", is_real, "a number")
-            resolution = field("resolution", _count, "a positive integer", 40)
+            resolution = field("resolution", _count, "a positive integer", models.ENTRY_RESOLUTION)
             # entry_game's own grid, built only where entry_game would build it:
             # past its check on the deltas
             if all(-math.inf < d < 0 for d in (delta1, delta2)) and resolution not in grids:
-                grids[resolution] = models.uniform_grid_2d(-2.0, 2.0, resolution)
-            return models.entry_game(delta1, delta2, grids.get(resolution), resolution)
+                grids[resolution] = models.uniform_grid_2d(resolution)
+            return built(models.entry_game, delta1, delta2, grids.get(resolution))
         if kind == "search":
             nu = parsed("nu", FiniteDistribution.from_json, params["nu"])
             alpha = field("alpha", _alpha_table, "a list of [latent label, number] pairs")
-            return models.search_game([(lab, val) for lab, val in alpha], nu)
+            return built(models.search_game, [(lab, val) for lab, val in alpha], nu)
         if kind == "pilot":
-            return models.binary_response_pilot(
+            return built(
+                models.binary_response_pilot,
                 field("eta", is_real, "a number"),
                 epsilon_grid=field("epsilon_grid", lambda v: v is None or _reals(v),
                                    "a list of numbers", None),
             )
         if kind == "moment_inequality":
             # the outcomes' repeats are refused here too, so that the error names the field
-            return models.moment_inequality_model(
+            return built(
+                models.moment_inequality_model,
                 parsed("outcomes", lambda v: refuse_repeats(json_labels(v, "outcomes"), "outcomes"),
                        params["outcomes"]),
                 field("phi", _matrix, _MATRIX), field("grid", _matrix, _MATRIX),
             )
         if kind == "example4":
-            model, _ = models.example4_instance(field("M", is_real, "a number"))
+            model, _ = built(models.example4_instance, field("M", is_real, "a number"))
             return model
         if kind == "custom":
             g = parsed("correspondence", Correspondence.from_json,
                        field("correspondence", lambda v: isinstance(v, dict), "a JSON object"))
             if "moments" in params:
-                return SemiparametricModel(g, field("moments", _matrix, _MATRIX))
+                return built(SemiparametricModel, g, field("moments", _matrix, _MATRIX))
             return g, parsed("nu", FiniteDistribution.from_json, params["nu"])
     except KeyError as exc:
         raise FalsiflowError(f"{origin}: model {kind!r} is missing field {exc.args[0]!r}") from exc

@@ -67,9 +67,6 @@ class Correspondence:
                 and np.array_equal(self.indptr, other.indptr)
                 and np.array_equal(self.indices, other.indices))
 
-    def __hash__(self):
-        return hash((self.latent_support, self.outcome_support, self.indices.tobytes()))
-
     @staticmethod
     def from_map(
         mapping: Mapping[Label, Sequence[Label]],

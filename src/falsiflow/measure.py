@@ -130,9 +130,10 @@ class FiniteDistribution:
 
 def refuse_repeats(labels: Sequence[Label], what: str) -> Sequence[Label]:
     """Raise :class:`DuplicateLabel` naming the first label that ``labels`` repeats;
-    else return ``labels``."""
-    if len(set(labels)) != len(labels):
-        repeated = next(y for y, count in Counter(labels).items() if count > 1)
+    else return ``labels``.  Every NaN is one label, though a set keeps each NaN object."""
+    if len(set(labels)) != len(labels) or len([y for y in labels if y != y]) > 1:
+        counts = Counter(y if y == y else math.nan for y in labels)
+        repeated = next(y for y, count in counts.items() if count > 1)
         raise DuplicateLabel(f"{what} repeats the label {repeated!r}")
     return labels
 

@@ -32,6 +32,8 @@ SLACK_OUTCOME = "__slack__"
 
 #: Default node count per epsilon dimension (odd, so a node sits at 0).
 DEFAULT_NODES = 41
+#: Bounds of each coordinate of :func:`uniform_grid_2d`'s square.
+GRID_BOUNDS = (-2.0, 2.0)
 
 
 def _fmt(v) -> str:
@@ -71,18 +73,17 @@ class LatentGrid:
             raise SupportMismatch("grid weights must live on the grid nodes")
 
 
-def uniform_grid_2d(lo: float, hi: float, cells: int) -> LatentGrid:
-    """Cell-midpoint discretization of [lo, hi]^2 with equal cell masses.
+def uniform_grid_2d(cells: int) -> LatentGrid:
+    """Cell-midpoint discretization of the square GRID_BOUNDS^2 with equal cell masses.
 
     Midpoints make region masses of axis-aligned rectangles exact area ratios.
-    Nodes run over the first coordinate, then the second; each midpoint is
-    formatted once and the node labels are "(a,b)" pairs of those texts.
+    Nodes, labelled 0, 1, ..., run over the first coordinate, then the second.
     """
+    lo, hi = GRID_BOUNDS
     step = (hi - lo) / cells
     mids = lo + step * (np.arange(cells) + 0.5)
     coords = np.column_stack([np.repeat(mids, cells), np.tile(mids, cells)])
-    texts = [_fmt(m) for m in mids]
-    nodes = tuple(f"({a},{b})" for a in texts for b in texts)
+    nodes = tuple(range(cells * cells))
     equal = _round_preserving_sum(np.full(len(nodes), 1.0 / len(nodes))).tolist()
     weights = FiniteDistribution(nodes, tuple(equal))
     return LatentGrid(nodes=nodes, coords=coords, weights=weights)
@@ -119,41 +120,30 @@ def line_network_game(
 
 
 ENTRY_OUTCOMES = ("(0,0)", "(0,1)", "(1,0)", "(1,1)")
-
-
-def entry_equilibria(delta1: float, delta2: float, eps1: float, eps2: float) -> tuple[str, ...]:
-    """Pure-strategy Nash equilibria of the two-firm entry game at one profit shifter."""
-    eqs = []
-    for y1 in (0, 1):
-        for y2 in (0, 1):
-            if y1 == int(delta2 * y2 + eps1 >= 0) and y2 == int(delta1 * y1 + eps2 >= 0):
-                eqs.append(tuple_label(y1, y2))
-    return tuple(eqs)
+#: Cells per coordinate of the entry game's default grid.
+ENTRY_RESOLUTION = 40
 
 
 def entry_game(
-    delta1: float,
-    delta2: float,
-    grid: LatentGrid | None = None,
-    resolution: int = 40,
+    delta1: float, delta2: float, grid: LatentGrid | None = None
 ) -> tuple[Correspondence, FiniteDistribution]:
-    """Two-firm entry game: regions of the profit-shifter grid, aggregated by
-    equilibrium set, with the grid mass of each region as its latent weight.
+    """Two-firm entry game: regions of the profit-shifter grid, by default
+    ``uniform_grid_2d(ENTRY_RESOLUTION)``, aggregated by equilibrium set and weighted
+    by their grid mass.  (y1, y2) is an equilibrium at the shifters (e1, e2) when
+    y1 = 1{delta2 * y2 + e1 >= 0} and y2 = 1{delta1 * y1 + e2 >= 0}.
 
-    The best-response test of :func:`entry_equilibria` runs on all grid nodes
-    at once.  Each node gets a 4-bit code whose bit i marks ENTRY_OUTCOMES[i]
-    as an equilibrium; the set bits of that code are the region's outcome
-    indices.  Region masses are exact int64 sums of the node numerators per
-    code, and regions are ordered by their outcome indices.  No code is 0: for
-    delta_i < 0 neither best response rises with the other's entry, so their
-    composition, a non-decreasing map of {0, 1} into itself, has a fixed point.
+    Bit i of a node's 4-bit code marks ENTRY_OUTCOMES[i] as an equilibrium there, so the
+    set bits are the region's outcome indices.  Region masses are exact int64 sums of
+    the node numerators per code, and regions are ordered by their outcome indices.  No
+    code is 0: for delta_i < 0 neither best response rises with the other's entry, so
+    their composition, a non-decreasing map of {0, 1} into itself, has a fixed point.
     """
     _refuse_non_finite("delta1", delta1)
     _refuse_non_finite("delta2", delta2)
     if not (delta1 < 0 and delta2 < 0):
         raise BadParameters("monopoly profits must exceed duopoly profits (delta_i < 0)")
     if grid is None:
-        grid = uniform_grid_2d(-2.0, 2.0, resolution)
+        grid = uniform_grid_2d(ENTRY_RESOLUTION)
     if grid.coords.shape[1] != 2:
         raise BadParameters("the latent grid must have two coordinates per node")
 
@@ -337,8 +327,6 @@ def simulate(
         raise BadRule(f"unknown selection rule {rule!r}")
     if nu.support != g.latent_support:
         raise SupportMismatch("nu must live on the latent support of the correspondence")
-    if n == 0:
-        return []
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     cum = np.cumsum(nu.numerators)
     draws = rng.integers(0, DENOMINATOR, size=n)

@@ -22,6 +22,9 @@ for the one the package does on the flow's CSR arrays: the residual graph as
 scipy.sparse arithmetic (``net - flow > 0``) and the plan as the flow matrix
 indexed at each admissible pair.
 
+``entry_equilibria`` is the entry game's best-response rule at one node, the
+reference for the vectorized test in ``models.entry_game``.
+
 It also keeps the total variation distance, which the identity
 correspondence reduces the transport value to, a direct sampler of a finite
 distribution, and ``mass_rows``, which lays distributions out as the rows
@@ -41,7 +44,7 @@ from scipy.optimize import linprog
 from falsiflow.correspondence import Correspondence, ascending, capacity_fp, max_halfline_deficiency_fp
 from falsiflow.errors import FalsiflowError, SupportMismatch
 from falsiflow.measure import DENOMINATOR, FiniteDistribution, Label, align
-from falsiflow.models import simulate
+from falsiflow.models import simulate, tuple_label
 
 #: Guard on exhaustive subset enumeration.
 BRUTEFORCE_MAX_OUTCOMES = 20
@@ -64,6 +67,17 @@ def from_bitsets(latents: Sequence[Label], outcomes: Sequence[Label], images: Se
         {u: [y for i, y in enumerate(outcomes) if bits >> i & 1] for u, bits in zip(latents, images)},
         outcome_support=outcomes,
     )
+
+
+def entry_equilibria(delta1: float, delta2: float, eps1: float, eps2: float) -> tuple[str, ...]:
+    """Pure-strategy Nash equilibria of the two-firm entry game at one profit shifter,
+    the rule ``models.entry_game`` tests on every grid node at once."""
+    eqs = []
+    for y1 in (0, 1):
+        for y2 in (0, 1):
+            if y1 == int(delta2 * y2 + eps1 >= 0) and y2 == int(delta1 * y1 + eps2 >= 0):
+                eqs.append(tuple_label(y1, y2))
+    return tuple(eqs)
 
 
 def outcomes_of(g: Correspondence, u: Label) -> tuple[Label, ...]:

@@ -664,14 +664,35 @@ def test_non_finite_spec_number_exit2(family, path, value, tmp_path, capsys):
 def test_non_finite_model_parameter_is_named(model, field, value, message):
     path = next(p for p in NUMERIC_FIELDS[model][1] if p[0] == field)
     params = numeric_params(model, path, value)
-    with pytest.raises(FalsiflowError, match=f"^{re.escape(message)}$"):
+    with pytest.raises(FalsiflowError, match=f"^{re.escape(f'<spec>: model {model!r}: {message}')}$"):
         build_model({"model": model, "params": params})
 
 
 def test_example4_refuses_m_below_2():
-    with pytest.raises(FalsiflowError, match="^M must be a finite number >= 2, not 1.5$"):
+    with pytest.raises(FalsiflowError, match="^<spec>: model 'example4': M must be a finite number >= 2, not 1.5$"):
         build_model({"model": "example4", "params": {"M": 1.5}})
     assert build_model({"model": "example4", "params": {"M": 2.5}}).moments.tolist() == [[1.0, -1.5]]
+
+
+@pytest.mark.parametrize("kind, params, message", [
+    ("line_network", {"masses": [0.5, 0.5]}, "exactly 4 region masses required"),
+    ("entry_game", {"delta1": 0.5, "delta2": -1.0},
+     "monopoly profits must exceed duopoly profits (delta_i < 0)"),
+    ("search", {"nu": HALVES, "alpha": [["u1", 0.8], ["u2", 0.5]]},
+     "alpha must be strictly increasing on the grid"),
+    ("pilot", {"eta": 0.5, "epsilon_grid": [-1.5, -0.5, -0.5, 0.5, 1.5]},
+     "latent support repeats the label '(-1,-0.5)'"),
+    ("moment_inequality", {"outcomes": ["a", "b"], "phi": [[0.0], [1.0]], "grid": [[-1.0], [2.0], [2.0]]},
+     "latent support repeats the label '2'"),
+    ("example4", {"M": 1.5}, "M must be a finite number >= 2, not 1.5"),
+    ("custom", {"correspondence": CUSTOM_G, "moments": [[1.0, -1.0, 0.0]]},
+     "moment matrix has 3 columns, expected 2 (one per latent node)"),
+])
+def test_model_builder_error_names_file_and_model(kind, params, message, tmp_path, capsys):
+    spec = write_json(tmp_path, "spec.json", {"model": kind, "params": params})
+    dist = write_json(tmp_path, "p.json", {"support": ["a"], "mass": [1], "denominator": 1})
+    assert main(["check", "--model", spec, "--dist", dist]) == 2
+    assert capsys.readouterr().err == f"error: {spec}: model {kind!r}: {message}\n"
 
 
 @pytest.mark.parametrize("kind, key, params", [

@@ -230,6 +230,18 @@ def test_from_json_repeated_numbers_keep_their_text(support, label):
         FiniteDistribution.from_json(obj)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: make_distribution([(float("nan"), 0.5), ("a", 0.25), (float("nan"), 0.25)]),
+    lambda: FiniteDistribution((float("nan"), np.float64("nan")), (1, DENOMINATOR - 1)),
+], ids=["make_distribution", "FiniteDistribution"])
+def test_second_nan_label_is_a_repeat(build):
+    # two NaN objects are unequal, so a set keeps both; they are one label all the same
+    with pytest.raises(DuplicateLabel) as exc:
+        build()
+    assert str(exc.value) == "support repeats the label nan"
+    assert make_distribution([(float("nan"), 0.5), ("a", 0.5)]).numerators == (500000000, 500000000)
+
+
 @pytest.mark.parametrize("denominator", [0, -4, "4", None, True, math.nan, math.inf])
 def test_from_json_rejects_bad_denominators(denominator):
     with pytest.raises(BadDenominator):

@@ -16,7 +16,6 @@ from falsiflow.models import (
     SLACK_OUTCOME,
     LatentGrid,
     binary_response_pilot,
-    entry_equilibria,
     entry_game,
     example4_instance,
     line_network_game,
@@ -30,6 +29,7 @@ from falsiflow.semiparametric import maximize_dual
 from falsiflow.transport import solve_zero_one
 from oracles import (
     core_deficiency_bruteforce,
+    entry_equilibria,
     interval_deficiency,
     outcomes_of,
     primal_lp_oracle,
@@ -90,12 +90,12 @@ def test_entry_game_multiplicity_mass_exact():
 
 @pytest.mark.parametrize("cells", [1, 3, 7, 50])
 def test_uniform_grid_weights_equal_make_distribution(cells):
-    grid = uniform_grid_2d(-2.0, 2.0, cells)
+    grid = uniform_grid_2d(cells)
     assert grid.weights == make_distribution((u, 1.0 / len(grid.nodes)) for u in grid.nodes)
 
 
 def test_entry_game_regions_partition_grid():
-    grid = uniform_grid_2d(-2.0, 2.0, 10)
+    grid = uniform_grid_2d(10)
     _, nu = entry_game(-0.5, -1.5, grid=grid)
     assert sum(nu.numerators) == DENOMINATOR
 
@@ -135,20 +135,20 @@ def entry_game_per_node(delta1, delta2, grid):
      (120, -1.0, -1.0)],
 )
 def test_entry_game_matches_per_node_reference(resolution, delta1, delta2):
-    grid = uniform_grid_2d(-2.0, 2.0, resolution)
-    assert entry_game(delta1, delta2, resolution=resolution) == entry_game_per_node(delta1, delta2, grid)
+    grid = uniform_grid_2d(resolution)
+    assert entry_game(delta1, delta2, grid) == entry_game_per_node(delta1, delta2, grid)
 
 
 def test_uniform_grid_rounding_residual_on_first_node():
     # 10**9 / 14400 rounds to 69444; the 6400 left over go to node 0
-    grid = uniform_grid_2d(-2.0, 2.0, 120)
+    grid = uniform_grid_2d(120)
     assert grid.weights.numerators[:2] == (69444 + 6400, 69444)
 
 
 def test_entry_game_best_response_ties_on_midpoints():
     # delta = -(a midpoint) puts a best-response boundary exactly on grid
     # nodes, where the >= of the best-response test decides
-    grid = uniform_grid_2d(-2.0, 2.0, 10)
+    grid = uniform_grid_2d(10)
     positive = [row for row in grid.coords if (row > 0).all()]
     for c1, c2 in positive[::3]:
         delta1, delta2 = -float(c1), -float(c2)

@@ -12,6 +12,8 @@ which no workload runs, on the same inputs:
   seed of each ``semi-invert`` operation, and on its model at the grid's first
   or last eta.  The CSV lists every replicate, so it shows a change of T or
   lambda that invert's B = 2 hides;
+- ``semi-check``: ``check --data`` on the same data and models, whose report
+  holds the dual certificate: lambda, the iteration count and the minimizers;
 - ``custom-escape``: ``check --dist`` on the first ``large-check`` instance
   with every label rewritten to need JSON escaping (a quote, a backslash, a
   control character and non-ASCII text), once with its own, compatible P and
@@ -33,6 +35,12 @@ source trees give the same answers when their printed lines are equal:
 
     diff <(python3 tools/same_answers.py --src old/src --seeds 1) \\
          <(python3 tools/same_answers.py --src src --seeds 1)
+
+``tests/same_answers.txt`` holds the listing of seeds 1, 2, 3 and 901 under a
+``--header`` line, and ``tests/test_same_answers.py`` compares it with this
+tree's; a change of answer made on purpose rewrites it:
+
+    python3 tools/same_answers.py --src src --seeds 1 2 3 901 --header > tests/same_answers.txt
 """
 
 from __future__ import annotations
@@ -42,10 +50,14 @@ import contextlib
 import hashlib
 import io
 import json
+import platform
 import sys
 import tempfile
 from collections import Counter
 from pathlib import Path
+
+import numpy
+import scipy
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 
@@ -96,7 +108,7 @@ def flag(op, name: str) -> str:
 def extra_ops(name: str, ops: list, work: Path, seed: int) -> list:
     """(name, argv, out) of the operations that ``ops``, workload ``name``'s, leave out."""
     if name == "semi-invert":
-        extras = []
+        tests, checks = [], []
         for k, op in enumerate(ops):
             # at the grid's first or last eta, which lie outside the region the data are drawn
             # from, T > 0; inside it T and every replicate are 0
@@ -105,10 +117,13 @@ def extra_ops(name: str, ops: list, work: Path, seed: int) -> list:
             model = work / f"semi-test{k}.json"
             model.write_text(json.dumps(spec))
             out = work / f"semi-test{k}.out"
-            extras.append(("semi-test", ["test", "--model", str(model), "--data", flag(op, "--data"),
-                                         "--stat", "semi", "--B", "2000", "--format", "csv",
-                                         "--seed", flag(op, "--seed"), "--out", str(out)], out))
-        return extras
+            tests.append(("semi-test", ["test", "--model", str(model), "--data", flag(op, "--data"),
+                                        "--stat", "semi", "--B", "2000", "--format", "csv",
+                                        "--seed", flag(op, "--seed"), "--out", str(out)], out))
+            out = work / f"semi-check{k}.out"
+            checks.append(("semi-check", ["check", "--model", str(model), "--data", flag(op, "--data"),
+                                          "--out", str(out)], out))
+        return tests + checks
     if name == "entry-invert":
         label, models = "entry-simulate", dict.fromkeys(flag(op, "--model") for op in ops)
     elif name == "large-check":
@@ -174,6 +189,8 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", required=True, type=Path, help="the src directory to import falsiflow from")
     parser.add_argument("--seeds", required=True, type=int, nargs="+")
+    parser.add_argument("--header", action="store_true",
+                        help="first print a comment line naming the Python, numpy and scipy versions and the machine")
     args = parser.parse_args()
     src = args.src.resolve()
     sys.path.insert(0, str(src))
@@ -183,6 +200,9 @@ def main() -> int:
     if Path(falsiflow.__file__).resolve().parent != src / "falsiflow":
         print(f"error: falsiflow imported from {falsiflow.__file__}, not {src}", file=sys.stderr)
         return 2
+    if args.header:
+        print(f"# python {platform.python_version()}, numpy {numpy.__version__}, "
+              f"scipy {scipy.__version__}, {platform.system()} {platform.machine()}")
     with tempfile.TemporaryDirectory() as tmp:
         for seed in args.seeds:
             for name in workloads.WORKLOADS:
